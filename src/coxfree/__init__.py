@@ -74,7 +74,6 @@ from .torsionfree import (
     eps,
     faithful_on_Bk,
     kernel_index,
-    naive_phi,
     phi,
     replay_certificate,
     torsion_witnesses,

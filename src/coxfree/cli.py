@@ -50,7 +50,7 @@ def _fraction_json(q: Fraction) -> dict:
 def _weyl_from_args(tokens) -> wy.WeylData:
     if len(tokens) == 1:
         tok = tokens[0]
-        if tok[0].upper() in ("A", "B", "D") and tok[1:].isdigit():
+        if tok[:1].upper() in ("A", "B", "D") and tok[1:].isdigit():
             return wy.weyl_data(tok[0], int(tok[1:]))
         return wy.weyl_data(tok)
     return wy.weyl_data(tokens[0], int(tokens[1]))

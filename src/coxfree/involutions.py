@@ -10,20 +10,23 @@ Coxeter half-turn against the unique class of maximal rank.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from . import weyl as wy
 from .symbols import (
     CoxeterSymbol,
     FiniteType,
     MAX_NODES,
+    SphericalWalk,
     SymbolError,
     classify_finite_type,
     connected_components,
     induced_subsymbol,
+    mask_nodes,
     node_sort_key,
+    spherical_subsets,
 )
 from .weyl import WeylData
 
@@ -137,30 +140,41 @@ def pi_permutation(g: CoxeterSymbol) -> Dict:
     return {iso[v]: iso[std_pi[v]] for v in std.nodes}
 
 
+def _moves(g: CoxeterSymbol, walk: SphericalWalk, mask: int,
+           partners: Dict[int, Dict]) -> List[int]:
+    """Masks one exchange move away from the antipodal set mask.
+
+    partners memoizes pi_permutation per component mask, keyed by mask.
+    """
+    results = []
+    for i, s in enumerate(g.nodes):
+        bit = 1 << i
+        if mask & bit:
+            continue
+        comps = walk.get(mask | bit)
+        if comps is None:
+            continue
+        comp, t = next(c for c in comps if c[0] & bit)
+        if _component_type_is_minus_one(t):
+            continue
+        if comp not in partners:
+            partners[comp] = pi_permutation(induced_subsymbol(g, mask_nodes(g, comp)))
+        results.append((mask | bit) & ~(1 << g.nodes.index(partners[comp][s])))
+    return results
+
+
 def elementary_moves(g: CoxeterSymbol, t_nodes) -> List[Tuple]:
     """One-node exchange moves from an antipodal subsymbol.
 
     For a node s outside the subsymbol whose attached component is finite
     but not antipodal, the move swaps s in and its symmetric partner out.
+    Reads the spherical-subset walk of g, so g has at most MAX_NODES nodes.
     """
     t_set = set(t_nodes)
     if not is_minus_one_type(g, t_set):
         raise InvolutionError("moves are defined on antipodal subsymbols only")
-    results = []
-    for s in g.nodes:
-        if s in t_set:
-            continue
-        enlarged = t_set | {s}
-        comp = next(c for c in connected_components(induced_subsymbol(g, enlarged))
-                    if s in c)
-        comp_sym = induced_subsymbol(g, comp)
-        types = classify_finite_type(comp_sym)
-        if types is None or is_minus_one_type(g, comp):
-            continue
-        partner = pi_permutation(comp_sym)[s]
-        new_set = tuple(sorted(enlarged - {partner}, key=node_sort_key))
-        results.append(new_set)
-    return results
+    mask = sum(1 << i for i, v in enumerate(g.nodes) if v in t_set)
+    return [mask_nodes(g, m) for m in _moves(g, spherical_subsets(g), mask, {})]
 
 
 @dataclass(frozen=True)
@@ -181,13 +195,10 @@ def equivalence_classes(g: CoxeterSymbol) -> List[EquivalenceClass]:
     by (rank, least member)."""
     if g.rank > MAX_NODES:
         raise SymbolError(f"class enumeration capped at {MAX_NODES} nodes")
-    subsets = []
-    for r in range(1, g.rank + 1):
-        for combo in itertools.combinations(g.nodes, r):
-            key = tuple(sorted(combo, key=node_sort_key))
-            if is_minus_one_type(g, key):
-                subsets.append(key)
-    parent = {s: s for s in subsets}
+    walk = spherical_subsets(g)
+    subsets = [mask for mask, comps in walk.items()
+               if mask and all(_component_type_is_minus_one(t) for _, t in comps)]
+    parent = {m: m for m in subsets}
 
     def find(x):
         while parent[x] != x:
@@ -195,14 +206,15 @@ def equivalence_classes(g: CoxeterSymbol) -> List[EquivalenceClass]:
             x = parent[x]
         return x
 
+    partners: Dict[int, Dict] = {}
     for sub in subsets:
-        for moved in elementary_moves(g, sub):
+        for moved in _moves(g, walk, sub, partners):
             ra, rb = find(sub), find(moved)
             if ra != rb:
                 parent[ra] = rb
-    groups: Dict[Tuple, List[Tuple]] = {}
+    groups: Dict[int, List[Tuple]] = {}
     for sub in subsets:
-        groups.setdefault(find(sub), []).append(sub)
+        groups.setdefault(find(sub), []).append(mask_nodes(g, sub))
     classes = []
     for members in groups.values():
         members.sort(key=lambda m: tuple(node_sort_key(v) for v in m))
@@ -211,6 +223,7 @@ def equivalence_classes(g: CoxeterSymbol) -> List[EquivalenceClass]:
     return classes
 
 
+@lru_cache(maxsize=16)
 def maximal_rank_class(w: WeylData) -> EquivalenceClass:
     """The unique class of maximal rank of an irreducible Weyl group."""
     classes = equivalence_classes(w.symbol)

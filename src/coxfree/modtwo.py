@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from . import weyl as wy
 from .symbols import CoxeterSymbol
@@ -83,6 +85,8 @@ def f2_mat_add(a: F2Matrix, b: F2Matrix) -> F2Matrix:
 
 
 def f2_mat_pow(a: F2Matrix, k: int) -> F2Matrix:
+    if k < 0:
+        raise ModTwoError(f"negative exponent {k}")
     result = f2_identity(len(a))
     base = a
     while k:
@@ -237,8 +241,10 @@ def weight_vector(w: WeylData, s: int) -> WeightVector:
 # ---------------------------------------------------------------------------
 # Orbits and independence data
 
-def f2_generators(w: WeylData) -> Dict[int, F2Matrix]:
-    return {i: mat_mod2(wy.reflection_matrix(w, i)) for i in w.symbol.nodes}
+@lru_cache(maxsize=32)
+def f2_generators(w: WeylData) -> Mapping[int, F2Matrix]:
+    """Read-only map node -> reflection mod 2, built once per Weyl group."""
+    return MappingProxyType({i: mat_mod2(wy.reflection_matrix(w, i)) for i in w.symbol.nodes})
 
 
 def orbit_span(gens: Sequence[F2Matrix], start: int, ambient: int) -> Tuple[frozenset, F2Subspace]:
@@ -381,6 +387,8 @@ def alpha_map(w: WeylData, xi: Matrix, q: int, p: int) -> F2Matrix:
     """1 + xi^q + xi^(2q) + ... + xi^((2^(p-1)-1) q) over F2."""
     if p < 1:
         raise ModTwoError("p must be >= 1")
+    if q < 1:
+        raise ModTwoError("q must be >= 1")
     xc = mat_mod2(xi)
     step = f2_mat_pow(xc, q)
     acc = tuple(0 for _ in range(w.rank))

@@ -11,18 +11,25 @@ characteristics, and evaluates the cosine bilinear form and its signature.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 INF = math.inf
 
-# Subset enumeration (Euler characteristics, involution classes) is 2^|S|.
+# Cap on the nodes of a symbol given to the spherical-subset walk (Euler
+# characteristics, involution classes, finite-visible structure).  The walk
+# does bitmask work per spherical subset and classifies each component
+# mask once, so its cost follows the number of spherical subsets, not 2^|S|.
+# That number is still close to 2^|S| on pendant symbols (976 of 1024 for
+# E8 with pendants at 1 and 8), since every subset of a Weyl symbol is
+# spherical.
 MAX_NODES = 12
 
 SIGNATURE_TOL = 1e-8
@@ -311,6 +318,65 @@ def finite_order(g: CoxeterSymbol) -> int:
     return order
 
 
+SphericalWalk = Mapping[int, Tuple[Tuple[int, FiniteType], ...]]
+
+
+def mask_nodes(g: CoxeterSymbol, mask: int) -> Tuple:
+    """Nodes of a bitmask (bit i is g.nodes[i]), sorted by node_sort_key."""
+    return tuple(sorted((v for i, v in enumerate(g.nodes) if mask >> i & 1),
+                        key=node_sort_key))
+
+
+@lru_cache(maxsize=8)
+def spherical_subsets(g: CoxeterSymbol) -> SphericalWalk:
+    """Every spherical node subset (finite visible subgroup) of g.
+
+    Returns a read-only map from bitmask (bit i is g.nodes[i]) to the
+    components of that subset as (component mask, FiniteType) pairs,
+    ordered by lowest bit.  The empty subset maps to ().  Spherical sets
+    are closed under taking subsets, so the walk extends only spherical
+    sets, each by the nodes above its highest bit; adding a node merges
+    it with the components it touches, and each merged component mask is
+    classified once.  Level by level, this lists the subsets by size and
+    then in the order itertools.combinations gives positions in g.nodes.
+    """
+    n = g.rank
+    if n > MAX_NODES:
+        raise SymbolError(f"spherical-subset walk capped at {MAX_NODES} nodes")
+    index = {v: i for i, v in enumerate(g.nodes)}
+    touch = [0] * n
+    for key in g._edges:
+        a, b = (index[v] for v in key)
+        touch[a] |= 1 << b
+        touch[b] |= 1 << a
+    types: Dict[int, Optional[FiniteType]] = {}
+    walk: Dict[int, Tuple[Tuple[int, FiniteType], ...]] = {0: ()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for mask in frontier:
+            comps = walk[mask]
+            for i in range(mask.bit_length(), n):
+                bit = 1 << i
+                merged, kept = bit, []
+                for comp in comps:
+                    if comp[0] & touch[i]:
+                        merged |= comp[0]
+                    else:
+                        kept.append(comp)
+                if merged not in types:
+                    types[merged] = _classify_component(g, mask_nodes(g, merged))
+                t = types[merged]
+                if t is None:
+                    continue
+                kept.append((merged, t))
+                kept.sort(key=lambda c: c[0] & -c[0])
+                walk[mask | bit] = tuple(kept)
+                nxt.append(mask | bit)
+        frontier = nxt
+    return MappingProxyType(walk)
+
+
 def euler_characteristic(g: CoxeterSymbol) -> Fraction:
     """Exact group Euler characteristic.
 
@@ -321,24 +387,18 @@ def euler_characteristic(g: CoxeterSymbol) -> Fraction:
     if g.rank > MAX_NODES:
         raise SymbolError(f"Euler characteristic capped at {MAX_NODES} nodes")
     chi = Fraction(0)
-    nodes = g.nodes
-    for r in range(g.rank + 1):
-        for subset in itertools.combinations(nodes, r):
-            sub = induced_subsymbol(g, subset)
-            types = classify_finite_type(sub)
-            if types is None:
-                continue
-            order = 1
-            for t in types:
-                order *= t.order
-            chi += Fraction((-1) ** r, order)
+    for mask, comps in spherical_subsets(g).items():
+        order = 1
+        for _, t in comps:
+            order *= t.order
+        chi += Fraction(-1 if mask.bit_count() % 2 else 1, order)
     return chi
 
 
 def bilinear_gram(g: CoxeterSymbol, inf_value: float = -1.0) -> np.ndarray:
     """Cosine matrix B(v_s, v_t) = -cos(pi / m(s,t)), with inf_value at m = INF."""
-    if inf_value > -1.0:
-        raise SymbolError("inf_value must be <= -1")
+    if not (math.isfinite(inf_value) and inf_value <= -1.0):
+        raise SymbolError("inf_value must be a finite number <= -1")
     n = g.rank
     mat = np.eye(n)
     index = {v: i for i, v in enumerate(g.nodes)}

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import involutions as inv
 from . import modtwo as m2
 from . import weyl as wy
-from .symbols import CoxeterSymbol, classify_finite_type, connected_components, induced_subsymbol, node_sort_key
+from .symbols import CoxeterSymbol, mask_nodes, node_sort_key, spherical_subsets
 from .weyl import Matrix, WeylData
 
 WORD_CAP = 10_000
@@ -69,6 +70,8 @@ def build_dagger(psi: WeylData, nodes: Sequence[int]) -> DaggerSymbol:
         raise DaggerError("attachment nodes must be distinct")
     tagged = []
     for s in nodes:
+        if s not in psi.symbol.nodes:
+            raise DaggerError(f"{psi.label()} has no node {s!r}")
         if not m2.is_admissible(psi, s):
             raise DaggerError(f"node {s} of {psi.label()} is not admissible")
         tagged.append((s, m2.is_specially_admissible(psi, s)))
@@ -87,15 +90,7 @@ def build_dagger(psi: WeylData, nodes: Sequence[int]) -> DaggerSymbol:
 # ---------------------------------------------------------------------------
 # Image-group elements
 
-_MOD2_CACHE: Dict[Matrix, Tuple[int, ...]] = {}
-
-
-def _mod2_cols(g: Matrix) -> Tuple[int, ...]:
-    cols = _MOD2_CACHE.get(g)
-    if cols is None:
-        cols = m2.mat_mod2(g)
-        _MOD2_CACHE[g] = cols
-    return cols
+_mod2_cols = lru_cache(maxsize=1 << 14)(m2.mat_mod2)
 
 
 @dataclass(frozen=True)
@@ -119,12 +114,9 @@ class SemidirectElement:
             wy.mat_mul(self.g, other.g),
         )
 
-    def inverse(self) -> "SemidirectElement":
-        g_inv = wy.mat_inverse(self.g)
-        cols = _mod2_cols(g_inv)
-        return SemidirectElement(self.x, tuple(m2.f2_mat_vec(cols, b) for b in self.v), g_inv)
-
     def power(self, k: int) -> "SemidirectElement":
+        if k < 0:
+            raise DaggerError(f"negative exponent {k}")
         result = identity_element(len(self.v), len(self.g))
         base = self
         while k:
@@ -159,35 +151,38 @@ def _generator_images(d: DaggerSymbol, mode: str) -> Dict[object, SemidirectElem
 
 
 def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement:
-    """Image of a word in the generators of the pendant symbol."""
+    """Image of a word in the generators of the pendant symbol.
+
+    The word is folded into mutable state: a Weyl letter s right-multiplies
+    g by s_s in place; a pendant letter t_i toggles bit i of x (augmented
+    map, plain pendants only) and adds g u_i mod 2 to slot i of v.
+    """
     if len(word) > WORD_CAP:
         raise DaggerError(f"word longer than the {WORD_CAP} cap")
-    images = _generator_images(d, mode)
-    acc = identity_element(d.m, d.psi.rank)
+    if mode not in ("plain", "hat"):
+        raise DaggerError(f"unknown mode {mode!r}")
+    psi = d.psi
+    supports = psi.reflection_supports
+    slots = {t: i for i, t in enumerate(d.pendants)}
+    odd = [[j for j, c in enumerate(u) if c & 1] for u in d.weights]
+    toggles = d.ell if mode == "hat" else 0
+    g = [list(r) for r in wy.identity_matrix(psi.rank)]
+    v = [0] * d.m
+    x = 0
     for s in word:
-        if s not in images:
-            raise DaggerError(f"unknown generator {s!r}")
-        acc = acc * images[s]
-    return acc
-
-
-def naive_phi(d: DaggerSymbol, word: Sequence) -> SemidirectElement:
-    """Single-lattice variant: all pendants translate in one shared copy of
-    L/2.  Kept to exhibit how disjoint visibles collide in its image."""
-    if len(word) > WORD_CAP:
-        raise DaggerError(f"word longer than the {WORD_CAP} cap")
-    n = d.psi.rank
-    images: Dict[object, SemidirectElement] = {}
-    for s in d.psi.symbol.nodes:
-        images[s] = SemidirectElement(0, (0,), wy.reflection_matrix(d.psi, s))
-    for i, t in enumerate(d.pendants):
-        images[t] = SemidirectElement(0, (m2.vec_mod2(d.weights[i]),), wy.identity_matrix(n))
-    acc = identity_element(1, n)
-    for s in word:
-        if s not in images:
-            raise DaggerError(f"unknown generator {s!r}")
-        acc = acc * images[s]
-    return acc
+        i = slots.get(s)
+        if i is None:
+            if s not in supports:
+                raise DaggerError(f"unknown generator {s!r}")
+            wy.reflect_rows(psi, g, s)
+            continue
+        if i < toggles:
+            x ^= 1 << i
+        cols = odd[i]
+        for r, row in enumerate(g):
+            if sum([row[j] for j in cols]) & 1:
+                v[i] ^= 1 << r
+    return SemidirectElement(x, tuple(v), tuple(map(tuple, g)))
 
 
 def eps(d: DaggerSymbol, word: Sequence) -> int:
@@ -398,36 +393,33 @@ def _component_longest_word(d: DaggerSymbol, comp: Sequence) -> List:
 
 
 def _subset_longest_word(d: DaggerSymbol, subset: Sequence) -> List:
+    """Concatenated component longest words of a spherical subset, the
+    components ordered by least node."""
+    gamma = d.gamma
+    chosen = set(subset)
+    mask = sum(1 << i for i, v in enumerate(gamma.nodes) if v in chosen)
+    comps = [mask_nodes(gamma, comp) for comp, _ in spherical_subsets(gamma)[mask]]
     word: List = []
-    sub = induced_subsymbol(d.gamma, subset)
-    for comp in connected_components(sub):
+    for comp in sorted(comps, key=lambda c: node_sort_key(c[0])):
         word += _component_longest_word(d, comp)
     return word
 
 
 def _structure_violations(d: DaggerSymbol) -> List[dict]:
     """Connected finite visibles through a pendant that are not type B with
-    exactly one pendant."""
+    exactly one pendant, in the walk's order: by size, then by position."""
+    gamma = d.gamma
+    pendants = set(d.pendants)
+    pend = sum(1 << i for i, v in enumerate(gamma.nodes) if v in pendants)
     violations = []
-    nodes = list(d.gamma.nodes)
-    pend = set(d.pendants)
-    for r in range(1, len(nodes) + 1):
-        for combo in itertools.combinations(nodes, r):
-            chosen = set(combo)
-            if not chosen & pend:
-                continue
-            sub = induced_subsymbol(d.gamma, combo)
-            if len(connected_components(sub)) != 1:
-                continue
-            types = classify_finite_type(sub)
-            if types is None:
-                continue
-            t = types[0]
-            n_pend = len(chosen & pend)
-            shape_ok = n_pend == 1 and (t.family == "B" or (t.family == "A" and t.rank == 1))
-            if not shape_ok:
-                violations.append({"nodes": [str(v) for v in sorted(chosen, key=node_sort_key)],
-                                   "type": t.label(), "pendants": n_pend})
+    for mask, comps in spherical_subsets(gamma).items():
+        if not mask & pend or len(comps) != 1:
+            continue
+        t = comps[0][1]
+        n_pend = (mask & pend).bit_count()
+        if not (n_pend == 1 and (t.family == "B" or (t.family == "A" and t.rank == 1))):
+            violations.append({"nodes": [str(v) for v in mask_nodes(gamma, mask)],
+                               "type": t.label(), "pendants": n_pend})
     return violations
 
 
@@ -600,7 +592,10 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
                            "trusted": ["2-torsion in the preimage of a cyclic 2-group "
                                        "maps onto its unique involution"]}, ok_ex))
 
-    index = (2 ** (d.m * n + d.ell - p)) * psi.order
+    image_order = 2 ** (d.m * n + d.ell) * psi.order
+    if image_order % 2 ** p:
+        raise DaggerError(f"2^{p} does not divide the image order {image_order}")
+    index = image_order // 2 ** p
     cert = Certificate("cyclic-extension", "hat", tuple(steps), index=index, p=p)
     return CyclicExtension(zeta, p, index, cert)
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +60,14 @@ class WeylData:
         if self.family in ("A", "B", "D"):
             return f"{self.family}{self.rank}"
         return self.family
+
+    @cached_property
+    def reflection_supports(self) -> Mapping[int, Tuple[int, Tuple[Tuple[int, int], ...]]]:
+        """Read-only map node i -> (i - 1, the (column, entry) pairs of
+        Cartan row i - 1 with a nonzero entry): the only columns s_i changes."""
+        return MappingProxyType({
+            i: (i - 1, tuple((c, m) for c, m in enumerate(self.cartan[i - 1]) if m))
+            for i in self.symbol.nodes})
 
 
 def _family_symbol(family: str, rank: int) -> Tuple[CoxeterSymbol, frozenset]:
@@ -191,6 +201,8 @@ def mat_vec(a: Matrix, v: Sequence[int]) -> Tuple[int, ...]:
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
+    if k < 0:
+        raise WeylError(f"negative exponent {k}")
     result = identity_matrix(len(a))
     base = a
     while k:
@@ -260,11 +272,29 @@ def reflection_matrix(w: WeylData, i: int) -> Matrix:
     )
 
 
+def reflect_rows(w: WeylData, rows: List[List[int]], i: int) -> None:
+    """Right-multiply the mutable integer rows in place by the reflection s_i.
+
+    s_i differs from the identity only in row k = i - 1, so g s_i differs
+    from g only in the columns c with cartan[k][c] != 0:
+    (g s_i)[r][c] = g[r][c] - g[r][k] cartan[k][c].
+    """
+    support = w.reflection_supports.get(i)
+    if support is None:
+        raise WeylError(f"unknown node {i!r}")
+    k, entries = support
+    for row in rows:
+        a = row[k]
+        if a:
+            for c, m in entries:
+                row[c] -= a * m
+
+
 def word_to_matrix(w: WeylData, word: Sequence[int]) -> Matrix:
-    m = identity_matrix(w.rank)
+    rows = [list(r) for r in identity_matrix(w.rank)]
     for s in word:
-        m = mat_mul(m, reflection_matrix(w, s))
-    return m
+        reflect_rows(w, rows, s)
+    return tuple(map(tuple, rows))
 
 
 def coxeter_element(w: WeylData, nodes: Optional[Iterable[int]] = None) -> Matrix:
@@ -307,13 +337,15 @@ def longest_word(w: WeylData, delta: Optional[Iterable[int]] = None) -> Tuple[in
     The step count equals the number of positive roots of the subgroup.
     """
     nodes = sorted(set(w.symbol.nodes if delta is None else delta))
-    m = identity_matrix(w.rank)
+    unknown = set(nodes) - set(w.symbol.nodes)
+    if unknown:
+        raise WeylError(f"unknown nodes {sorted(unknown)!r}")
+    rows = [list(r) for r in identity_matrix(w.rank)]
     word: List[int] = []
     while True:
         for s in nodes:
-            col = tuple(row[s - 1] for row in m)
-            if all(c >= 0 for c in col):
-                m = mat_mul(m, reflection_matrix(w, s))
+            if all(row[s - 1] >= 0 for row in rows):
+                reflect_rows(w, rows, s)
                 word.append(s)
                 break
         else:

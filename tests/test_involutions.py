@@ -1,0 +1,82 @@
+import itertools
+import random
+
+import pytest
+
+from coxfree import (
+    CoxeterSymbol,
+    InvolutionError,
+    SymbolError,
+    elementary_moves,
+    equivalence_classes,
+    half_coxeter_check,
+    is_minus_one_type,
+    maximal_rank_class,
+    weyl_data,
+)
+from oracles import closure, involution_class_count, signed_generators, symmetric_generators
+
+
+def _oracle_group(fam, rank):
+    if fam == "A":
+        return closure(symmetric_generators(rank))
+    return closure(signed_generators(rank, even=fam == "D"))
+
+
+class TestClassCounts:
+    @pytest.mark.parametrize("fam,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+                                          ("B", 2), ("B", 3), ("B", 4), ("D", 4)])
+    def test_against_brute_force_conjugacy(self, fam, rank):
+        classes = equivalence_classes(weyl_data(fam, rank).symbol)
+        assert len(classes) == involution_class_count(_oracle_group(fam, rank))
+
+    def test_a3_classes(self):
+        # S4: transpositions {1}, {2}, {3} and double transpositions {1, 3}.
+        classes = equivalence_classes(weyl_data("A", 3).symbol)
+        assert [(c.rank, c.members) for c in classes] == \
+            [(1, ((1,), (2,), (3,))), (2, ((1, 3),))]
+
+    def test_relabeling_invariance(self):
+        base = weyl_data("D", 5).symbol
+        names = [f"v{i}" for i in range(5)]
+        random.Random(3).shuffle(names)
+        relabel = dict(zip(base.nodes, names))
+        g = CoxeterSymbol(names, [(relabel[a], relabel[b], m) for a, b, m in base.edges()])
+        assert sorted((c.rank, len(c.members)) for c in equivalence_classes(g)) == \
+            sorted((c.rank, len(c.members)) for c in equivalence_classes(base))
+
+    def test_node_cap(self):
+        with pytest.raises(SymbolError):
+            equivalence_classes(CoxeterSymbol(range(13)))
+
+
+class TestMoves:
+    def test_moves_stay_antipodal_and_inside_classes(self):
+        g = weyl_data("E6").symbol
+        classes = equivalence_classes(g)
+        owner = {m: i for i, c in enumerate(classes) for m in c.members}
+        for r in range(1, g.rank + 1):
+            for combo in itertools.combinations(g.nodes, r):
+                if not is_minus_one_type(g, combo):
+                    continue
+                for moved in elementary_moves(g, combo):
+                    assert is_minus_one_type(g, moved)
+                    assert owner[moved] == owner[combo]
+
+    def test_a2_exchange(self):
+        # {1} with 2 added is A2, whose symmetry swaps 1 and 2.
+        assert elementary_moves(weyl_data("A", 3).symbol, [1]) == [(2,)]
+
+    def test_non_antipodal_rejected(self):
+        with pytest.raises(InvolutionError):
+            elementary_moves(weyl_data("A", 3).symbol, [1, 2])
+
+
+class TestHalfTurn:
+    @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 4), ("D", 6), ("E6", None),
+                                          ("E8", None), ("F4", None)])
+    def test_half_coxeter_rank(self, fam, rank):
+        assert half_coxeter_check(weyl_data(fam, rank))
+
+    def test_e8_maximal_class_has_full_rank(self):
+        assert maximal_rank_class(weyl_data("E8")).rank == 8

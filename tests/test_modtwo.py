@@ -432,3 +432,22 @@ class TestAlphaAndTargets:
         w = weyl_data("B", 2)
         with pytest.raises(ModTwoError):
             find_target(w, wy.identity_matrix(2), 1, 1)
+
+
+class TestNegativeExponents:
+    def test_f2_mat_pow_rejects_negative_exponent(self):
+        xc = m2.mat_mod2(coxeter_element(weyl_data("B", 4)))
+        with pytest.raises(ModTwoError):
+            m2.f2_mat_pow(xc, -1)
+
+    def test_alpha_map_rejects_q_below_one(self):
+        # q = 0 would give the zero map (1 + 1 over F2), q = -1 looped.
+        w = weyl_data("B", 4)
+        for q in (0, -1):
+            with pytest.raises(ModTwoError):
+                alpha_map(w, coxeter_element(w), q, 1)
+
+    def test_find_target_rejects_negative_q(self):
+        w = weyl_data("B", 4)
+        with pytest.raises(ModTwoError):
+            find_target(w, coxeter_element(w), -1, 1)

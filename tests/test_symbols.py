@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from coxfree import (
     signature,
     weyl_data,
 )
+from coxfree.symbols import spherical_subsets
 from oracles import closure, signed_generators
 
 
@@ -148,6 +150,83 @@ class TestEuler:
             assert euler_characteristic(g) * finite_order(g) == 1
 
 
+def brute_force_euler(g):
+    """chi as the plain sum over all 2^n node subsets."""
+    chi = Fraction(0)
+    for r in range(g.rank + 1):
+        for subset in itertools.combinations(g.nodes, r):
+            types = classify_finite_type(induced_subsymbol(g, subset))
+            if types is not None:
+                chi += Fraction((-1) ** r, math.prod(t.order for t in types))
+    return chi
+
+
+def cycle_symbol(labels):
+    n = len(labels)
+    return CoxeterSymbol(range(n), [(i, (i + 1) % n, m) for i, m in enumerate(labels)])
+
+
+class TestEulerWalk:
+    AFFINE = {
+        "~A3": cycle_symbol([3, 3, 3, 3]),
+        "~B3": CoxeterSymbol(range(4), [(0, 2, 3), (1, 2, 3), (2, 3, 4)]),
+        "~C3": path_symbol([4, 3, 4]),
+        "~G2": path_symbol([3, 6]),
+        "~D4": CoxeterSymbol(range(5), [(0, 4, 3), (1, 4, 3), (2, 4, 3), (3, 4, 3)]),
+    }
+    HYPERBOLIC = {
+        "triangle(2,3,7)": path_symbol([3, 7]),
+        "triangle(3,3,4)": cycle_symbol([3, 3, 4]),
+        "triangle(inf,inf,inf)": cycle_symbol([INF, INF, INF]),
+        "[5,3,5]": path_symbol([5, 3, 5]),
+        "[4,3,5]": path_symbol([4, 3, 5]),
+        "E8 pendant": CoxeterSymbol(list(range(1, 9)) + ["t"],
+                                    weyl_data("E8").symbol.edges() + [(8, "t", 4)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(AFFINE))
+    def test_affine_is_zero(self, name):
+        g = self.AFFINE[name]
+        assert euler_characteristic(g) == brute_force_euler(g) == 0
+
+    @pytest.mark.parametrize("name", sorted(HYPERBOLIC))
+    def test_hyperbolic_matches_brute_force(self, name):
+        g = self.HYPERBOLIC[name]
+        assert euler_characteristic(g) == brute_force_euler(g)
+
+    def test_triangle_groups_closed_form(self):
+        # chi = 1 - 3/2 + sum 1/(2 m) over the three pairs (whole triangle infinite).
+        for p, q, r in ((2, 3, 7), (2, 4, 5), (3, 3, 4), (3, 3, 3)):
+            g = CoxeterSymbol([1, 2, 3], [(1, 2, p), (2, 3, q), (1, 3, r)])
+            assert euler_characteristic(g) == Fraction(-1, 2) + sum(
+                Fraction(1, 2 * m) for m in (p, q, r))
+
+    def test_walk_lists_exactly_the_spherical_subsets(self):
+        rng = random.Random(9)
+        for _ in range(30):
+            n = rng.randint(1, 7)
+            nodes = list(range(n))
+            edges = [(a, b, rng.choice([3, 3, 4, 5, 6, INF]))
+                     for a, b in itertools.combinations(nodes, 2) if rng.random() < 0.4]
+            g = CoxeterSymbol(nodes, edges)
+            walk = spherical_subsets(g)
+            spherical = []
+            for r in range(n + 1):
+                for subset in itertools.combinations(nodes, r):
+                    types = classify_finite_type(induced_subsymbol(g, subset))
+                    mask = sum(1 << v for v in subset)
+                    if types is None:
+                        assert mask not in walk
+                    else:
+                        spherical.append(mask)
+                        assert sorted(t.label() for _, t in walk[mask]) == \
+                            sorted(t.label() for t in types)
+            assert list(walk) == spherical  # size, then combinations order
+
+    def test_weyl_symbols_are_spherical_throughout(self):
+        assert len(spherical_subsets(weyl_data("E8").symbol)) == 2 ** 8
+
+
 class TestBilinearForm:
     def test_a2_gram(self):
         mat = bilinear_gram(weyl_data("A", 2).symbol)
@@ -156,6 +235,12 @@ class TestBilinearForm:
     def test_b2_gram(self):
         mat = bilinear_gram(weyl_data("B", 2).symbol)
         assert mat[0][1] == pytest.approx(-math.sqrt(2) / 2)
+
+    def test_non_finite_inf_value_rejected(self):
+        g = CoxeterSymbol([1, 2], [(1, 2, INF)])
+        for value in (math.nan, -math.inf, -0.5):
+            with pytest.raises(SymbolError):
+                bilinear_gram(g, value)
 
     def test_infinite_edge_value(self):
         g = CoxeterSymbol([1, 2], [(1, 2, INF)])

@@ -1,0 +1,88 @@
+import random
+
+import pytest
+
+from coxfree import (
+    DaggerError,
+    build_dagger,
+    certify_torsion_free,
+    cyclic_extension,
+    phi,
+    replay_certificate,
+    weyl_data,
+)
+from coxfree import torsionfree as tf
+
+
+def _fold(d, word, mode):
+    """phi as the left fold of the generator images under the group product."""
+    images = tf._generator_images(d, mode)
+    acc = tf.identity_element(d.m, d.psi.rank)
+    for s in word:
+        acc = acc * images[s]
+    return acc
+
+
+class TestPhi:
+    @pytest.mark.parametrize("args,nodes", [(["E6"], [1, 6]), (["E8"], [1, 8]),
+                                            (["D", 8], [2, 6])])
+    @pytest.mark.parametrize("mode", ["hat", "plain"])
+    def test_matches_generator_fold(self, args, nodes, mode):
+        d = build_dagger(weyl_data(*args), nodes)
+        rng = random.Random(f"{args}{nodes}{mode}")
+        gens = list(d.gamma.nodes)
+        for _ in range(40):
+            word = [rng.choice(gens) for _ in range(rng.randint(0, 80))]
+            assert phi(d, word, mode) == _fold(d, word, mode)
+
+    def test_relation_words_are_trivial(self):
+        d = build_dagger(weyl_data("E8"), [1, 8])
+        for a in d.gamma.nodes:
+            for b in d.gamma.nodes:
+                if a != b:
+                    assert phi(d, [a, b] * d.gamma.order(a, b)).is_identity()
+
+    def test_errors(self):
+        d = build_dagger(weyl_data("E6"), [1])
+        with pytest.raises(DaggerError):
+            phi(d, [1, "t9"])
+        with pytest.raises(DaggerError):
+            phi(d, ["1"])
+        with pytest.raises(DaggerError):
+            phi(d, [1], mode="other")
+        with pytest.raises(DaggerError):
+            phi(d, [1] * (tf.WORD_CAP + 1))
+
+    def test_negative_power_rejected(self):
+        d = build_dagger(weyl_data("E6"), [1])
+        with pytest.raises(DaggerError):
+            phi(d, [1, 2]).power(-1)
+
+
+class TestBuild:
+    def test_unknown_node_rejected(self):
+        with pytest.raises(DaggerError):
+            build_dagger(weyl_data("E8"), [9])
+
+
+class TestCertificates:
+    def test_e8_certify_and_replay(self):
+        d = build_dagger(weyl_data("E8"), [1, 7, 8])
+        cert = certify_torsion_free(d)
+        assert cert.ok
+        assert replay_certificate(d, cert)
+        structure = next(s for s in cert.steps if s.name == "finite-visible-structure")
+        assert structure.objects == {"violations": []}
+
+
+class TestExtensionIndex:
+    def test_a3_without_pendants_is_an_exact_int(self):
+        ext = cyclic_extension(build_dagger(weyl_data("A", 3), []))
+        assert ext.index == 12 and type(ext.index) is int
+        assert ext.certificate.to_json()["index"] == 12
+
+    def test_e8_two_pendants_unchanged(self):
+        ext = cyclic_extension(build_dagger(weyl_data("E8"), [1, 8]))
+        # 2^(m n + ell - p) |W(E8)| with m = 2, n = 8, ell = 1, p = 1.
+        assert ext.p == 1
+        assert ext.index == 2 ** 16 * 696729600

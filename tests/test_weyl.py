@@ -14,6 +14,7 @@ from coxfree import (
     perm_model,
     verify_exponents,
 )
+from coxfree import weyl as wy
 from coxfree.weyl import identity_matrix, mat_mul, preserves_gram
 
 ALL_RANK_LE_8 = (
@@ -239,3 +240,34 @@ class TestPermModel:
     def test_rejects_exceptional(self):
         with pytest.raises(WeylError):
             perm_model(weyl_data("F4"), [1])
+
+
+class TestNegativeExponents:
+    def test_mat_pow_rejects_negative_exponent(self):
+        xi = coxeter_element(weyl_data("B", 4))
+        with pytest.raises(WeylError):
+            wy.mat_pow(xi, -1)
+
+    def test_mat_pow_zero_is_identity(self):
+        xi = coxeter_element(weyl_data("B", 4))
+        assert wy.mat_pow(xi, 0) == identity_matrix(4)
+
+
+class TestSparseReflections:
+    def test_reflect_rows_matches_dense_product(self):
+        rng = random.Random(11)
+        for fam, rank in [("A", 5), ("B", 4), ("D", 6), ("F4", None), ("G2", None), ("E8", None)]:
+            w = weyl_data(fam, rank)
+            for _ in range(20):
+                word = [rng.choice(w.symbol.nodes) for _ in range(rng.randint(0, 25))]
+                dense = identity_matrix(w.rank)
+                for s in word:
+                    dense = mat_mul(dense, reflection_matrix(w, s))
+                assert word_to_matrix(w, word) == dense
+
+    def test_unknown_nodes_rejected(self):
+        w = weyl_data("A", 3)
+        with pytest.raises(WeylError):
+            word_to_matrix(w, [1, 0])
+        with pytest.raises(WeylError):
+            longest_word(w, [1, 4])
