@@ -175,7 +175,6 @@ def _cmd_geometry(args) -> int:
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="coxfree")
     top.add_argument("--quiet", action="store_true", help="suppress stderr tables")
-    top.add_argument("--json", action="store_true", help="accepted for symmetry; output is JSON")
     sub = top.add_subparsers(dest="verb", required=True)
 
     ps = sub.add_parser("symbol")
@@ -207,8 +206,7 @@ def _parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("geometry")
     pg.add_argument("action", choices=["volume", "covol"])
-    pg.add_argument("dim", nargs="?", type=int)
-    pg.add_argument("--dim", dest="dim_flag", type=int)
+    pg.add_argument("dim", type=int)
     pg.add_argument("--route", choices=["siegel", "gb"], default="siegel")
     return top
 
@@ -229,12 +227,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.verb == "geometry":
-        if getattr(args, "dim_flag", None) is not None:
-            args.dim = args.dim_flag
-        if args.dim is None:
-            print("geometry needs a dimension", file=sys.stderr)
-            return USAGE_ERROR
     try:
         return _DISPATCH[args.verb](args)
     except (sym.SymbolError, wy.WeylError, m2.ModTwoError, inv.InvolutionError,

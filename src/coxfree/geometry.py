@@ -17,7 +17,6 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import List, Optional, Tuple
 
-from . import modtwo as m2
 from . import torsionfree as tf
 from . import weyl as wy
 from .symbols import CoxeterSymbol, euler_characteristic, signature
@@ -132,28 +131,14 @@ def _root_gram_det(core: CoxeterSymbol, s) -> Fraction:
     nodes = list(core.nodes)
     idx = {v: i for i, v in enumerate(nodes)}
     size = len(nodes) + 1
-    gram = [[Fraction(0)] * size for _ in range(size)]
+    gram = [[0] * size for _ in range(size)]
     for i, v in enumerate(nodes):
-        gram[i][i] = Fraction(2)
+        gram[i][i] = 2
         for u in core.neighbors(v):
-            gram[i][idx[u]] = Fraction(-1)
-    gram[-1][-1] = Fraction(1)
-    gram[-1][idx[s]] = gram[idx[s]][-1] = Fraction(-1)
-    det = Fraction(1)
-    for c in range(size):
-        pivot = next((r for r in range(c, size) if gram[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            gram[c], gram[pivot] = gram[pivot], gram[c]
-            det = -det
-        det *= gram[c][c]
-        inv = 1 / gram[c][c]
-        for r in range(c + 1, size):
-            f = gram[r][c] * inv
-            if f:
-                gram[r] = [a - f * b for a, b in zip(gram[r], gram[c])]
-    return det
+            gram[i][idx[u]] = -1
+    gram[-1][-1] = 1
+    gram[-1][idx[s]] = gram[idx[s]][-1] = -1
+    return wy.row_reduce(gram)[2]
 
 
 def vinberg_symbol(n: int) -> Tuple[CoxeterSymbol, Optional[tf.DaggerSymbol]]:

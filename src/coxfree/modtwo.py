@@ -14,11 +14,10 @@ half-turn, and the geometric-series operator used to hit its targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import weyl as wy
 from .symbols import CoxeterSymbol
@@ -188,54 +187,22 @@ class WeightVector:
 
 
 def weight_vector(w: WeylData, s: int) -> WeightVector:
-    """Solve the orthogonality system over Q and normalize to a primitive
-    integer vector with positive coordinate at s."""
+    """Column s of the cached gram2 inverse, normalized to a primitive
+    integer vector with positive coordinate at s.
+
+    gram2 u = c e_s says exactly that u is orthogonal to every x_t, t != s.
+    """
     if s not in set(w.symbol.nodes):
         raise ModTwoError(f"unknown node {s!r}")
-    n = w.rank
-    rows = [
-        [Fraction(w.gram2[t - 1][j]) for j in range(n)]
-        for t in w.symbol.nodes
-        if t != s
-    ]
-    # Gaussian elimination; gram2 is nonsingular, so the nullspace is a line.
-    pivots: List[Tuple[int, List[Fraction]]] = []
-    for row in rows:
-        for col, prow in pivots:
-            if row[col] != 0:
-                f = row[col]
-                row = [x - f * y for x, y in zip(row, prow)]
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is None:
-            continue
-        row = [x / row[lead] for x in row]
-        for col, prow in pivots:
-            if prow[lead] != 0:
-                f = prow[lead]
-                prow[:] = [x - f * y for x, y in zip(prow, row)]
-        pivots.append((lead, row))
-    pivot_cols = {c for c, _ in pivots}
-    free = [j for j in range(n) if j not in pivot_cols]
-    if len(free) != 1:
-        raise ModTwoError("weight system is degenerate")  # pragma: no cover
-    j0 = free[0]
-    vec = [Fraction(0)] * n
-    vec[j0] = Fraction(1)
-    for col, prow in pivots:
-        vec[col] = -prow[j0]
-    mult = 1
-    for x in vec:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    ints = [int(x * mult) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
+    col = [row[s - 1] for row in w.gram2_inverse]
+    mult = lcm(*(x.denominator for x in col))
+    ints = [int(x * mult) for x in col]
+    g = gcd(*ints)
     if ints[s - 1] < 0:
-        ints = [-x for x in ints]
+        g = -g
     if ints[s - 1] == 0:
         raise ModTwoError("weight vector vanishes at its node")  # pragma: no cover
-    return WeightVector(tuple(ints), s)
+    return WeightVector(tuple(x // g for x in ints), s)
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +214,29 @@ def f2_generators(w: WeylData) -> Mapping[int, F2Matrix]:
     return MappingProxyType({i: mat_mod2(wy.reflection_matrix(w, i)) for i in w.symbol.nodes})
 
 
+def bfs_closure(start: Hashable, gens: Sequence, act: Callable, cap: Optional[int] = None) -> Set:
+    """Closure of start under x -> act(x, g) for g in gens, breadth first in
+    generator order.  With a cap it stops as soon as it holds more than cap
+    elements, so the caller can tell an overflow by the size."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = act(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+                    if cap is not None and len(seen) > cap:
+                        return seen
+        frontier = nxt
+    return seen
+
+
 def orbit_span(gens: Sequence[F2Matrix], start: int, ambient: int) -> Tuple[frozenset, F2Subspace]:
-    """BFS closure of start under the generators (generator order, FIFO)."""
-    orbit: Set[int] = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        for g in gens:
-            img = f2_mat_vec(g, v)
-            if img not in orbit:
-                orbit.add(img)
-                queue.append(img)
+    """Orbit of start under the generators, with the span of the orbit."""
+    orbit = bfs_closure(start, gens, lambda v, g: f2_mat_vec(g, v))
     return frozenset(orbit), span(sorted(orbit), ambient)
 
 
@@ -311,32 +290,28 @@ def is_independent_for(w: WeylData, s: int, t_set: Iterable[int]) -> bool:
     return f2_rank(sorted(vectors)) == len(path_nodes) + 1
 
 
-def _a_path_targets(w: WeylData, s: int, parity: str) -> List[int]:
-    """Nodes t whose minimal path from s induces a type-A subsymbol.
-
-    parity "odd" keeps odd node counts only, "all" keeps every length.
-    """
+def type_a_paths(w: WeylData, s: int) -> List[Tuple[int, ...]]:
+    """Minimal paths from s whose edges all have order 3, so that they
+    induce type-A subsymbols, in node order of the far end; the one-node
+    path (s,) is among them."""
     out = []
     for t in w.symbol.nodes:
         path = tree_path(w.symbol, s, t)
-        if any(w.symbol.order(path[i], path[i + 1]) != 3 for i in range(len(path) - 1)):
-            continue
-        if parity == "odd" and len(path) % 2 == 0:
-            continue
-        out.append(t)
+        if all(w.symbol.order(a, b) == 3 for a, b in zip(path, path[1:])):
+            out.append(path)
     return out
 
 
 def is_admissible(w: WeylData, s: int) -> bool:
     if s in w.scaled_nodes:
         return False
-    return all(is_independent_for(w, s, {t}) for t in _a_path_targets(w, s, "odd"))
+    return all(is_independent_for(w, s, {p[-1]}) for p in type_a_paths(w, s) if len(p) % 2)
 
 
 def is_specially_admissible(w: WeylData, s: int) -> bool:
     if s in w.scaled_nodes:
         return False
-    return all(is_independent_for(w, s, {t}) for t in _a_path_targets(w, s, "all"))
+    return all(is_independent_for(w, s, {p[-1]}) for p in type_a_paths(w, s))
 
 
 def admissible_nodes(w: WeylData) -> List[Tuple[int, bool]]:
@@ -350,8 +325,7 @@ def admissible_nodes(w: WeylData) -> List[Tuple[int, bool]]:
 
 def lambda_dim(w: WeylData, s: int) -> int:
     """Dimension of the span of the full reflection-group orbit of u_s mod 2."""
-    gens = [mat_mod2(wy.reflection_matrix(w, i)) for i in w.symbol.nodes]
-    _, sp = orbit_span(gens, weight_vector(w, s).mod2(), w.rank)
+    _, sp = orbit_span(list(f2_generators(w).values()), weight_vector(w, s).mod2(), w.rank)
     return sp.dim
 
 

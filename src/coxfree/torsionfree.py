@@ -18,6 +18,7 @@ cyclic 2-group built from a Coxeter element.
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -253,19 +254,9 @@ def enumerate_image(d: DaggerSymbol, mode: str = "hat", cap: int = CLOSURE_CAP) 
     generator images.  Raises when the closure exceeds cap."""
     images = _generator_images(d, mode)
     gens = [images[s] for s in d.gamma.nodes]
-    seen = {identity_element(d.m, d.psi.rank)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                prod = e * g
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > cap:
-                        raise DaggerError(f"closure exceeds cap {cap}")
-        frontier = nxt
+    seen = m2.bfs_closure(identity_element(d.m, d.psi.rank), gens, operator.mul, cap)
+    if len(seen) > cap:
+        raise DaggerError(f"closure exceeds cap {cap}")
     return len(seen)
 
 
@@ -293,16 +284,6 @@ def kernel_index(d: DaggerSymbol, mode: str = "hat",
 # ---------------------------------------------------------------------------
 # Faithfulness on visible type-B subgroups and residual torsion
 
-def _a_paths_from(d: DaggerSymbol, s: int) -> List[Tuple[int, ...]]:
-    """All paths in Psi starting at s whose induced subsymbol has type A."""
-    out = []
-    for t in d.psi.symbol.nodes:
-        path = m2.tree_path(d.psi.symbol, s, t)
-        if all(d.psi.symbol.order(path[i], path[i + 1]) == 3 for i in range(len(path) - 1)):
-            out.append(path)
-    return out
-
-
 def faithful_on_Bk(d: DaggerSymbol, i: int, k: int) -> bool:
     """Whether the map is injective on the visible type-B subgroup of rank k
     through pendant i: the orbit of u_i mod 2 under the rank k-1 path
@@ -311,7 +292,7 @@ def faithful_on_Bk(d: DaggerSymbol, i: int, k: int) -> bool:
         raise DaggerError(f"no attachment with index {i}")
     if k == 1:
         return True
-    paths = [p for p in _a_paths_from(d, d.attachments[i]) if len(p) == k - 1]
+    paths = [p for p in m2.type_a_paths(d.psi, d.attachments[i]) if len(p) == k - 1]
     if not paths:
         raise DaggerError(f"no visible rank-{k} type-B subgroup through pendant {i}")
     u = m2.vec_mod2(d.weights[i])
@@ -357,7 +338,7 @@ def torsion_witnesses(d: DaggerSymbol) -> List[TorsionWitness]:
     """
     out = []
     for i in range(d.m):
-        for path in _a_paths_from(d, d.attachments[i]):
+        for path in m2.type_a_paths(d.psi, d.attachments[i]):
             k = len(path) + 1
             if k % 2 == 0 or k == 1:
                 continue
@@ -477,7 +458,7 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     entries = []
     ok4 = True
     for i in range(d.m):
-        for path in _a_paths_from(d, d.attachments[i]):
+        for path in m2.type_a_paths(d.psi, d.attachments[i]):
             k = len(path) + 1
             faithful = faithful_on_Bk(d, i, k)
             entry = {"pendant": d.pendants[i], "k": k,

@@ -26,6 +26,7 @@ import numpy as np
 from .symbols import CoxeterSymbol
 
 Matrix = Tuple[Tuple[int, ...], ...]
+RationalMatrix = Tuple[Tuple[Fraction, ...], ...]
 
 _EXCEPTIONAL_RANKS = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
 
@@ -68,6 +69,12 @@ class WeylData:
         return MappingProxyType({
             i: (i - 1, tuple((c, m) for c, m in enumerate(self.cartan[i - 1]) if m))
             for i in self.symbol.nodes})
+
+    @cached_property
+    def gram2_inverse(self) -> RationalMatrix:
+        """Exact inverse of gram2.  Column s is parallel to the fundamental
+        weight of node s, the vector orthogonal to every x_t with t != s."""
+        return rational_inverse(self.gram2)
 
 
 def _family_symbol(family: str, rank: int) -> Tuple[CoxeterSymbol, frozenset]:
@@ -213,42 +220,66 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return result
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
+def row_reduce(a: Sequence[Sequence]) -> Tuple[RationalMatrix, Tuple[int, ...], Fraction]:
+    """Exact Gauss-Jordan elimination over Q.
+
+    Returns the reduced row echelon rows (zero rows last), the pivot
+    columns, and the determinant of the leading square block: the first
+    len(a) columns, which are the whole matrix when a is square.  That
+    determinant is 0 when the block is singular or a is taller than wide.
+    """
+    rows = [[Fraction(x) for x in row] for row in a]
+    n_rows = len(rows)
+    pivots: List[int] = []
+    num = den = 1  # the determinant as a plain int ratio: cheaper than Fraction products
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, n_rows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            rows[top], rows[pivot] = rows[pivot], rows[top]
+            num = -num
+        pv = rows[top][col]
+        num *= pv.numerator
+        den *= pv.denominator
+        rows[top] = [x / pv for x in rows[top]]
+        for r in range(n_rows):
+            f = rows[r][col]
+            if r != top and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(col)
+        if len(pivots) == n_rows:
+            break
+    if pivots[:n_rows] != list(range(n_rows)):
+        num = 0
+    return tuple(map(tuple, rows)), tuple(pivots), Fraction(num, den)
+
+
+def rational_inverse(a: Sequence[Sequence[int]]) -> RationalMatrix:
+    """Exact inverse over Q of a square matrix; WeylError when it is singular."""
     n = len(a)
-    work = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    inv = tuple(tuple(int(work[i][n + j]) for j in range(n)) for i in range(n))
-    return inv
+    if any(len(row) != n for row in a):
+        raise WeylError("matrix is not square")
+    rows, _, det = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(a)])
+    if not det:
+        raise WeylError("matrix is singular")
+    return tuple(row[n:] for row in rows)
+
+
+def mat_inverse(a: Matrix) -> Matrix:
+    """Exact inverse of an integer matrix whose inverse is integral, such as
+    a unimodular one; WeylError when it is singular or its inverse is not."""
+    inv = rational_inverse(a)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise WeylError("inverse is not integral")
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def rank_rational(a: Matrix) -> int:
     """Rank over the rationals via exact Gaussian elimination."""
-    rows = [list(map(Fraction, row)) for row in a]
-    n_cols = len(a[0]) if a else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return len(row_reduce(a)[1])
 
 
 def preserves_gram(w: WeylData, m: Matrix) -> bool:

@@ -1,13 +1,14 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is built from first principles (signed permutations as
-tuples, breadth-first closures, conjugacy by exhaustive multiplication)
-so that the values frozen into the tests do not depend on the code paths
-they are checking.
+tuples, breadth-first closures, conjugacy by exhaustive multiplication,
+Leibniz determinants, minor searches) so that the values frozen into the
+tests do not depend on the code paths they are checking.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Sequence, Set, Tuple
 
 Perm = Tuple[int, ...]  # entry i-1 is the signed image of +i
@@ -87,3 +88,27 @@ def involution_class_count(group: Set[Perm]) -> int:
         remaining -= orbit
         classes += 1
     return classes
+
+
+def leibniz_det(a: Sequence[Sequence[int]]) -> int:
+    """Determinant as the signed sum over all permutations."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def minor_rank(a: Sequence[Sequence[int]]) -> int:
+    """Largest k with a nonzero k x k minor."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    for k in range(min(rows, cols), 0, -1):
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                if leibniz_det([[a[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0

@@ -25,6 +25,7 @@ from coxfree import (
 )
 from coxfree import modtwo as m2
 from coxfree import weyl as wy
+from coxfree.symbols import classify_finite_type, induced_subsymbol
 
 ALL_RANK_LE_8 = (
     [("A", r) for r in range(1, 9)]
@@ -97,6 +98,17 @@ class TestWeightVectors:
                 assert len(ratios) == 1 and ratios.pop() > 0
                 assert all((ci == 0) == (ui == 0) for ui, ci in zip(u, col))
 
+    def test_no_elimination_after_first_call(self, monkeypatch):
+        w = weyl_data("E7")
+        first = weight_vector(w, 1)
+
+        def no_elimination(a):
+            raise AssertionError("weight_vector ran an elimination")
+
+        monkeypatch.setattr(wy, "row_reduce", no_elimination)
+        assert weight_vector(w, 1) == first
+        assert all(weight_vector(w, s).node == s for s in w.symbol.nodes)
+
 
 def _solve_fraction(mat, col_index):
     n = len(mat)
@@ -138,6 +150,30 @@ class TestOrbits:
         gens = [m2.mat_mod2(wy.reflection_matrix(w, i)) for i in w.symbol.nodes]
         _, sp = orbit_span(gens, weight_vector(w, 1).mod2(), 6)
         assert sp.dim == 6
+
+    def test_bfs_closure_cap(self):
+        # Z/7 under +1 and +3: the cap stops the closure one element past it.
+        step = lambda x, g: (x + g) % 7
+        assert m2.bfs_closure(0, [1, 3], step) == set(range(7))
+        assert len(m2.bfs_closure(0, [1, 3], step, cap=4)) == 5
+        assert m2.bfs_closure(0, [1, 3], step, cap=7) == set(range(7))
+
+
+class TestTypeAPaths:
+    def test_against_induced_subsymbol_type(self):
+        for fam, rank in ALL_RANK_LE_8:
+            w = weyl_data(fam, rank)
+            for s in w.symbol.nodes:
+                expected = []
+                for t in w.symbol.nodes:
+                    path = m2.tree_path(w.symbol, s, t)
+                    types = classify_finite_type(induced_subsymbol(w.symbol, path))
+                    if [ft.family for ft in types] == ["A"]:
+                        expected.append(path)
+                assert m2.type_a_paths(w, s) == expected
+
+    def test_b4_from_the_short_end(self):
+        assert m2.type_a_paths(weyl_data("B", 4), 1) == [(1,), (1, 2), (1, 2, 3)]
 
 
 class TestXSets:

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -86,3 +87,34 @@ class TestExtensionIndex:
         # 2^(m n + ell - p) |W(E8)| with m = 2, n = 8, ell = 1, p = 1.
         assert ext.p == 1
         assert ext.index == 2 ** 16 * 696729600
+
+
+class TestKernelIndexClosure:
+    # 2^(m n + ell) |W| (hat) and 2^(m n) |W| (plain); only A2's node 1 is
+    # not specially admissible, so ell = 1 there and 0 elsewhere.
+    @pytest.mark.parametrize("args,nodes,hat,plain", [
+        (["A", 2], [1], 2 ** 3 * 6, 2 ** 2 * 6),
+        (["G2"], [1], 2 ** 2 * 12, 2 ** 2 * 12),
+        (["D", 4], [2], 2 ** 4 * 192, 2 ** 4 * 192),
+    ])
+    def test_closure_matches_formula(self, monkeypatch, args, nodes, hat, plain):
+        d = build_dagger(weyl_data(*args), nodes)
+        closures = []
+
+        def spy(dagger, mode, cap):
+            closures.append(original(dagger, mode, cap))
+            return closures[-1]
+
+        original = tf.enumerate_image
+        monkeypatch.setattr(tf, "enumerate_image", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert tf.kernel_index(d, "hat", verify_cap=hat) == hat
+            assert tf.kernel_index(d, "plain", verify_cap=plain) == plain
+        assert closures == [hat, plain]
+
+    def test_closure_cap(self):
+        d = build_dagger(weyl_data("A", 2), [1])
+        with pytest.raises(DaggerError, match="closure exceeds cap 47"):
+            tf.enumerate_image(d, "hat", cap=47)
+        assert tf.enumerate_image(d, "hat", cap=48) == 48

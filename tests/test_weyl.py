@@ -16,6 +16,7 @@ from coxfree import (
 )
 from coxfree import weyl as wy
 from coxfree.weyl import identity_matrix, mat_mul, preserves_gram
+from oracles import leibniz_det, minor_rank
 
 ALL_RANK_LE_8 = (
     [("A", r) for r in range(1, 9)]
@@ -271,3 +272,68 @@ class TestSparseReflections:
             word_to_matrix(w, [1, 0])
         with pytest.raises(WeylError):
             longest_word(w, [1, 4])
+
+
+def _random_matrices(seed, count, square):
+    """Seeded integer matrices up to 6 x 6; about half made singular by a
+    zero row, a repeated row or a row that is the sum of two others."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        rows = rng.randint(1, 6)
+        cols = rows if square else rng.randint(1, 6)
+        a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if k % 2 and rows > 1:
+            i, j = rng.sample(range(rows), 2)
+            a[i] = rng.choice([[0] * cols, list(a[j]),
+                               [x + y for x, y in zip(a[j], a[rng.randrange(rows)])]])
+        out.append(tuple(map(tuple, a)))
+    return out
+
+
+class TestExactElimination:
+    def test_determinant_against_leibniz(self):
+        matrices = _random_matrices(21, 80, square=True)
+        assert any(leibniz_det(a) == 0 for a in matrices)
+        for a in matrices:
+            assert wy.row_reduce(a)[2] == leibniz_det(a)
+
+    def test_rank_against_minor_search(self):
+        matrices = _random_matrices(22, 80, square=False)
+        assert len({minor_rank(a) for a in matrices}) > 3
+        for a in matrices:
+            assert wy.rank_rational(a) == minor_rank(a)
+
+    def test_inverse_times_matrix_is_identity(self):
+        for a in _random_matrices(23, 80, square=True):
+            if leibniz_det(a) == 0:
+                with pytest.raises(WeylError):
+                    wy.rational_inverse(a)
+                continue
+            inv = wy.rational_inverse(a)
+            ident = identity_matrix(len(a))
+            assert mat_mul(a, inv) == ident and mat_mul(inv, a) == ident
+
+    def test_gram2_inverse(self):
+        for fam, rank in ALL_RANK_LE_8:
+            w = weyl_data(fam, rank)
+            assert mat_mul(w.gram2, w.gram2_inverse) == identity_matrix(w.rank)
+
+    def test_unimodular_inverse_is_integral(self):
+        for fam, rank in ALL_RANK_LE_8:
+            w = weyl_data(fam, rank)
+            xi = coxeter_element(w)
+            assert wy.mat_inverse(xi) == wy.mat_pow(xi, w.coxeter_number - 1)
+
+    def test_non_integral_inverse_rejected(self):
+        # C^-1 = ((1, 1), (1/2, 1)) on B2: rational, not integral.
+        cartan = weyl_data("B", 2).cartan
+        with pytest.raises(WeylError):
+            wy.mat_inverse(cartan)
+        assert mat_mul(cartan, wy.rational_inverse(cartan)) == identity_matrix(2)
+
+    def test_singular_inverse_rejected(self):
+        with pytest.raises(WeylError):
+            wy.mat_inverse(((1, 2), (2, 4)))
+        with pytest.raises(WeylError):
+            wy.mat_inverse(((1, 2, 3), (4, 5, 6)))
