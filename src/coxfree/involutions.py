@@ -189,10 +189,12 @@ class EquivalenceClass:
         return self.members[0]
 
 
-def equivalence_classes(g: CoxeterSymbol) -> List[EquivalenceClass]:
+@lru_cache(maxsize=16)
+def equivalence_classes(g: CoxeterSymbol) -> Tuple[EquivalenceClass, ...]:
     """All involution classes of the group, one per move-closure of
     antipodal subsymbols.  Deterministic: members sorted, classes ordered
-    by (rank, least member)."""
+    by (rank, least member).  Memoized per symbol (the last 16), so the
+    result is a tuple that no caller can change."""
     if g.rank > MAX_NODES:
         raise SymbolError(f"class enumeration capped at {MAX_NODES} nodes")
     walk = spherical_subsets(g)
@@ -220,7 +222,7 @@ def equivalence_classes(g: CoxeterSymbol) -> List[EquivalenceClass]:
         members.sort(key=lambda m: tuple(node_sort_key(v) for v in m))
         classes.append(EquivalenceClass(tuple(members), len(members[0])))
     classes.sort(key=lambda c: (c.rank, tuple(node_sort_key(v) for v in c.canonical)))
-    return classes
+    return tuple(classes)
 
 
 @lru_cache(maxsize=16)
@@ -241,10 +243,6 @@ def half_coxeter_check(w: WeylData) -> bool:
     if h % 2 != 0:
         raise InvolutionError(f"Coxeter number {h} is odd")
     g = wy.mat_pow(wy.coxeter_element(w), h // 2)
-    n = w.rank
-    if wy.mat_mul(g, g) != wy.identity_matrix(n):
+    if wy.mat_mul(g, g) != wy.identity_matrix(w.rank):
         raise InvolutionError("half-turn is not an involution")  # pragma: no cover
-    diff = tuple(
-        tuple(g[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-    return wy.rank_rational(diff) == maximal_rank_class(w).rank
+    return wy.minus_one_rank(g) == maximal_rank_class(w).rank

@@ -535,14 +535,13 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
                            "zeta": _element_json(zeta)}, order_ok))
 
     g = half.g
-    ident = wy.identity_matrix(n)
-    diff = tuple(tuple(g[i][j] - ident[i][j] for j in range(n)) for i in range(n))
-    eig_dim = wy.rank_rational(diff)
+    eig_dim = wy.minus_one_rank(g)
     max_rank = inv.maximal_rank_class(psi).rank
     steps.append(CertStep("half-power-involution",
                           {"eigen_dim": eig_dim, "max_class_rank": max_rank,
                            "g": [list(r) for r in g]},
-                          wy.mat_mul(g, g) == ident and half.x == 0 and eig_dim == max_rank))
+                          wy.mat_mul(g, g) == wy.identity_matrix(n) and half.x == 0
+                          and eig_dim == max_rank))
 
     ker, im, _ = m2.involution_ker_im(m2.mat_mod2(g), n)
     slot_checks = [{"slot": j, "in_kernel": ker.contains(v), "in_image": im.contains(v)}
@@ -560,13 +559,11 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
             reason = "x-parity"
         elif all(v in set(psi.symbol.nodes) for v in cls.canonical):
             reason = "inside-weyl-part"
+        elif wy.minus_one_rank(image.g) != max_rank:
+            reason = "rank-mismatch"
         else:
-            gd = tuple(tuple(image.g[i][j] - ident[i][j] for j in range(n)) for i in range(n))
-            if wy.rank_rational(gd) != max_rank:
-                reason = "rank-mismatch"
-            else:
-                reason = "unresolved"
-                ok_ex = False
+            reason = "unresolved"
+            ok_ex = False
         exclusions.append({"members": [str(v) for v in cls.canonical], "reason": reason})
     steps.append(CertStep("class-exclusion",
                           {"classes": exclusions,
@@ -589,57 +586,24 @@ def _element_json(e: SemidirectElement) -> dict:
 # Certificate replay
 
 def replay_certificate(d: DaggerSymbol, cert: Certificate) -> bool:
-    """Re-evaluate every stored step from its recorded objects."""
-    for step in cert.steps:
-        if not _replay_step(d, cert, step):
-            return False
-    return True
+    """Re-derive the certificate of cert.kind from d and compare.
 
-
-def _parse_word(d: DaggerSymbol, word: Sequence[str]) -> List:
-    pend = set(d.pendants)
-    return [w if w in pend else int(w) for w in word]
-
-
-def _replay_step(d: DaggerSymbol, cert: Certificate, step: CertStep) -> bool:
-    name, obj = step.name, step.objects
-    if name == "relation":
-        word = _parse_word(d, obj["relation_word"])
-        return phi(d, word, cert.mode).is_identity() == step.ok
-    if name == "relations":
-        return verify_relations(d, cert.mode).ok == step.ok
-    if name == "involution-class":
-        word = _parse_word(d, obj["word"])
-        return (not phi(d, word, cert.mode).is_identity()) == obj["nontrivial"]
-    if name == "finite-visible-structure":
-        return (_structure_violations(d) == obj["violations"]) and step.ok == (not obj["violations"])
-    if name == "odd-torsion-reduction":
-        return step.ok
-    if name == "type-B-faithfulness":
-        for entry in obj["subgroups"]:
-            i = d.pendants.index(entry["pendant"])
-            if faithful_on_Bk(d, i, entry["k"]) != entry["faithful"]:
-                return False
-        return True
-    if name == "cyclic-order":
-        zeta = _element_from_json(obj["zeta"])
-        p = obj["p"]
-        return zeta.power(2 ** p).is_identity() and \
-            (not zeta.power(2 ** (p - 1)).is_identity()) == step.ok
-    if name == "half-power-involution":
-        g = tuple(tuple(r) for r in obj["g"])
-        n = len(g)
-        diff = tuple(tuple(g[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n))
-        return (wy.rank_rational(diff) == obj["eigen_dim"]) and \
-            (obj["eigen_dim"] == obj["max_class_rank"]) == step.ok
-    if name == "target-avoidance":
-        return step.ok == (all(c["in_kernel"] for c in obj["slots"])
-                           and any(not c["in_image"] for c in obj["slots"]))
-    if name == "class-exclusion":
-        return step.ok == all(c["reason"] != "unresolved" for c in obj["classes"])
-    return False
-
-
-def _element_from_json(data: dict) -> SemidirectElement:
-    return SemidirectElement(data["x"], tuple(data["v"]),
-                             tuple(tuple(r) for r in data["g"]))
+    Nothing recorded is trusted: every verdict and every object is
+    recomputed by the same code that certify and extend run, so a
+    certificate replays only when it equals the fresh one field for
+    field.  An unknown kind, or one that cannot be re-derived for d (a
+    DaggerError, such as plain mode on a non-special attachment or an
+    unknown mode), does not replay.
+    """
+    derive = {
+        "torsion-free": lambda: certify_torsion_free(d, cert.mode),
+        "cyclic-extension": lambda: cyclic_extension(d).certificate,
+        "homomorphism-check": lambda: verify_relations(d, cert.mode),
+    }.get(cert.kind)
+    if derive is None:
+        return False
+    try:
+        fresh = derive()
+    except DaggerError:
+        return False
+    return fresh.to_json() == cert.to_json()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -192,6 +192,7 @@ def cartan_matrix(w: WeylData) -> Matrix:
 # ---------------------------------------------------------------------------
 # Integer matrices (tuples of row tuples)
 
+@lru_cache(maxsize=16)
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -280,6 +281,15 @@ def mat_inverse(a: Matrix) -> Matrix:
 def rank_rational(a: Matrix) -> int:
     """Rank over the rationals via exact Gaussian elimination."""
     return len(row_reduce(a)[1])
+
+
+@lru_cache(maxsize=256)
+def minus_one_rank(g: Matrix) -> int:
+    """Rank over Q of g - 1: for an involution g, the dimension of its
+    minus-one eigenspace.  Memoized, since certify, replay and extend rank
+    the same few half-turns and class images again and again."""
+    return rank_rational(tuple(tuple(x - (i == j) for j, x in enumerate(row))
+                               for i, row in enumerate(g)))
 
 
 def preserves_gram(w: WeylData, m: Matrix) -> bool:
@@ -371,6 +381,11 @@ def longest_word(w: WeylData, delta: Optional[Iterable[int]] = None) -> Tuple[in
     unknown = set(nodes) - set(w.symbol.nodes)
     if unknown:
         raise WeylError(f"unknown nodes {sorted(unknown)!r}")
+    return _longest_word(w, tuple(nodes))
+
+
+@lru_cache(maxsize=1024)
+def _longest_word(w: WeylData, nodes: Tuple[int, ...]) -> Tuple[int, ...]:
     rows = [list(r) for r in identity_matrix(w.rank)]
     word: List[int] = []
     while True:

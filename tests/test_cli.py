@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from coxfree import cli
 
@@ -30,3 +33,31 @@ class TestRemovedFlags:
         assert cli.run(["--quiet", "geometry", "covol", "6"]) == 0
         assert capsys.readouterr().out == (
             '{"covol":{"den":777600,"num":1,"pi_power":3},"dim":6,"route":"siegel"}\n')
+
+
+# sha256 of the quiet stdout of coxfree 0.1.0: the certificates are pinned
+# byte for byte, so any change to a verdict or a recorded object shows here.
+GOLDEN_TF = {
+    "tf certify --psi E6 --nodes 1 5":
+        "2400134d916c9362b2a8d6b09b90cf1f518ca7b7eb2a22f9ad73003ee44502be",
+    "tf extend --psi E6 --nodes 1 5":
+        "039066e0de43f90c2ce96cbe7d8c5772684b56aca317854cad55643ab85e3dcc",
+    "tf certify --psi E8 --nodes 1 7 8":
+        "3e166b0755e028d3ec08c638827e388e5fc5cfbbb92a30857250d24dcd36a90a",
+    "tf extend --psi E8 --nodes 1 7 8":
+        "8d7e17d453c93525773007326c5ed0dc977481bb376d3b2c331152bc8fe0a4cc",
+    "tf certify --psi D 8 --nodes 2 6":
+        "02971f3c0981f9af1db2a238da9f0c5d61e82f3879ed62e47cee28e6489ccd85",
+    "tf extend --psi D 8 --nodes 2 6":
+        "b124f34911a7847133114ef8fe2efee48c23d8c0e95eb8e1e648e8d73abedda8",
+    "tf certify --psi D 8 --nodes 2 6 --mode plain":
+        "4adef723f9e9a3d09980f41eab11ec49d69fec495684422453d317963d97194f",
+}
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_TF))
+    def test_tf_certificates(self, capsys, command):
+        assert cli.run(["--quiet", *command.split()]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TF[command]

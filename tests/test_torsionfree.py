@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import functools
+import operator
 import random
 import warnings
 
@@ -74,6 +78,80 @@ class TestCertificates:
         assert replay_certificate(d, cert)
         structure = next(s for s in cert.steps if s.name == "finite-visible-structure")
         assert structure.objects == {"violations": []}
+
+
+def _leaf_paths(obj, path=()):
+    """Paths to every scalar in a nest of dicts and lists, in order."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path]
+    return [p for key, value in items for p in _leaf_paths(value, path + (key,))]
+
+
+def _changed(x):
+    if isinstance(x, bool):
+        return not x
+    if isinstance(x, int):
+        return x + 1
+    return x + "x"
+
+
+def _tampered(cert, i, path=None):
+    """cert with step i's ok flag flipped (path None) or one leaf changed."""
+    steps = list(cert.steps)
+    step = steps[i]
+    if path is None:
+        steps[i] = tf.CertStep(step.name, step.objects, not step.ok)
+    else:
+        objects = copy.deepcopy(step.objects)
+        *head, last = path
+        owner = functools.reduce(operator.getitem, head, objects)
+        owner[last] = _changed(owner[last])
+        steps[i] = tf.CertStep(step.name, objects, step.ok)
+    return dataclasses.replace(cert, steps=tuple(steps))
+
+
+class TestReplay:
+    def test_untampered_certificates_replay(self):
+        e6 = build_dagger(weyl_data("E6"), [1])
+        assert replay_certificate(e6, cyclic_extension(e6).certificate) is True
+        e8 = build_dagger(weyl_data("E8"), [1, 8])
+        assert replay_certificate(e8, certify_torsion_free(e8)) is True
+
+    def test_every_extend_tamper_is_rejected(self):
+        d = build_dagger(weyl_data("E6"), [1])
+        cert = cyclic_extension(d).certificate
+        tampers = [_tampered(cert, i, path) for i, step in enumerate(cert.steps)
+                   for path in [None] + _leaf_paths(step.objects)]
+        assert len(tampers) == 194
+        assert not any(replay_certificate(d, bad) for bad in tampers)
+
+    def test_certify_tampers_are_rejected(self):
+        d = build_dagger(weyl_data("E6"), [1])
+        cert = certify_torsion_free(d)
+        tampers = []
+        for i, step in enumerate(cert.steps):
+            paths = _leaf_paths(step.objects)
+            tampers += [_tampered(cert, i, path) for path in {None, *paths[:1], *paths[-1:]}]
+        assert not any(replay_certificate(d, bad) for bad in tampers)
+
+    def test_relation_check_replays(self):
+        d = build_dagger(weyl_data("E6"), [1])
+        cert = tf.verify_relations(d)
+        assert replay_certificate(d, cert) is True
+        assert replay_certificate(d, _tampered(cert, 0)) is False
+
+    def test_underivable_certificates_are_rejected(self):
+        d = build_dagger(weyl_data("E6"), [1])
+        cert = certify_torsion_free(d)
+        assert replay_certificate(d, dataclasses.replace(cert, kind="other")) is False
+        # Node 1 of E6 is not specially admissible, so plain mode cannot certify.
+        assert not d.special[0]
+        assert replay_certificate(d, dataclasses.replace(cert, mode="plain")) is False
+        assert replay_certificate(d, dataclasses.replace(cert, mode="other")) is False
 
 
 class TestExtensionIndex:
