@@ -71,7 +71,6 @@ from .torsionfree import (
     certify_torsion_free,
     cyclic_extension,
     enumerate_image,
-    eps,
     faithful_on_Bk,
     kernel_index,
     phi,

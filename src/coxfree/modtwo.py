@@ -41,10 +41,6 @@ def vec_mod2(coords: Sequence[int]) -> int:
     return mask
 
 
-def vec_bits(mask: int, n: int) -> Tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(n))
-
-
 def mat_mod2(rows: Matrix) -> F2Matrix:
     """Column bitsets of an integer matrix reduced mod 2."""
     n = len(rows)

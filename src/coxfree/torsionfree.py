@@ -186,16 +186,6 @@ def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement
     return SemidirectElement(x, tuple(v), tuple(map(tuple, g)))
 
 
-def eps(d: DaggerSymbol, word: Sequence) -> int:
-    """Parity bitset: occurrence count mod 2 of each plain pendant."""
-    mask = 0
-    for i in range(d.ell):
-        t = d.pendants[i]
-        if sum(1 for s in word if s == t) % 2:
-            mask |= 1 << i
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Certificates
 
@@ -386,6 +376,26 @@ def _subset_longest_word(d: DaggerSymbol, subset: Sequence) -> List:
     return word
 
 
+@lru_cache(maxsize=2)
+def _class_table(d: DaggerSymbol, mode: str
+                 ) -> Tuple[Tuple[inv.EquivalenceClass, Tuple, SemidirectElement], ...]:
+    """(class, word, image) for every involution class of the pendant
+    symbol: the longest word of the canonical antipodal subsymbol and its
+    image under the given map.
+
+    A pure function of d and mode, memoized by value for the last two
+    keys so that certify, the certify a replay re-derives, and the class
+    exclusions of the cyclic extension build each word and image once per
+    symbol.  It is never filled from a certificate, and every entry is
+    immutable, so a caller cannot change what the next one reads.
+    """
+    table = []
+    for cls in inv.equivalence_classes(d.gamma):
+        word = tuple(_subset_longest_word(d, cls.canonical))
+        table.append((cls, word, phi(d, word, mode)))
+    return tuple(table)
+
+
 def _structure_violations(d: DaggerSymbol) -> List[dict]:
     """Connected finite visibles through a pendant that are not type B with
     exactly one pendant, in the walk's order: by size, then by position."""
@@ -427,6 +437,10 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     through the named trusted reductions; (4) faithfulness bookkeeping on
     the visible type-B subgroups, with parity compensation for the
     odd-rank failures of non-special attachments.
+
+    The class words and images of step (2) are read from _class_table, a
+    same-process cache derived from d and mode alone; it never holds
+    anything taken from a certificate.
     """
     if mode == "plain" and not all(d.special):
         raise DaggerError("plain-mode certification needs specially admissible attachments")
@@ -438,9 +452,7 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
                            "failed": [s.objects for s in rel.steps if not s.ok]},
                           rel.ok))
 
-    for cls in inv.equivalence_classes(d.gamma):
-        word = _subset_longest_word(d, cls.canonical)
-        image = phi(d, word, mode)
+    for cls, word, image in _class_table(d, mode):
         nontrivial = not image.is_identity()
         steps.append(CertStep("involution-class",
                               {"members": [[str(v) for v in mm] for mm in cls.members],
@@ -552,12 +564,11 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
 
     exclusions = []
     ok_ex = True
-    for cls in inv.equivalence_classes(d.gamma):
-        word = _subset_longest_word(d, cls.canonical)
-        image = phi(d, word, "hat")
+    psi_nodes = set(psi.symbol.nodes)
+    for cls, _, image in _class_table(d, "hat"):
         if image.x != 0:
             reason = "x-parity"
-        elif all(v in set(psi.symbol.nodes) for v in cls.canonical):
+        elif all(v in psi_nodes for v in cls.canonical):
             reason = "inside-weyl-part"
         elif wy.minus_one_rank(image.g) != max_rank:
             reason = "rank-mismatch"
@@ -594,6 +605,12 @@ def replay_certificate(d: DaggerSymbol, cert: Certificate) -> bool:
     field.  An unknown kind, or one that cannot be re-derived for d (a
     DaggerError, such as plain mode on a non-special attachment or an
     unknown mode), does not replay.
+
+    The involution-class words and images come from _class_table, a
+    same-process cache derived from d and the map's mode alone, never from
+    the objects cert records.  A replay in a fresh process recomputes
+    them; in the process that certified, it compares cert with a
+    certificate freshly derived from the same table.
     """
     derive = {
         "torsion-free": lambda: certify_torsion_free(d, cert.mode),

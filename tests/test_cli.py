@@ -20,6 +20,42 @@ class TestMalformedInputExitsTwo:
         assert cli.run(["--quiet", "symbol", "signature", "--file", str(path), "--inf", "-2"]) == 0
 
 
+A3_SYMBOL = {"nodes": ["a", "b", "c"], "edges": [["a", "b", 3], ["b", "c", 3]]}
+DANGLING_EDGE = {"nodes": ["a", "b"], "edges": [["a", "z", 3]]}
+
+
+class TestExitCodesForEveryVerb:
+    # {a3} and {bad} name symbol files: A3, and an edge to a missing node.
+    @pytest.mark.parametrize("command,code", [
+        ("symbol classify --file {a3}", 0),
+        ("symbol euler --file {bad}", 2),
+        ("weyl info E8", 0),
+        ("weyl info B 1", 2),
+        ("modtwo admissible E8", 0),
+        ("modtwo weight E8 --node 9", 2),
+        ("involutions classes --file {a3}", 0),
+        ("involutions classes --file {bad}", 2),
+        ("tf build --psi E6 --nodes 1", 0),
+        ("tf build --psi A 4 --nodes 1 1", 2),
+        ("tf certify --psi E6 --nodes 1", 0),
+        ("tf certify --psi E6 --nodes 1 --mode plain", 2),
+        ("tf extend --psi E6 --nodes 1", 0),
+        ("tf extend --psi A 4", 2),
+        ("geometry volume 4", 0),
+        ("geometry volume 5", 2),
+    ])
+    def test_exit_code(self, tmp_path, capsys, command, code):
+        a3, bad = tmp_path / "a3.json", tmp_path / "bad.json"
+        a3.write_text(json.dumps(A3_SYMBOL))
+        bad.write_text(json.dumps(DANGLING_EDGE))
+        assert cli.run(["--quiet", *command.format(a3=a3, bad=bad).split()]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            json.loads(out)
+        else:
+            assert out == "" and err.startswith("error: ")
+
+
 class TestRemovedFlags:
     def test_top_level_json_flag_is_gone(self):
         assert cli.run(["--quiet", "--json", "weyl", "info", "E8"]) == 2

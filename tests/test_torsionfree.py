@@ -6,6 +6,7 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxfree import (
     DaggerError,
@@ -16,6 +17,7 @@ from coxfree import (
     replay_certificate,
     weyl_data,
 )
+from coxfree import involutions as inv
 from coxfree import torsionfree as tf
 
 
@@ -62,6 +64,26 @@ class TestPhi:
         d = build_dagger(weyl_data("E6"), [1])
         with pytest.raises(DaggerError):
             phi(d, [1, 2]).power(-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _dagger(args, nodes):
+    return build_dagger(weyl_data(*args), nodes)
+
+
+class TestPhiKillsConjugatedRelators:
+    @pytest.mark.parametrize("args,nodes", [(("E6",), (1,)), (("D", 4), (2,))])
+    @pytest.mark.parametrize("mode", ["hat", "plain"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_conjugates_are_trivial(self, args, nodes, mode, data):
+        d = _dagger(args, nodes)
+        gens = st.sampled_from(d.gamma.nodes)
+        w = data.draw(st.lists(gens, max_size=40), label="w")
+        a, b = data.draw(st.tuples(gens, gens), label="relator generators")
+        # a == b gives the relator a a, since m(a, a) = 1.
+        r = [a, b] * d.gamma.order(a, b)
+        assert phi(d, w + r + w[::-1], mode).is_identity()
 
 
 class TestBuild:
@@ -152,6 +174,49 @@ class TestReplay:
         assert not d.special[0]
         assert replay_certificate(d, dataclasses.replace(cert, mode="plain")) is False
         assert replay_certificate(d, dataclasses.replace(cert, mode="other")) is False
+
+
+class TestClassTable:
+    def test_words_are_built_once_per_class(self, monkeypatch):
+        calls = []
+
+        def counting(d, subset):
+            calls.append(subset)
+            return original(d, subset)
+
+        original = tf._subset_longest_word
+        monkeypatch.setattr(tf, "_subset_longest_word", counting)
+        tf._class_table.cache_clear()
+        d = build_dagger(weyl_data("E6"), [1])
+        cert = certify_torsion_free(d, "hat")
+        # An equal symbol built afresh, as each pipeline stage may do, shares the table.
+        assert replay_certificate(build_dagger(weyl_data("E6"), [1]), cert)
+        assert cyclic_extension(d).certificate.ok
+        assert len(calls) == len(inv.equivalence_classes(d.gamma))
+
+    def test_warm_table_trusts_nothing(self):
+        d = build_dagger(weyl_data("E6"), [1])
+        cold = []
+        for derive in (certify_torsion_free, lambda d: cyclic_extension(d).certificate):
+            tf._class_table.cache_clear()
+            cold.append(derive(d).to_json())
+        hits = tf._class_table.cache_info().hits
+        cert = cyclic_extension(d).certificate
+        assert [certify_torsion_free(d).to_json(), cert.to_json()] == cold
+        assert tf._class_table.cache_info().hits == hits + 2
+        tampers = [_tampered(cert, i, path) for i, step in enumerate(cert.steps)
+                   for path in [None] + _leaf_paths(step.objects)]
+        assert not any(replay_certificate(d, bad) for bad in tampers)
+        table = tf._class_table(d, "hat")
+        assert type(table) is tuple and len(table) == len(inv.equivalence_classes(d.gamma))
+        for entry in table:
+            cls, word, image = entry
+            assert type(entry) is tuple and type(word) is tuple
+            hash(entry)  # every part is an immutable value
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                image.x = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                cls.rank = 0
 
 
 class TestExtensionIndex:
