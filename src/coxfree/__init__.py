@@ -26,9 +26,7 @@ from .weyl import (
     element_order,
     longest_element,
     longest_word,
-    perm_model,
     reflection_matrix,
-    verify_exponents,
     weyl_data,
     word_to_matrix,
 )

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from . import torsionfree as tf
 from . import weyl as wy
-from .symbols import CoxeterSymbol, euler_characteristic, signature
+from .symbols import CoxeterSymbol, euler_characteristic
 
 ExactRational = Fraction
 
@@ -124,10 +124,10 @@ def _affine_e8_symbol() -> CoxeterSymbol:
     return CoxeterSymbol(nodes, edges)
 
 
-def _root_gram_det(core: CoxeterSymbol, s) -> Fraction:
-    """Determinant of the integer Gram matrix of the candidate root basis:
-    norm-2 roots on the (simply laced) core plus a norm-1 pendant root
-    joined to s, pairing -1 along every edge."""
+def _root_gram(core: CoxeterSymbol, s) -> List[List[int]]:
+    """Integer Gram matrix of the candidate root basis: norm-2 roots on the
+    (simply laced) core plus a norm-1 pendant root joined to s, pairing -1
+    along every edge.  The pendant root comes last."""
     nodes = list(core.nodes)
     idx = {v: i for i, v in enumerate(nodes)}
     size = len(nodes) + 1
@@ -138,7 +138,12 @@ def _root_gram_det(core: CoxeterSymbol, s) -> Fraction:
             gram[i][idx[u]] = -1
     gram[-1][-1] = 1
     gram[-1][idx[s]] = gram[idx[s]][-1] = -1
-    return wy.row_reduce(gram)[2]
+    return gram
+
+
+def _root_gram_det(core: CoxeterSymbol, s) -> Fraction:
+    """Determinant of the integer Gram matrix of the candidate root basis."""
+    return wy.row_reduce(_root_gram(core, s))[2]
 
 
 def vinberg_symbol(n: int) -> Tuple[CoxeterSymbol, Optional[tf.DaggerSymbol]]:
@@ -153,6 +158,12 @@ def vinberg_symbol(n: int) -> Tuple[CoxeterSymbol, Optional[tf.DaggerSymbol]]:
     Symmetric placements give isomorphic symbols; the first in node order
     is kept.  For n in {4, 6, 8} the attachment is admissible and the
     pendant symbol is returned as well.
+
+    The signature is counted exactly, on the integer root Gram matrix G.
+    The trial symbol is crystallographic with one order-4 edge, so its
+    cosine form is D^-1/2 G D^-1/2 with D = diag(2, ..., 2, 1), the root
+    norms.  That is a congruence, so by Sylvester's law of inertia G has
+    the same signature, and no floating point enters the volume path.
     """
     if n not in range(4, 10):
         raise GeometryError("simplex family covers 4 <= n <= 9")
@@ -166,7 +177,7 @@ def vinberg_symbol(n: int) -> Tuple[CoxeterSymbol, Optional[tf.DaggerSymbol]]:
     for s in core.nodes:
         trial = CoxeterSymbol(list(core.nodes) + ["t1"],
                               list(core.edges()) + [(s, "t1", 4)])
-        if signature(trial) != (n, 1, 0) or _root_gram_det(core, s) != -1:
+        if _root_gram_det(core, s) != -1 or wy.inertia(_root_gram(core, s)) != (n, 1, 0):
             continue
         if n % 2 == 0 and covolume_gauss_bonnet(trial, n) != covolume_siegel(n):
             continue

@@ -7,6 +7,10 @@ stored.  INF marks an infinite product order.
 
 This module recognizes finite-type symbols, computes exact Euler
 characteristics, and evaluates the cosine bilinear form and its signature.
+The cosine form is in floating point and imports numpy on first use; it
+serves only the general `symbol signature` verb, which accepts any edge
+label and any value at INF.  The volume path counts its signature exactly
+(geometry.vinberg_symbol), so importing coxfree does not load numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 INF = math.inf
 
@@ -397,6 +402,8 @@ def euler_characteristic(g: CoxeterSymbol) -> Fraction:
 
 def bilinear_gram(g: CoxeterSymbol, inf_value: float = -1.0) -> np.ndarray:
     """Cosine matrix B(v_s, v_t) = -cos(pi / m(s,t)), with inf_value at m = INF."""
+    import numpy as np
+
     if not (math.isfinite(inf_value) and inf_value <= -1.0):
         raise SymbolError("inf_value must be a finite number <= -1")
     n = g.rank
@@ -413,8 +420,13 @@ def signature(g: CoxeterSymbol, inf_value: float = -1.0) -> Tuple[int, int, int]
     """Counts (n_plus, n_minus, n_zero) of eigenvalue signs of the cosine form.
 
     Eigenvalues with |lambda| < 1e-8 count as zero; at the scales handled
-    here the smallest nonzero eigenvalues stay above 1e-3.
+    here the smallest nonzero eigenvalues stay above 1e-3.  This float
+    route serves only the general `symbol signature` verb (any edge label,
+    any value at INF); geometry counts the signature of its crystallographic
+    symbols exactly with weyl.inertia.
     """
+    import numpy as np
+
     eig = np.linalg.eigvalsh(bilinear_gram(g, inf_value))
     n_plus = int(np.sum(eig > SIGNATURE_TOL))
     n_minus = int(np.sum(eig < -SIGNATURE_TOL))

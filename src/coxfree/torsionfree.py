@@ -377,23 +377,29 @@ def _subset_longest_word(d: DaggerSymbol, subset: Sequence) -> List:
 
 
 @lru_cache(maxsize=2)
+def _class_words(d: DaggerSymbol) -> Tuple[Tuple[inv.EquivalenceClass, Tuple], ...]:
+    """(class, word) for every involution class of the pendant symbol: the
+    longest word of its canonical antipodal subsymbol.  It does not depend
+    on the map's mode, so both modes of one symbol share it."""
+    return tuple((cls, tuple(_subset_longest_word(d, cls.canonical)))
+                 for cls in inv.equivalence_classes(d.gamma))
+
+
+@lru_cache(maxsize=2)
 def _class_table(d: DaggerSymbol, mode: str
                  ) -> Tuple[Tuple[inv.EquivalenceClass, Tuple, SemidirectElement], ...]:
     """(class, word, image) for every involution class of the pendant
-    symbol: the longest word of the canonical antipodal subsymbol and its
-    image under the given map.
+    symbol: the entries of _class_words and their images under the given
+    map.
 
     A pure function of d and mode, memoized by value for the last two
-    keys so that certify, the certify a replay re-derives, and the class
-    exclusions of the cyclic extension build each word and image once per
-    symbol.  It is never filled from a certificate, and every entry is
-    immutable, so a caller cannot change what the next one reads.
+    keys, as the words are for the last two symbols, so that certify, the
+    certify a replay re-derives, and the class exclusions of the cyclic
+    extension build each word and image once per symbol.  It is never
+    filled from a certificate, and every entry is immutable, so a caller
+    cannot change what the next one reads.
     """
-    table = []
-    for cls in inv.equivalence_classes(d.gamma):
-        word = tuple(_subset_longest_word(d, cls.canonical))
-        table.append((cls, word, phi(d, word, mode)))
-    return tuple(table)
+    return tuple((cls, word, phi(d, word, mode)) for cls, word in _class_words(d))
 
 
 def _structure_violations(d: DaggerSymbol) -> List[dict]:

@@ -14,14 +14,11 @@ between 2 and 3; G2 is 1-2 with a 6-edge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .symbols import CoxeterSymbol
 
@@ -292,6 +289,45 @@ def minus_one_rank(g: Matrix) -> int:
                                for i, row in enumerate(g)))
 
 
+def inertia(a: Sequence[Sequence]) -> Tuple[int, int, int]:
+    """Exact inertia (n_plus, n_minus, n_zero) of a symmetric matrix over Q.
+
+    Symmetric elimination: each step is a congruence, which keeps the
+    inertia by Sylvester's law.  A nonzero diagonal entry is a 1x1 pivot
+    and counts by its sign.  When the whole remaining diagonal is zero but
+    an entry b is not, its rows and columns span a block [[0, b], [b, 0]],
+    which counts one positive and one negative.  What is left when every
+    remaining entry is zero counts as zero.
+    """
+    rows = [[Fraction(x) for x in row] for row in a]
+    if any(len(row) != len(rows) for row in rows) or any(
+            rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
+        raise WeylError("matrix is not symmetric")
+    live = list(range(len(rows)))
+    n_plus = n_minus = 0
+    while live:
+        i = next((k for k in live if rows[k][k]), None)
+        if i is not None:
+            n_plus += rows[i][i] > 0
+            n_minus += rows[i][i] < 0
+            block_inverse = {(i, i): 1 / rows[i][i]}
+        else:
+            pair = next(((k, j) for k in live for j in live if rows[k][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            n_plus += 1
+            n_minus += 1
+            block_inverse = {(i, j): 1 / rows[i][j], (j, i): 1 / rows[i][j]}
+        block = {p for p, _ in block_inverse}
+        live = [k for k in live if k not in block]
+        for k in live:  # Schur complement of the pivot block
+            for j in live:
+                rows[k][j] -= sum(rows[k][p] * c * rows[q][j]
+                                  for (p, q), c in block_inverse.items())
+    return n_plus, n_minus, len(rows) - n_plus - n_minus
+
+
 def preserves_gram(w: WeylData, m: Matrix) -> bool:
     mt = tuple(zip(*m))
     return mat_mul(mat_mul(mt, w.gram2), m) == w.gram2
@@ -401,68 +437,3 @@ def _longest_word(w: WeylData, nodes: Tuple[int, ...]) -> Tuple[int, ...]:
 def longest_element(w: WeylData, delta: Optional[Iterable[int]] = None) -> Tuple[Matrix, int]:
     word = longest_word(w, delta)
     return word_to_matrix(w, word), len(word)
-
-
-def verify_exponents(w: WeylData, tol: float = 1e-6) -> bool:
-    """Numeric check that a Coxeter element has eigenvalues zeta^{m_k}."""
-    xi = coxeter_element(w)
-    actual = np.poly(np.array(xi, dtype=float))
-    zeta = np.exp(2j * np.pi / w.coxeter_number)
-    expected = np.poly([zeta ** m for m in w.exponents])
-    return bool(np.allclose(actual, expected, atol=tol))
-
-
-# ---------------------------------------------------------------------------
-# Signed permutation models for the classical families
-
-Perm = Tuple[int, ...]
-
-
-def perm_identity(degree: int) -> Perm:
-    return tuple(range(1, degree + 1))
-
-
-def perm_apply(p: Perm, point: int) -> int:
-    if point > 0:
-        return p[point - 1]
-    return -p[-point - 1]
-
-
-def perm_mul(p: Perm, q: Perm) -> Perm:
-    """Composite acting as p after q (matching word-order matrix products)."""
-    return tuple(perm_apply(p, q[i]) for i in range(len(p)))
-
-
-def _perm_generators(w: WeylData) -> Dict[int, Perm]:
-    n = w.rank
-    gens: Dict[int, Perm] = {}
-    if w.family == "A":
-        degree = n + 1
-        for i in range(1, n + 1):
-            p = list(range(1, degree + 1))
-            p[i - 1], p[i] = p[i], p[i - 1]
-            gens[i] = tuple(p)
-        return gens
-    if w.family not in ("B", "D"):
-        raise WeylError("permutation model exists for the classical families only")
-    for i in range(1, n):
-        p = list(range(1, n + 1))
-        p[i - 1], p[i] = p[i], p[i - 1]
-        gens[i] = tuple(p)
-    last = list(range(1, n + 1))
-    if w.family == "B":
-        last[n - 1] = -n
-    else:
-        last[n - 2], last[n - 1] = -n, -(n - 1)
-    gens[n] = tuple(last)
-    return gens
-
-
-def perm_model(w: WeylData, word: Sequence[int]) -> Perm:
-    """Signed permutation image of a word (plain permutation in type A)."""
-    gens = _perm_generators(w)
-    degree = w.rank + 1 if w.family == "A" else w.rank
-    acc = perm_identity(degree)
-    for s in word:
-        acc = perm_mul(acc, gens[s])
-    return acc

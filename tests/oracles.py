@@ -2,14 +2,17 @@
 
 Everything here is built from first principles (signed permutations as
 tuples, breadth-first closures, conjugacy by exhaustive multiplication,
-Leibniz determinants, minor searches) so that the values frozen into the
-tests do not depend on the code paths they are checking.
+Leibniz determinants, minor searches, floating-point eigenvalues) so that
+the values frozen into the tests do not depend on the code paths they are
+checking.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Dict, List, Sequence, Set, Tuple
+
+import numpy as np
 
 Perm = Tuple[int, ...]  # entry i-1 is the signed image of +i
 
@@ -50,6 +53,14 @@ def signed_generators(n: int, even: bool = False) -> List[Perm]:
         last[n - 1] = -n
     gens.append(tuple(last))
     return gens
+
+
+def word_perm(gens: Sequence[Perm], word: Sequence[int]) -> Perm:
+    """Image of a word in generators numbered from 1, composed left to right."""
+    acc = pidentity(len(gens[0]))
+    for s in word:
+        acc = pmul(acc, gens[s - 1])
+    return acc
 
 
 def closure(gens: Sequence[Perm]) -> Set[Perm]:
@@ -112,3 +123,21 @@ def minor_rank(a: Sequence[Sequence[int]]) -> int:
                 if leibniz_det([[a[r][c] for c in cs] for r in rs]):
                     return k
     return 0
+
+
+def verify_exponents(xi: Sequence[Sequence[int]], h: int, exponents: Sequence[int],
+                     tol: float = 1e-6) -> bool:
+    """Numeric check that a Coxeter element xi has eigenvalues zeta^{m_k},
+    zeta = exp(2 pi i / h), comparing characteristic polynomials."""
+    actual = np.poly(np.array(xi, dtype=float))
+    zeta = np.exp(2j * np.pi / h)
+    expected = np.poly([zeta ** m for m in exponents])
+    return bool(np.allclose(actual, expected, atol=tol))
+
+
+def eigen_signs(a: Sequence[Sequence], tol: float = 1e-9) -> Tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero) of a symmetric matrix from the signs of its
+    float eigenvalues; |lambda| < tol counts as zero."""
+    eig = np.linalg.eigvalsh(np.array(a, dtype=float))
+    n_plus, n_minus = int(np.sum(eig > tol)), int(np.sum(eig < -tol))
+    return n_plus, n_minus, len(eig) - n_plus - n_minus

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coxfree
 from coxfree import cli
 
 
@@ -97,3 +102,43 @@ class TestGoldenStdout:
         assert cli.run(["--quiet", *command.split()]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TF[command]
+
+
+# Each verb but `symbol signature` runs without numpy, so a cold CLI child
+# does not pay for importing it.
+NUMPY_FREE = [
+    "weyl info E8",
+    "modtwo weight E8 --node 1",
+    "symbol euler --file {a3}",
+    "tf certify --psi E6 --nodes 1 5",
+    "geometry volume 8",
+    "geometry covol 8 --route gb",
+]
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from coxfree import cli
+for command in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(["--quiet", *command])
+    assert code == 0, command
+    assert "numpy" not in sys.modules, command
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.run(["--quiet", "symbol", "signature", "--file", sys.argv[2], "--inf", "-2"])
+print(code, out.getvalue(), end="")
+"""
+
+
+def test_only_symbol_signature_imports_numpy(tmp_path):
+    a3, inf_edge = tmp_path / "a3.json", tmp_path / "inf.json"
+    a3.write_text(json.dumps(A3_SYMBOL))
+    inf_edge.write_text(json.dumps({"nodes": ["a", "b"], "edges": [["a", "b", "inf"]]}))
+    commands = [c.format(a3=a3).split() for c in NUMPY_FREE]
+    src = str(Path(coxfree.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands), str(inf_edge)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # [[1, -2], [-2, 1]] has eigenvalues 3 and -1.
+    assert proc.stdout == '0 {"n_minus":1,"n_plus":1,"n_zero":0}\n'

@@ -2,6 +2,8 @@ import pytest
 
 from coxfree import geometry as geo
 from coxfree import weyl as wy
+from coxfree.symbols import CoxeterSymbol, signature
+from oracles import eigen_signs
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -18,3 +20,18 @@ def test_pendant_root_basis_is_unimodular(n):
     (s,) = symbol.neighbors(pendant)
     assert symbol.order(s, pendant) == 4
     assert geo._root_gram_det(core, s) == -1
+
+
+def test_exact_inertia_matches_float_signature_on_every_trial():
+    # Every pendant placement vinberg_symbol scans, n = 4..9: the exact
+    # inertia of the root Gram matrix, the float eigenvalue signs of the
+    # same matrix, and the float signature of the cosine form all agree.
+    trials = 0
+    for n in range(4, 10):
+        core = geo._affine_e8_symbol() if n == 9 else wy.weyl_data(*geo._VINBERG_CORE[n]).symbol
+        for s in core.nodes:
+            gram = geo._root_gram(core, s)
+            trial = CoxeterSymbol(list(core.nodes) + ["t1"], list(core.edges()) + [(s, "t1", 4)])
+            assert wy.inertia(gram) == eigen_signs(gram) == signature(trial)
+            trials += 1
+    assert trials == 39

@@ -176,17 +176,27 @@ class TestReplay:
         assert replay_certificate(d, dataclasses.replace(cert, mode="other")) is False
 
 
+def _clear_class_tables():
+    tf._class_words.cache_clear()
+    tf._class_table.cache_clear()
+
+
+def _count_longest_words(monkeypatch):
+    calls = []
+    original = tf._subset_longest_word
+
+    def counting(d, subset):
+        calls.append(subset)
+        return original(d, subset)
+
+    monkeypatch.setattr(tf, "_subset_longest_word", counting)
+    _clear_class_tables()
+    return calls
+
+
 class TestClassTable:
     def test_words_are_built_once_per_class(self, monkeypatch):
-        calls = []
-
-        def counting(d, subset):
-            calls.append(subset)
-            return original(d, subset)
-
-        original = tf._subset_longest_word
-        monkeypatch.setattr(tf, "_subset_longest_word", counting)
-        tf._class_table.cache_clear()
+        calls = _count_longest_words(monkeypatch)
         d = build_dagger(weyl_data("E6"), [1])
         cert = certify_torsion_free(d, "hat")
         # An equal symbol built afresh, as each pipeline stage may do, shares the table.
@@ -194,11 +204,19 @@ class TestClassTable:
         assert cyclic_extension(d).certificate.ok
         assert len(calls) == len(inv.equivalence_classes(d.gamma))
 
+    def test_both_modes_share_the_words(self, monkeypatch):
+        calls = _count_longest_words(monkeypatch)
+        d = build_dagger(weyl_data("D", 8), [2, 6])
+        hat = certify_torsion_free(d, "hat")
+        plain = certify_torsion_free(d, "plain")
+        assert hat.ok and plain.ok
+        assert len(calls) == len(inv.equivalence_classes(d.gamma)) == 199
+
     def test_warm_table_trusts_nothing(self):
         d = build_dagger(weyl_data("E6"), [1])
         cold = []
         for derive in (certify_torsion_free, lambda d: cyclic_extension(d).certificate):
-            tf._class_table.cache_clear()
+            _clear_class_tables()
             cold.append(derive(d).to_json())
         hits = tf._class_table.cache_info().hits
         cert = cyclic_extension(d).certificate

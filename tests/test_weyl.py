@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,12 +12,11 @@ from coxfree import (
     element_order,
     longest_element,
     longest_word,
-    perm_model,
-    verify_exponents,
 )
 from coxfree import weyl as wy
 from coxfree.weyl import identity_matrix, mat_mul, preserves_gram
-from oracles import leibniz_det, minor_rank
+from oracles import (eigen_signs, leibniz_det, minor_rank, signed_generators,
+                     symmetric_generators, verify_exponents, word_perm)
 
 ALL_RANK_LE_8 = (
     [("A", r) for r in range(1, 9)]
@@ -141,7 +141,8 @@ class TestCoxeterElements:
 
     def test_exponent_eigenvalues(self):
         for fam, rank in ALL_RANK_LE_8:
-            assert verify_exponents(weyl_data(fam, rank))
+            w = weyl_data(fam, rank)
+            assert verify_exponents(coxeter_element(w), w.coxeter_number, w.exponents)
 
 
 POSITIVE_ROOT_COUNTS = {
@@ -215,32 +216,33 @@ class TestLongestElements:
             assert all(c <= 0 for c in mat_vec(m, e_s))
 
 
+def _perm_generators(family, rank):
+    """The oracle's (signed) permutation generators in weyl_data's numbering."""
+    return symmetric_generators(rank) if family == "A" else signed_generators(rank, family == "D")
+
+
 class TestPermModel:
     def test_a2_three_cycle(self):
-        p = perm_model(weyl_data("A", 2), [1, 2])
-        assert p == (2, 3, 1)
+        assert word_perm(_perm_generators("A", 2), [1, 2]) == (2, 3, 1)
 
     def test_b2_sign_flip(self):
-        assert perm_model(weyl_data("B", 2), [2]) == (1, -2)
+        assert word_perm(_perm_generators("B", 2), [2]) == (1, -2)
 
     def test_d4_fork_generator(self):
-        assert perm_model(weyl_data("D", 4), [4]) == (1, 2, -4, -3)
+        assert word_perm(_perm_generators("D", 4), [4]) == (1, 2, -4, -3)
 
     def test_matches_matrix_equality(self):
         rng = random.Random(11)
         for fam, rank in [("A", 4), ("B", 4), ("D", 4)]:
             w = weyl_data(fam, rank)
+            gens = _perm_generators(fam, rank)
             nodes = list(w.symbol.nodes)
             for _ in range(200):
                 w1 = [rng.choice(nodes) for _ in range(rng.randint(0, 8))]
                 w2 = [rng.choice(nodes) for _ in range(rng.randint(0, 8))]
                 same_matrix = word_to_matrix(w, w1) == word_to_matrix(w, w2)
-                same_perm = perm_model(w, w1) == perm_model(w, w2)
+                same_perm = word_perm(gens, w1) == word_perm(gens, w2)
                 assert same_matrix == same_perm
-
-    def test_rejects_exceptional(self):
-        with pytest.raises(WeylError):
-            perm_model(weyl_data("F4"), [1])
 
 
 class TestNegativeExponents:
@@ -337,3 +339,52 @@ class TestExactElimination:
             wy.mat_inverse(((1, 2), (2, 4)))
         with pytest.raises(WeylError):
             wy.mat_inverse(((1, 2, 3), (4, 5, 6)))
+
+
+def _random_symmetric(rng, n):
+    """Symmetric n x n integer matrix with entries in [-2, 2], at times with
+    an all-zero diagonal (so the 2x2 pivot runs) or two equal rows (so it is
+    singular).  Its nonzero eigenvalues exceed 1/14^6 > 1e-7 in size, far
+    above the oracle's zero tolerance: the product of all of them is a
+    nonzero integer (a sum of principal minors), there are at most 7, and
+    each has size at most the largest row sum 2n <= 14."""
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            a[i][j] = a[j][i] = rng.randint(-2, 2)
+    if rng.random() < 0.4:
+        for i in range(n):
+            a[i][i] = 0
+    if n > 1 and rng.random() < 0.4:
+        i, j = rng.sample(range(n), 2)
+        a[j] = list(a[i])
+        for row in a:
+            row[j] = row[i]
+    return a
+
+
+class TestInertia:
+    def test_pins(self):
+        assert wy.inertia([[0, 1], [1, 0]]) == (1, 1, 0)
+        assert wy.inertia([[0, 0], [0, 0]]) == (0, 0, 2)
+        assert wy.inertia([]) == (0, 0, 0)
+        assert wy.inertia([[2, -1], [-1, 2]]) == (2, 0, 0)
+        # Rational entries: det = -1/10 - 1/9 < 0.
+        assert wy.inertia([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-1, 5)]]) == (1, 1, 0)
+
+    def test_matches_float_eigenvalue_signs(self):
+        rng = random.Random(7)
+        zero_diagonal = singular = 0
+        for _ in range(400):
+            a = _random_symmetric(rng, rng.randint(1, 7))
+            expected = eigen_signs(a)
+            assert wy.inertia(a) == expected, a
+            zero_diagonal += len(a) > 1 and not any(a[i][i] for i in range(len(a))) and any(map(any, a))
+            singular += expected[2] > 0
+        assert zero_diagonal >= 50 and singular >= 50
+
+    def test_rejects_non_symmetric(self):
+        with pytest.raises(WeylError):
+            wy.inertia([[1, 2], [3, 4]])
+        with pytest.raises(WeylError):
+            wy.inertia([[1, 2]])
