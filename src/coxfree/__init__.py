@@ -21,7 +21,6 @@ from .symbols import (
 from .weyl import (
     WeylData,
     WeylError,
-    cartan_matrix,
     coxeter_element,
     element_order,
     longest_element,

@@ -3,25 +3,30 @@
 An involution class of a Coxeter group corresponds to an equivalence
 class of antipodal subsymbols (those whose longest element acts as minus
 the identity), with two subsymbols equivalent when a chain of one-node
-exchange moves connects them (Richardson, J. Algebra 1982).  This module
-enumerates the subsymbols, closes them under the moves, and checks the
-Coxeter half-turn against the unique class of maximal rank.
+exchange moves connects them (Richardson, J. Algebra 1982).  A move
+adds a node s and removes its image under the opposition involution
+s -> w0 s w0 of the finite component through s (Bourbaki, Lie IV-VI).  On
+the diagram that image is read off symbols.component_shape: the identity
+on an antipodal type, the path reversed for A_n and I2(odd), the two
+equal arms at the branch node swapped for D_odd and E6.  This module
+enumerates the subsymbols from the spherical-subset walk, closes them
+under the moves, and checks the Coxeter half-turn against the unique
+class of maximal rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import weyl as wy
 from .symbols import (
     CoxeterSymbol,
     FiniteType,
-    MAX_NODES,
     SphericalWalk,
-    SymbolError,
     classify_finite_type,
+    component_shape,
     connected_components,
     induced_subsymbol,
     mask_nodes,
@@ -63,88 +68,41 @@ def is_minus_one_type(g: CoxeterSymbol, t_nodes) -> bool:
     return all(_component_type_is_minus_one(t) for t in types)
 
 
-def _standard_symbol(t: FiniteType) -> CoxeterSymbol:
-    if t.family in ("A", "B", "D"):
-        return wy.weyl_data(t.family, t.rank).symbol
-    if t.family in ("E6", "E7", "E8", "F4", "G2"):
-        return wy.weyl_data(t.family).symbol
-    if t.family == "I2":
-        return CoxeterSymbol([1, 2], [(1, 2, t.order // 2)])
-    if t.family == "H3":
-        return CoxeterSymbol([1, 2, 3], [(1, 2, 5), (2, 3, 3)])
-    if t.family == "H4":
-        return CoxeterSymbol([1, 2, 3, 4], [(1, 2, 5), (2, 3, 3), (3, 4, 3)])
-    raise InvolutionError(f"no standard symbol for {t!r}")  # pragma: no cover
-
-
-def _find_isomorphism(a: CoxeterSymbol, b: CoxeterSymbol) -> Optional[Dict]:
-    """Backtracking label-preserving graph isomorphism (small tree symbols)."""
-    if a.rank != b.rank:
-        return None
-    a_nodes = sorted(a.nodes, key=lambda v: (-len(a.neighbors(v)), node_sort_key(v)))
-    used = set()
-    mapping: Dict = {}
-
-    def extend(idx: int) -> bool:
-        if idx == len(a_nodes):
-            return True
-        v = a_nodes[idx]
-        for w in b.nodes:
-            if w in used:
-                continue
-            if len(a.neighbors(v)) != len(b.neighbors(w)):
-                continue
-            ok = True
-            for u in mapping:
-                if a.order(v, u) != b.order(w, mapping[u]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(idx + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return dict(mapping) if extend(0) else None
-
-
-_STANDARD_PI = {
-    # family -> fixed-point-free part of the unique order-2 diagram symmetry
-    "A": lambda n: {i: n + 1 - i for i in range(1, n + 1)},
-    "D": lambda n: {**{i: i for i in range(1, n - 1)}, n - 1: n, n: n - 1},
-    "E6": lambda n: {1: 5, 5: 1, 2: 4, 4: 2, 3: 3, 6: 6},
-    "I2": lambda n: {1: 2, 2: 1},
-}
+def _opposition(g: CoxeterSymbol, comp: Sequence, t: FiniteType) -> Dict:
+    """Image of each node of the connected finite component comp, of type
+    t, under s -> w0 s w0: the identity on an antipodal type; otherwise the
+    path reversed (A_n, I2(odd)), or the two equal arms at the branch node
+    swapped (D_odd, E6)."""
+    pi = {v: v for v in comp}
+    if _component_type_is_minus_one(t):
+        return pi
+    branch, arms = component_shape(g, comp)
+    if branch is None:
+        pi.update(zip(arms[0], reversed(arms[0])))
+    else:
+        x, y = arms[:2] if len(arms[0]) == len(arms[1]) else arms[1:]
+        pi.update(zip(x, y))
+        pi.update(zip(y, x))
+    return pi
 
 
 def pi_permutation(g: CoxeterSymbol) -> Dict:
-    """Identity on an antipodal symbol, else its unique order-2 symmetry."""
-    comps = connected_components(g)
-    if len(comps) != 1:
+    """The opposition involution s -> w0 s w0 of a connected finite symbol:
+    the identity on an antipodal symbol, else its unique order-2 diagram
+    symmetry."""
+    if len(connected_components(g)) != 1:
         raise InvolutionError("symbol must be connected")
     types = classify_finite_type(g)
     if types is None:
         raise InvolutionError("symbol is not of finite type")
-    t = types[0]
-    if _component_type_is_minus_one(t):
-        return {v: v for v in g.nodes}
-    std = _standard_symbol(t)
-    iso = _find_isomorphism(std, g)
-    if iso is None:
-        raise InvolutionError("classification/isomorphism mismatch")  # pragma: no cover
-    std_pi = _STANDARD_PI[t.family](t.rank)
-    return {iso[v]: iso[std_pi[v]] for v in std.nodes}
+    return _opposition(g, g.nodes, types[0])
 
 
 def _moves(g: CoxeterSymbol, walk: SphericalWalk, mask: int,
            partners: Dict[int, Dict]) -> List[int]:
     """Masks one exchange move away from the antipodal set mask.
 
-    partners memoizes pi_permutation per component mask, keyed by mask.
+    partners memoizes the opposition per component mask, keyed by mask.
     """
     results = []
     for i, s in enumerate(g.nodes):
@@ -158,7 +116,7 @@ def _moves(g: CoxeterSymbol, walk: SphericalWalk, mask: int,
         if _component_type_is_minus_one(t):
             continue
         if comp not in partners:
-            partners[comp] = pi_permutation(induced_subsymbol(g, mask_nodes(g, comp)))
+            partners[comp] = _opposition(g, mask_nodes(g, comp), t)
         results.append((mask | bit) & ~(1 << g.nodes.index(partners[comp][s])))
     return results
 
@@ -166,9 +124,11 @@ def _moves(g: CoxeterSymbol, walk: SphericalWalk, mask: int,
 def elementary_moves(g: CoxeterSymbol, t_nodes) -> List[Tuple]:
     """One-node exchange moves from an antipodal subsymbol.
 
-    For a node s outside the subsymbol whose attached component is finite
-    but not antipodal, the move swaps s in and its symmetric partner out.
-    Reads the spherical-subset walk of g, so g has at most MAX_NODES nodes.
+    For a node s outside the subsymbol T such that the component of T + s
+    through s is finite but not antipodal, the move adds s and removes the
+    image of s under that component's opposition involution (s itself
+    when s lies on its axis of symmetry).  The moves read the
+    spherical-subset walk of g, which raises SymbolError past MAX_NODES.
     """
     t_set = set(t_nodes)
     if not is_minus_one_type(g, t_set):
@@ -195,8 +155,6 @@ def equivalence_classes(g: CoxeterSymbol) -> Tuple[EquivalenceClass, ...]:
     antipodal subsymbols.  Deterministic: members sorted, classes ordered
     by (rank, least member).  Memoized per symbol (the last 16), so the
     result is a tuple that no caller can change."""
-    if g.rank > MAX_NODES:
-        raise SymbolError(f"class enumeration capped at {MAX_NODES} nodes")
     walk = spherical_subsets(g)
     subsets = [mask for mask, comps in walk.items()
                if mask and all(_component_type_is_minus_one(t) for _, t in comps)]

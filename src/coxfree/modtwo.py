@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import weyl as wy
 from .symbols import CoxeterSymbol
@@ -142,30 +142,15 @@ def f2_rank(vectors: Iterable[int]) -> int:
 
 
 def f2_nullspace(cols: F2Matrix, n: int) -> Tuple[int, ...]:
-    """Basis of {v : M v = 0} for the operator with the given columns."""
-    # Row masks of the n x n matrix.
-    rows = [sum(((cols[j] >> i) & 1) << j for j in range(n)) for i in range(n)]
-    pivots: Dict[int, int] = {}
-    work: List[int] = []
-    for r in rows:
-        for col, wrow in pivots.items():
-            if (r >> col) & 1:
-                r ^= wrow
-        if r:
-            col = (r & -r).bit_length() - 1
-            for c2 in list(pivots):
-                if (pivots[c2] >> col) & 1:
-                    pivots[c2] ^= r
-            pivots[col] = r
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        v = 1 << j
-        for col, wrow in pivots.items():
-            if (wrow >> j) & 1:
-                v |= 1 << col
-        basis.append(v)
-    return echelon_basis(basis)
+    """Basis of {v : M v = 0} for the operator with the given columns.
+
+    Echelons the columns augmented by the unit vectors, cols[j] | e_(n+j).
+    A reduced basis vector with no bit below n is a combination of columns
+    that sums to zero, and shifted down by n those vectors span the kernel.
+    """
+    low = (1 << n) - 1
+    aug = echelon_basis(cols[j] | 1 << (n + j) for j in range(n))
+    return echelon_basis(b >> n for b in aug if not b & low)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ stored.  INF marks an infinite product order.
 
 This module recognizes finite-type symbols, computes exact Euler
 characteristics, and evaluates the cosine bilinear form and its signature.
+Two walks carry the combinatorics.  component_shape is the one walk along
+a connected component: its path, or its branch node and arms; the finite
+classification reads its edge labels along that walk, and the diagram
+symmetry (involutions) and the type-B paths through a pendant
+(torsionfree) read the same walk.  spherical_subsets is the one walk over
+the spherical node subsets, and the only place the MAX_NODES cap lives.
 The cosine form is in floating point and imports numpy on first use; it
 serves only the general `symbol signature` verb, which accepts any edge
 label and any value at INF.  The volume path counts its signature exactly
@@ -201,74 +207,61 @@ def connected_components(g: CoxeterSymbol) -> List[Tuple]:
     return comps
 
 
-def _path_label_sequence(g: CoxeterSymbol, comp: Sequence) -> Optional[List]:
-    """Edge labels along a path component, or None if it is not a path."""
-    ends = [v for v in comp if len([w for w in g.neighbors(v) if w in comp]) <= 1]
+def component_shape(g: CoxeterSymbol, comp: Sequence) -> Optional[Tuple[object, List[List]]]:
+    """The walk along a connected component: (None, [path]) for a path,
+    walked from its first end in comp; (branch, arms) for a tree with one
+    branch node, each arm walked outward from the branch, longest first;
+    None for anything else (a cycle, two branch nodes, or a disconnected
+    comp)."""
     inside = set(comp)
-    if len(comp) == 1:
-        return []
-    if len(ends) != 2 or any(
-        len([w for w in g.neighbors(v) if w in inside]) > 2 for v in comp
-    ):
+    near = {v: [w for w in g.neighbors(v) if w in inside] for v in comp}
+    if sum(len(ws) for ws in near.values()) != 2 * (len(comp) - 1):
+        return None  # a connected graph is a tree exactly when |E| = |V| - 1
+
+    def walk(prev, cur) -> List:
+        out = [cur]
+        while True:
+            ahead = [w for w in near[cur] if w != prev]
+            if len(ahead) != 1:
+                return [] if ahead else out  # [] when it runs into a branch
+            prev, cur = cur, ahead[0]
+            out.append(cur)
+
+    branches = [v for v in comp if len(near[v]) > 2]
+    if not branches:
+        ends = [v for v in comp if len(near[v]) < 2]
+        path = walk(None, ends[0]) if ends else []
+        return (None, [path]) if len(path) == len(comp) else None
+    if len(branches) > 1:
         return None
-    walk = [ends[0]]
-    prev = None
-    while len(walk) < len(comp):
-        nxt = [w for w in g.neighbors(walk[-1]) if w in inside and w != prev]
-        if len(nxt) != 1:
-            return None
-        prev = walk[-1]
-        walk.append(nxt[0])
-    return [g.order(walk[i], walk[i + 1]) for i in range(len(walk) - 1)]
+    branch = branches[0]
+    arms = sorted((walk(branch, w) for w in near[branch]), key=len, reverse=True)
+    if sum(map(len, arms)) != len(comp) - 1:
+        return None
+    return branch, arms
 
 
 def _classify_component(g: CoxeterSymbol, comp: Sequence) -> Optional[FiniteType]:
     n = len(comp)
-    inside = set(comp)
-    labels = [m for a, b, m in g.edges() if a in inside and b in inside]
-    if any(m == INF for m in labels):
-        return None
-    if len(labels) != n - 1:
+    shape = component_shape(g, comp)
+    if shape is None:
         return None  # finite diagrams are trees
-    if n == 1:
-        return FiniteType("A", 1, 2)
-    seq = _path_label_sequence(g, comp)
-    if seq is not None:
-        return _classify_path(n, seq)
+    branch, arms = shape
+    if branch is None:
+        path = arms[0]
+        seq = [g.order(a, b) for a, b in zip(path, path[1:])]
+        return None if INF in seq else _classify_path(n, seq)
     # One branch node, three arms, all labels 3.
-    degs = {v: len([w for w in g.neighbors(v) if w in inside]) for v in comp}
-    branch = [v for v in comp if degs[v] == 3]
-    if len(branch) != 1 or any(d > 3 for d in degs.values()):
+    if len(arms) != 3 or any(g.order(a, b) != 3 for arm in arms
+                             for a, b in zip([branch] + arm, arm)):
         return None
-    if any(m != 3 for m in labels):
-        return None
-    center = branch[0]
-    arms = sorted(
-        (_arm_length(g, inside, center, w) for w in g.neighbors(center) if w in inside),
-        reverse=True,
-    )
-    if None in arms or len(arms) != 3:
-        return None
-    a, b, c = arms
+    a, b, c = map(len, arms)
     if (b, c) == (1, 1):
         return FiniteType("D", n, 2 ** (n - 1) * math.factorial(n))
     if (b, c) == (2, 1) and a in (2, 3, 4):
         orders = {6: 51840, 7: 2903040, 8: 696729600}
         return FiniteType(f"E{n}", n, orders[n])
     return None
-
-
-def _arm_length(g, inside, center, first) -> Optional[int]:
-    length = 1
-    prev, cur = center, first
-    while True:
-        nxt = [w for w in g.neighbors(cur) if w in inside and w != prev]
-        if not nxt:
-            return length
-        if len(nxt) > 1:
-            return None
-        prev, cur = cur, nxt[0]
-        length += 1
 
 
 def _classify_path(n: int, seq: List) -> Optional[FiniteType]:
@@ -387,10 +380,9 @@ def euler_characteristic(g: CoxeterSymbol) -> Fraction:
 
     chi = sum over node subsets T with finite visible subgroup of
     (-1)^|T| / |W_T|.  The empty subset contributes +1.  For a symbol of
-    finite type this collapses to 1/|W|.
+    finite type this collapses to 1/|W|.  The sum reads spherical_subsets,
+    which raises SymbolError past MAX_NODES.
     """
-    if g.rank > MAX_NODES:
-        raise SymbolError(f"Euler characteristic capped at {MAX_NODES} nodes")
     chi = Fraction(0)
     for mask, comps in spherical_subsets(g).items():
         order = 1

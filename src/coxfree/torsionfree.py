@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import involutions as inv
 from . import modtwo as m2
 from . import weyl as wy
-from .symbols import CoxeterSymbol, mask_nodes, node_sort_key, spherical_subsets
+from .symbols import CoxeterSymbol, component_shape, mask_nodes, node_sort_key, spherical_subsets
 from .weyl import Matrix, WeylData
 
 WORD_CAP = 10_000
@@ -350,17 +350,13 @@ def _component_longest_word(d: DaggerSymbol, comp: Sequence) -> List:
     if len(pend) != 1:
         raise DaggerError("component with two pendants is never finite")
     t = pend[0]
-    i = d.pendants.index(t)
-    rest = set(comp) - {t}
-    if not rest:
-        return [t]
-    path = [d.attachments[i]]
-    while len(path) < len(rest):
-        nxt = [u for u in d.psi.symbol.neighbors(path[-1]) if u in rest and u not in path]
-        if len(nxt) != 1:
-            raise DaggerError("pendant component is not a path")
-        path.append(nxt[0])
-    return _b_longest_word(t, path)
+    shape = component_shape(d.gamma, comp)
+    if shape is None or shape[0] is not None:
+        raise DaggerError("pendant component is not a path")
+    path = shape[1][0]
+    if path[0] != t:
+        path = path[::-1]
+    return _b_longest_word(t, path[1:])
 
 
 def _subset_longest_word(d: DaggerSymbol, subset: Sequence) -> List:

@@ -181,11 +181,6 @@ def weyl_data(family: str, rank: Optional[int] = None) -> WeylData:
     return data
 
 
-def cartan_matrix(w: WeylData) -> Matrix:
-    """Entries <x_j, x_i^v> = 2(x_j, x_i)/(x_i, x_i) at row i, column j."""
-    return w.cartan
-
-
 # ---------------------------------------------------------------------------
 # Integer matrices (tuples of row tuples)
 

@@ -9,11 +9,16 @@ from coxfree import (
     SymbolError,
     elementary_moves,
     equivalence_classes,
+    euler_characteristic,
     half_coxeter_check,
     is_minus_one_type,
+    longest_element,
     maximal_rank_class,
+    pi_permutation,
+    reflection_matrix,
     weyl_data,
 )
+from coxfree.weyl import mat_mul
 from oracles import closure, involution_class_count, signed_generators, symmetric_generators
 
 
@@ -45,9 +50,10 @@ class TestClassCounts:
         assert sorted((c.rank, len(c.members)) for c in equivalence_classes(g)) == \
             sorted((c.rank, len(c.members)) for c in equivalence_classes(base))
 
-    def test_node_cap(self):
+    @pytest.mark.parametrize("count", [equivalence_classes, euler_characteristic])
+    def test_node_cap(self, count):
         with pytest.raises(SymbolError):
-            equivalence_classes(CoxeterSymbol(range(13)))
+            count(CoxeterSymbol(range(13)))
 
 
 class TestMoves:
@@ -70,6 +76,65 @@ class TestMoves:
     def test_non_antipodal_rejected(self):
         with pytest.raises(InvolutionError):
             elementary_moves(weyl_data("A", 3).symbol, [1, 2])
+
+
+def _relabelled(g, seed):
+    names = [f"v{i}" for i in range(g.rank)]
+    random.Random(seed).shuffle(names)
+    relabel = dict(zip(g.nodes, names))
+    return relabel, CoxeterSymbol(names, [(relabel[a], relabel[b], m) for a, b, m in g.edges()])
+
+
+class TestOpposition:
+    """pi_permutation is the opposition involution s -> w0 s w0 on the
+    generators, computed here in the reflection representation."""
+
+    NON_ANTIPODAL = [("A", r) for r in range(2, 10)] + [("D", 5), ("D", 7), ("D", 9),
+                                                        ("E6", None)]
+    ANTIPODAL = ([("B", r) for r in range(2, 9)] + [("D", 4), ("D", 6), ("D", 8)]
+                 + [("E7", None), ("E8", None), ("F4", None), ("G2", None)])
+
+    @staticmethod
+    def _w0_conjugation(w):
+        w0, _ = longest_element(w)
+        refl = {s: reflection_matrix(w, s) for s in w.symbol.nodes}
+        images = {}
+        for s in w.symbol.nodes:
+            conj = mat_mul(mat_mul(w0, refl[s]), w0)
+            (images[s],) = [t for t in w.symbol.nodes if refl[t] == conj]
+        return images
+
+    @pytest.mark.parametrize("fam,rank", NON_ANTIPODAL + ANTIPODAL)
+    def test_matches_w0_conjugation(self, fam, rank):
+        # The identity exactly on the antipodal types, where w0 = -1.
+        w = weyl_data(fam, rank)
+        pi = pi_permutation(w.symbol)
+        assert pi == self._w0_conjugation(w)
+        assert (pi == {s: s for s in w.symbol.nodes}) == ((fam, rank) in self.ANTIPODAL)
+
+    @pytest.mark.parametrize("fam,rank", NON_ANTIPODAL + ANTIPODAL)
+    def test_relabelled_copies(self, fam, rank):
+        g = weyl_data(fam, rank).symbol
+        pi = pi_permutation(g)
+        for seed in range(3):
+            relabel, h = _relabelled(g, seed)
+            assert pi_permutation(h) == {relabel[s]: relabel[t] for s, t in pi.items()}
+
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_odd_dihedral_swaps_its_nodes(self, m):
+        for a, b in (("a", "b"), ("b", "a")):
+            assert pi_permutation(CoxeterSymbol([a, b], [(a, b, m)])) == {"a": "b", "b": "a"}
+
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_even_dihedral_is_antipodal(self, m):
+        assert pi_permutation(CoxeterSymbol(["a", "b"], [("a", "b", m)])) == \
+            {"a": "a", "b": "b"}
+
+    def test_rejects_disconnected_and_infinite(self):
+        with pytest.raises(InvolutionError):
+            pi_permutation(CoxeterSymbol([1, 2]))
+        with pytest.raises(InvolutionError):
+            pi_permutation(CoxeterSymbol([1, 2, 3], [(1, 2, 3), (2, 3, 3), (1, 3, 3)]))
 
 
 class TestHalfTurn:

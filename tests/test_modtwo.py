@@ -136,6 +136,22 @@ class TestReduction:
         assert reduce_mod2(ident) == m2.f2_identity(3)
 
 
+class TestNullspace:
+    def test_matches_brute_force_kernel(self):
+        # 300 seeded n x n matrices, n <= 8, sparse to dense, so most are
+        # singular; the kernel is every v with M v = 0, found by trying all.
+        rng = random.Random(2981)
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            density = rng.choice([0.1, 0.3, 0.5, 0.8])
+            cols = tuple(sum(1 << i for i in range(n) if rng.random() < density)
+                         for _ in range(n))
+            kernel = [v for v in range(1 << n) if m2.f2_mat_vec(cols, v) == 0]
+            basis = m2.f2_nullspace(cols, n)
+            assert basis == m2.echelon_basis(kernel)
+            assert 1 << len(basis) == len(kernel)
+
+
 class TestOrbits:
     def test_identity_generator(self):
         orbit, sp = orbit_span([m2.f2_identity(3)], mask(1, 3), 3)

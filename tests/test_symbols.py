@@ -21,7 +21,7 @@ from coxfree import (
     signature,
     weyl_data,
 )
-from coxfree.symbols import spherical_subsets
+from coxfree.symbols import component_shape, spherical_subsets
 from oracles import closure, signed_generators
 
 
@@ -129,6 +129,30 @@ class TestClassification:
             )
             assert [t.label() for t in classify_finite_type(g)] == \
                 [t.label() for t in classify_finite_type(base)]
+
+
+class TestComponentShape:
+    def test_path_walked_from_its_first_end(self):
+        g = path_symbol([3, 4, INF])
+        assert component_shape(g, (1, 2, 3, 4)) == (None, [[1, 2, 3, 4]])
+        assert component_shape(g, (4, 3, 2, 1)) == (None, [[4, 3, 2, 1]])
+        assert component_shape(g, (2,)) == (None, [[2]])
+
+    def test_arms_walked_outward_longest_first(self):
+        g = CoxeterSymbol("abcdef", [("a", "b", 3), ("b", "c", 3), ("c", "d", 3),
+                                     ("c", "e", 3), ("e", "f", 5)])
+        assert component_shape(g, tuple("abcdef")) == ("c", [["b", "a"], ["e", "f"], ["d"]])
+        assert component_shape(g, tuple("bcde")) == ("c", [["b"], ["d"], ["e"]])
+
+    def test_anything_else_is_none(self):
+        two_branches = CoxeterSymbol(range(6), [(0, 1, 3), (0, 2, 3), (0, 3, 3), (3, 4, 3),
+                                               (3, 5, 3)])
+        assert component_shape(two_branches, tuple(range(6))) is None
+        assert component_shape(cycle_symbol([3, 3, 3]), (0, 1, 2)) is None
+        # A triangle and a lone node have |E| = |V| - 1 but are no tree.
+        assert component_shape(CoxeterSymbol(range(4), [(0, 1, 3), (1, 2, 3), (0, 2, 3)]),
+                               (0, 1, 2, 3)) is None
+        assert component_shape(path_symbol([3, 3]), (1, 3)) is None
 
 
 class TestEuler:
