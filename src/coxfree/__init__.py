@@ -68,7 +68,6 @@ from .torsionfree import (
     certify_torsion_free,
     cyclic_extension,
     enumerate_image,
-    faithful_on_Bk,
     kernel_index,
     phi,
     replay_certificate,

@@ -35,24 +35,9 @@ from .symbols import (
 )
 from .weyl import WeylData
 
-# Irreducible finite types whose longest element is central minus one.
-_MINUS_ONE_FAMILIES = {"B", "G2", "F4", "E7", "E8", "H3", "H4"}
-
 
 class InvolutionError(ValueError):
     pass
-
-
-def _component_type_is_minus_one(t: FiniteType) -> bool:
-    if t.family in _MINUS_ONE_FAMILIES:
-        return True
-    if t.family == "A":
-        return t.rank == 1
-    if t.family == "D":
-        return t.rank % 2 == 0
-    if t.family == "I2":
-        return (t.order // 2) % 2 == 0
-    return False
 
 
 def is_minus_one_type(g: CoxeterSymbol, t_nodes) -> bool:
@@ -65,7 +50,7 @@ def is_minus_one_type(g: CoxeterSymbol, t_nodes) -> bool:
     types = classify_finite_type(sub)
     if types is None:
         return False
-    return all(_component_type_is_minus_one(t) for t in types)
+    return all(t.antipodal for t in types)
 
 
 def _opposition(g: CoxeterSymbol, comp: Sequence, t: FiniteType) -> Dict:
@@ -74,7 +59,7 @@ def _opposition(g: CoxeterSymbol, comp: Sequence, t: FiniteType) -> Dict:
     path reversed (A_n, I2(odd)), or the two equal arms at the branch node
     swapped (D_odd, E6)."""
     pi = {v: v for v in comp}
-    if _component_type_is_minus_one(t):
+    if t.antipodal:
         return pi
     branch, arms = component_shape(g, comp)
     if branch is None:
@@ -113,7 +98,7 @@ def _moves(g: CoxeterSymbol, walk: SphericalWalk, mask: int,
         if comps is None:
             continue
         comp, t = next(c for c in comps if c[0] & bit)
-        if _component_type_is_minus_one(t):
+        if t.antipodal:
             continue
         if comp not in partners:
             partners[comp] = _opposition(g, mask_nodes(g, comp), t)
@@ -157,7 +142,7 @@ def equivalence_classes(g: CoxeterSymbol) -> Tuple[EquivalenceClass, ...]:
     result is a tuple that no caller can change."""
     walk = spherical_subsets(g)
     subsets = [mask for mask, comps in walk.items()
-               if mask and all(_component_type_is_minus_one(t) for _, t in comps)]
+               if mask and all(t.antipodal for _, t in comps)]
     parent = {m: m for m in subsets}
 
     def find(x):

@@ -259,7 +259,9 @@ def x_set(w: WeylData, s: int, t: int) -> List[int]:
 
 def is_independent_for(w: WeylData, s: int, t_set: Iterable[int]) -> bool:
     """True when the path images span one more dimension than the number of
-    nodes on the union of the minimal paths from s."""
+    nodes on the union of the minimal paths from s.  For one type-A path,
+    whether the pendant map is faithful on the visible type-B subgroup of a
+    pendant at s and that path: admissibility and certify both read it."""
     targets = sorted(set(t_set))
     if not targets:
         raise ModTwoError("t_set must be nonempty")

@@ -134,6 +134,18 @@ class FiniteType:
     rank: int
     order: int
 
+    @property
+    def antipodal(self) -> bool:
+        """Whether the longest element is central and acts as minus one:
+        A1, B_n, D_even, I2(m) for m = 0 mod 4, F4, H3, H4, E7, E8."""
+        if self.family == "A":
+            return self.rank == 1
+        if self.family == "D":
+            return self.rank % 2 == 0
+        if self.family == "I2":
+            return (self.order // 2) % 2 == 0
+        return self.family in ("B", "G2", "F4", "E7", "E8", "H3", "H4")
+
     def label(self) -> str:
         if self.family == "I2":
             return f"I2({self.order // 2})"

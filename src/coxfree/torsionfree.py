@@ -272,27 +272,7 @@ def kernel_index(d: DaggerSymbol, mode: str = "hat",
 
 
 # ---------------------------------------------------------------------------
-# Faithfulness on visible type-B subgroups and residual torsion
-
-def faithful_on_Bk(d: DaggerSymbol, i: int, k: int) -> bool:
-    """Whether the map is injective on the visible type-B subgroup of rank k
-    through pendant i: the orbit of u_i mod 2 under the rank k-1 path
-    subgroup must span k dimensions."""
-    if not 0 <= i < d.m:
-        raise DaggerError(f"no attachment with index {i}")
-    if k == 1:
-        return True
-    paths = [p for p in m2.type_a_paths(d.psi, d.attachments[i]) if len(p) == k - 1]
-    if not paths:
-        raise DaggerError(f"no visible rank-{k} type-B subgroup through pendant {i}")
-    u = m2.vec_mod2(d.weights[i])
-    gens_all = m2.f2_generators(d.psi)
-    for path in paths:
-        _, sp = m2.orbit_span([gens_all[v] for v in path], u, d.psi.rank)
-        if sp.dim != k:
-            return False
-    return True
-
+# Visible type-B subgroups and residual torsion
 
 def _b_longest_word(pendant, path: Sequence[int]) -> List:
     """Reduced word for the longest element of the visible type-B subgroup
@@ -436,9 +416,12 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     involution class of the pendant-symbol group has nontrivial image;
     (3) every connected finite visible subgroup not inside the Weyl part
     is type B through exactly one pendant, which discharges odd torsion
-    through the named trusted reductions; (4) faithfulness bookkeeping on
-    the visible type-B subgroups, with parity compensation for the
-    odd-rank failures of non-special attachments.
+    through the named trusted reductions; (4) for each type-A path from
+    each attachment, whether the map is faithful on the visible type-B
+    subgroup of its pendant and that path, read from the path's own
+    modtwo.is_independent_for (the check admissibility ran); one that is
+    not faithful must be parity compensated: hat mode, a non-special
+    attachment, odd rank, and a longest element that survives the map.
 
     The class words and images of step (2) are read from _class_table, a
     same-process cache derived from d and mode alone; it never holds
@@ -472,9 +455,10 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     entries = []
     ok4 = True
     for i in range(d.m):
-        for path in m2.type_a_paths(d.psi, d.attachments[i]):
+        s = d.attachments[i]
+        for path in m2.type_a_paths(d.psi, s):
             k = len(path) + 1
-            faithful = faithful_on_Bk(d, i, k)
+            faithful = m2.is_independent_for(d.psi, s, {path[-1]})
             entry = {"pendant": d.pendants[i], "k": k,
                      "path": [str(v) for v in path], "faithful": faithful}
             if not faithful:

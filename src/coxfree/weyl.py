@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .symbols import CoxeterSymbol
+from .symbols import CoxeterSymbol, classify_finite_type, component_shape
 
 Matrix = Tuple[Tuple[int, ...], ...]
 RationalMatrix = Tuple[Tuple[Fraction, ...], ...]
@@ -173,10 +173,8 @@ def weyl_data(family: str, rank: Optional[int] = None) -> WeylData:
     h = max(exponents) + 1
     index_conn = {"A": rank + 1, "B": 2, "D": 4, "G2": 1, "F4": 1,
                   "E6": 3, "E7": 2, "E8": 1}[family]
-    minus_one = {"A": rank == 1, "B": True, "D": rank % 2 == 0, "G2": True,
-                 "F4": True, "E6": False, "E7": True, "E8": True}[family]
     data = WeylData(family, rank, symbol, cartan, gram2, exponents, h,
-                    index_conn, minus_one, scaled)
+                    index_conn, classify_finite_type(symbol)[0].antipodal, scaled)
     _WEYL_CACHE[key] = data
     return data
 
@@ -381,10 +379,12 @@ def coxeter_element(w: WeylData, nodes: Optional[Iterable[int]] = None) -> Matri
         chosen = list(w.symbol.nodes)
     else:
         chosen = sorted(set(nodes))
-        from .symbols import connected_components, induced_subsymbol
-
-        sub = induced_subsymbol(w.symbol, chosen)
-        if len(connected_components(sub)) != 1:
+        unknown = set(chosen) - set(w.symbol.nodes)
+        if unknown:
+            raise WeylError(f"unknown nodes {sorted(unknown)!r}")
+        # A Weyl diagram is a tree with at most one branch node, so a node
+        # subset is connected exactly when component_shape can walk it.
+        if component_shape(w.symbol, chosen) is None:
             raise WeylError("Coxeter element needs a connected node set")
     return word_to_matrix(w, chosen)
 

@@ -80,11 +80,11 @@ class TestRemovedFlags:
 # byte for byte, so any change to a verdict or a recorded object shows here.
 GOLDEN_TF = {
     "tf certify --psi E6 --nodes 1 5":
-        "2400134d916c9362b2a8d6b09b90cf1f518ca7b7eb2a22f9ad73003ee44502be",
+        "fce577000bd5b490f9b0e3376feec4220d811e11d7ee2a8574d20f613b93fa44",
     "tf extend --psi E6 --nodes 1 5":
         "039066e0de43f90c2ce96cbe7d8c5772684b56aca317854cad55643ab85e3dcc",
     "tf certify --psi E8 --nodes 1 7 8":
-        "3e166b0755e028d3ec08c638827e388e5fc5cfbbb92a30857250d24dcd36a90a",
+        "e5f5c9e88bebb2c32e409367ca88b0da55d76a1f769329248d8ab56ce807b981",
     "tf extend --psi E8 --nodes 1 7 8":
         "8d7e17d453c93525773007326c5ed0dc977481bb376d3b2c331152bc8fe0a4cc",
     "tf certify --psi D 8 --nodes 2 6":

@@ -18,6 +18,7 @@ from coxfree import (
     weyl_data,
 )
 from coxfree import involutions as inv
+from coxfree import modtwo as m2
 from coxfree import torsionfree as tf
 
 
@@ -100,6 +101,33 @@ class TestCertificates:
         assert replay_certificate(d, cert)
         structure = next(s for s in cert.steps if s.name == "finite-visible-structure")
         assert structure.objects == {"violations": []}
+
+
+class TestTypeBRecords:
+    """Each type-B record states its own path.  The oracle: the map is
+    faithful on the visible type-B subgroup of a pendant at s and a type-A
+    path from s exactly when the orbit of u_s mod 2 under the path's
+    reflections spans len(path) + 1 dimensions."""
+
+    @pytest.mark.parametrize("args", [("A", 4), ("A", 8), ("D", 8), ("E6",), ("E7",), ("E8",)])
+    def test_faithful_is_the_orbit_span_of_its_path(self, args):
+        w = weyl_data(*args)
+        gens = m2.f2_generators(w)
+        verdicts = set()
+        for s, _ in m2.admissible_nodes(w):
+            cert = certify_torsion_free(_dagger(args, (s,)))
+            step = next(x for x in cert.steps if x.name == "type-B-faithfulness")
+            entries = step.objects["subgroups"]
+            assert [e["path"] for e in entries] == \
+                [[str(v) for v in p] for p in m2.type_a_paths(w, s)]
+            u = m2.weight_vector(w, s).mod2()
+            for entry in entries:
+                path = [int(v) for v in entry["path"]]
+                _, orbit = m2.orbit_span([gens[v] for v in path], u, w.rank)
+                assert entry["faithful"] == (orbit.dim == len(path) + 1), (s, path)
+                assert ("parity_compensated" in entry) == (not entry["faithful"]), (s, path)
+                verdicts.add(entry["faithful"])
+        assert verdicts == {True, False}
 
 
 def _leaf_paths(obj, path=()):

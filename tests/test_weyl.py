@@ -132,6 +132,13 @@ class TestCoxeterElements:
         with pytest.raises(WeylError):
             coxeter_element(weyl_data("A", 3), nodes=[1, 3])
 
+    def test_unknown_or_empty_node_set_rejected(self):
+        w = weyl_data("E6")
+        with pytest.raises(WeylError, match="unknown nodes"):
+            coxeter_element(w, nodes=[2, 3, 9])
+        with pytest.raises(WeylError, match="connected"):
+            coxeter_element(w, nodes=[])
+
     def test_element_order_basics(self):
         w = weyl_data("E8")
         assert element_order(identity_matrix(8)) == 1
