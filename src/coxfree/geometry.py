@@ -21,8 +21,6 @@ from . import torsionfree as tf
 from . import weyl as wy
 from .symbols import CoxeterSymbol, euler_characteristic
 
-ExactRational = Fraction
-
 
 class GeometryError(ValueError):
     pass
@@ -184,9 +182,6 @@ def vinberg_symbol(n: int) -> Tuple[CoxeterSymbol, Optional[tf.DaggerSymbol]]:
         candidates.append((s, trial))
     if not candidates:
         raise GeometryError(f"no pendant node embeds in dimension {n}")
-    covols = {covolume_gauss_bonnet(t, n) for _, t in candidates} if n % 2 == 0 else set()
-    if len(covols) > 1:
-        raise GeometryError("ambiguous pendant placement")  # pragma: no cover
     s, symbol = candidates[0]
     if n in (4, 6, 8):
         dagger = tf.build_dagger(psi, [s])

@@ -25,6 +25,7 @@ from .symbols import (
     CoxeterSymbol,
     FiniteType,
     SphericalWalk,
+    SymbolError,
     classify_finite_type,
     component_shape,
     connected_components,
@@ -112,14 +113,20 @@ def elementary_moves(g: CoxeterSymbol, t_nodes) -> List[Tuple]:
     For a node s outside the subsymbol T such that the component of T + s
     through s is finite but not antipodal, the move adds s and removes the
     image of s under that component's opposition involution (s itself
-    when s lies on its axis of symmetry).  The moves read the
-    spherical-subset walk of g, which raises SymbolError past MAX_NODES.
+    when s lies on its axis of symmetry).  Whether T is antipodal and the
+    moves are both read off the spherical-subset walk of g, which raises
+    SymbolError past MAX_NODES, as it does for a node not in g.
     """
     t_set = set(t_nodes)
-    if not is_minus_one_type(g, t_set):
-        raise InvolutionError("moves are defined on antipodal subsymbols only")
+    unknown = t_set - set(g.nodes)
+    if unknown:
+        raise SymbolError(f"unknown nodes {sorted(unknown, key=node_sort_key)!r}")
+    walk = spherical_subsets(g)
     mask = sum(1 << i for i, v in enumerate(g.nodes) if v in t_set)
-    return [mask_nodes(g, m) for m in _moves(g, spherical_subsets(g), mask, {})]
+    comps = walk.get(mask)
+    if not mask or comps is None or not all(t.antipodal for _, t in comps):
+        raise InvolutionError("moves are defined on antipodal subsymbols only")
+    return [mask_nodes(g, m) for m in _moves(g, walk, mask, {})]
 
 
 @dataclass(frozen=True)
@@ -134,12 +141,12 @@ class EquivalenceClass:
         return self.members[0]
 
 
-@lru_cache(maxsize=16)
 def equivalence_classes(g: CoxeterSymbol) -> Tuple[EquivalenceClass, ...]:
     """All involution classes of the group, one per move-closure of
     antipodal subsymbols.  Deterministic: members sorted, classes ordered
-    by (rank, least member).  Memoized per symbol (the last 16), so the
-    result is a tuple that no caller can change."""
+    by (rank, least member).  Not memoized: its callers that repeat
+    (maximal_rank_class, the class table of torsionfree) cache their own
+    results."""
     walk = spherical_subsets(g)
     subsets = [mask for mask, comps in walk.items()
                if mask and all(t.antipodal for _, t in comps)]

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import weyl as wy
-from .symbols import CoxeterSymbol
 from .weyl import Matrix, WeylData
 
 F2Matrix = Tuple[int, ...]  # column bitsets
@@ -82,14 +81,7 @@ def f2_mat_add(a: F2Matrix, b: F2Matrix) -> F2Matrix:
 def f2_mat_pow(a: F2Matrix, k: int) -> F2Matrix:
     if k < 0:
         raise ModTwoError(f"negative exponent {k}")
-    result = f2_identity(len(a))
-    base = a
-    while k:
-        if k & 1:
-            result = f2_mat_mul(result, base)
-        base = f2_mat_mul(base, base)
-        k >>= 1
-    return result
+    return wy.power(a, k, f2_mat_mul, f2_identity(len(a)))
 
 
 def echelon_basis(vectors: Iterable[int]) -> Tuple[int, ...]:
@@ -221,88 +213,94 @@ def orbit_span(gens: Sequence[F2Matrix], start: int, ambient: int) -> Tuple[froz
     return frozenset(orbit), span(sorted(orbit), ambient)
 
 
-def tree_path(symbol: CoxeterSymbol, s, t) -> Tuple:
-    """Unique minimal path between two nodes of a tree symbol."""
-    if s == t:
-        return (s,)
-    prev = {s: None}
-    queue = [s]
-    while queue:
-        v = queue.pop(0)
-        for u in symbol.neighbors(v):
-            if u not in prev:
-                prev[u] = v
-                if u == t:
-                    path = [t]
-                    while path[-1] != s:
-                        path.append(prev[path[-1]])
-                    return tuple(reversed(path))
-                queue.append(u)
-    raise ModTwoError(f"nodes {s!r} and {t!r} are not connected")
+def _walk_from(w: WeylData, s: int) -> Dict[int, Tuple[Tuple[int, ...], List[int]]]:
+    """One walk of the Weyl tree from s: each node t maps to the minimal
+    path s..t and its x-set, the successive reflection images of u_s mod 2
+    along that path.  An x-set has k+1 entries for a k-node path and keeps
+    duplicates; the set of distinct values may be smaller."""
+    gens = f2_generators(w)
+    u = weight_vector(w, s).mod2()
+    walk = {s: ((s,), [u, f2_mat_vec(gens[s], u)])}
+    stack = [s]
+    while stack:
+        v = stack.pop()
+        path, xs = walk[v]
+        for t in w.symbol.neighbors(v):
+            if t not in walk:
+                walk[t] = (path + (t,), xs + [f2_mat_vec(gens[t], xs[-1])])
+                stack.append(t)
+    return walk
+
+
+def _walk_to(walk: Mapping, t) -> Tuple[Tuple[int, ...], List[int]]:
+    if t not in walk:
+        raise ModTwoError(f"unknown node {t!r}")
+    return walk[t]
 
 
 def x_set(w: WeylData, s: int, t: int) -> List[int]:
-    """Successive reflection images of u_s mod 2 along the path from s to t.
-
-    The list has k+1 entries for a k-node path and keeps duplicates; the
-    set of distinct values may be smaller.
-    """
-    path = tree_path(w.symbol, s, t)
-    gens = f2_generators(w)
-    v = weight_vector(w, s).mod2()
-    out = [v]
-    for node in path:
-        v = f2_mat_vec(gens[node], v)
-        out.append(v)
-    return out
+    """Successive reflection images of u_s mod 2 along the path from s to t."""
+    return _walk_to(_walk_from(w, s), t)[1]
 
 
 def is_independent_for(w: WeylData, s: int, t_set: Iterable[int]) -> bool:
     """True when the path images span one more dimension than the number of
     nodes on the union of the minimal paths from s.  For one type-A path,
     whether the pendant map is faithful on the visible type-B subgroup of a
-    pendant at s and that path: admissibility and certify both read it."""
+    pendant at s and that path: type_a_paths flags each path with it."""
     targets = sorted(set(t_set))
     if not targets:
         raise ModTwoError("t_set must be nonempty")
-    vectors: Set[int] = set()
+    walk = _walk_from(w, s)
+    vectors: List[int] = []
     path_nodes: Set[int] = set()
     for t in targets:
-        vectors.update(x_set(w, s, t))
-        path_nodes.update(tree_path(w.symbol, s, t))
-    return f2_rank(sorted(vectors)) == len(path_nodes) + 1
+        path, xs = _walk_to(walk, t)
+        vectors += xs
+        path_nodes.update(path)
+    return f2_rank(vectors) == len(path_nodes) + 1
 
 
-def type_a_paths(w: WeylData, s: int) -> List[Tuple[int, ...]]:
-    """Minimal paths from s whose edges all have order 3, so that they
-    induce type-A subsymbols, in node order of the far end; the one-node
-    path (s,) is among them."""
+def type_a_paths(w: WeylData, s: int) -> List[Tuple[Tuple[int, ...], bool]]:
+    """(path, faithful) for each minimal path from s whose edges all have
+    order 3, so that it induces a type-A subsymbol, in node order of the far
+    end; the one-node path (s,) is among them.  faithful is
+    is_independent_for(w, s, {path[-1]}), read off the same walk: whether
+    the x-set of the path spans len(path) + 1 dimensions."""
+    walk = _walk_from(w, s)
     out = []
     for t in w.symbol.nodes:
-        path = tree_path(w.symbol, s, t)
+        path, xs = walk[t]
         if all(w.symbol.order(a, b) == 3 for a, b in zip(path, path[1:])):
-            out.append(path)
+            out.append((path, f2_rank(xs) == len(path) + 1))
     return out
 
 
-def is_admissible(w: WeylData, s: int) -> bool:
+def _admissibility(w: WeylData, s: int) -> Tuple[bool, bool]:
+    """(admissible, specially admissible): every odd-length type-A path from
+    s is faithful, respectively every type-A path."""
     if s in w.scaled_nodes:
-        return False
-    return all(is_independent_for(w, s, {p[-1]}) for p in type_a_paths(w, s) if len(p) % 2)
+        return False, False
+    paths = type_a_paths(w, s)
+    return (all(ok for path, ok in paths if len(path) % 2),
+            all(ok for _, ok in paths))
+
+
+def is_admissible(w: WeylData, s: int) -> bool:
+    return _admissibility(w, s)[0]
 
 
 def is_specially_admissible(w: WeylData, s: int) -> bool:
-    if s in w.scaled_nodes:
-        return False
-    return all(is_independent_for(w, s, {p[-1]}) for p in type_a_paths(w, s))
+    return _admissibility(w, s)[1]
 
 
 def admissible_nodes(w: WeylData) -> List[Tuple[int, bool]]:
     """Admissible nodes with their specially-admissible flag."""
     out = []
     for s in w.symbol.nodes:
-        if is_admissible(w, s):
-            out.append((s, is_specially_admissible(w, s)))
+        admissible, special = _admissibility(w, s)
+        if admissible:
+            out.append((s, special))
     return out
 
 

@@ -118,14 +118,7 @@ class SemidirectElement:
     def power(self, k: int) -> "SemidirectElement":
         if k < 0:
             raise DaggerError(f"negative exponent {k}")
-        result = identity_element(len(self.v), len(self.g))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return wy.power(self, k, operator.mul, identity_element(len(self.v), len(self.g)))
 
     def is_identity(self) -> bool:
         return self.x == 0 and all(b == 0 for b in self.v) and self.g == wy.identity_matrix(len(self.g))
@@ -308,7 +301,7 @@ def torsion_witnesses(d: DaggerSymbol) -> List[TorsionWitness]:
     """
     out = []
     for i in range(d.m):
-        for path in m2.type_a_paths(d.psi, d.attachments[i]):
+        for path, _ in m2.type_a_paths(d.psi, d.attachments[i]):
             k = len(path) + 1
             if k % 2 == 0 or k == 1:
                 continue
@@ -353,29 +346,25 @@ def _subset_longest_word(d: DaggerSymbol, subset: Sequence) -> List:
 
 
 @lru_cache(maxsize=2)
-def _class_words(d: DaggerSymbol) -> Tuple[Tuple[inv.EquivalenceClass, Tuple], ...]:
-    """(class, word) for every involution class of the pendant symbol: the
-    longest word of its canonical antipodal subsymbol.  It does not depend
-    on the map's mode, so both modes of one symbol share it."""
-    return tuple((cls, tuple(_subset_longest_word(d, cls.canonical)))
-                 for cls in inv.equivalence_classes(d.gamma))
-
-
-@lru_cache(maxsize=2)
-def _class_table(d: DaggerSymbol, mode: str
+def _class_table(d: DaggerSymbol
                  ) -> Tuple[Tuple[inv.EquivalenceClass, Tuple, SemidirectElement], ...]:
     """(class, word, image) for every involution class of the pendant
-    symbol: the entries of _class_words and their images under the given
-    map.
+    symbol: the longest word of its canonical antipodal subsymbol and that
+    word's image under the augmented map.
 
-    A pure function of d and mode, memoized by value for the last two
-    keys, as the words are for the last two symbols, so that certify, the
-    certify a replay re-derives, and the class exclusions of the cyclic
-    extension build each word and image once per symbol.  It is never
-    filled from a certificate, and every entry is immutable, so a caller
-    cannot change what the next one reads.
+    One table serves both modes.  Plain mode is certified only when every
+    attachment is special; then ell = 0 and the two maps agree on every
+    generator.  A pure function of d, memoized by value for the last two
+    symbols, so that certify, the certify a replay re-derives, and the
+    class exclusions of the cyclic extension build each word and image
+    once per symbol.  It is never filled from a certificate, and every
+    entry is immutable, so a caller cannot change what the next one reads.
     """
-    return tuple((cls, word, phi(d, word, mode)) for cls, word in _class_words(d))
+    out = []
+    for cls in inv.equivalence_classes(d.gamma):
+        word = tuple(_subset_longest_word(d, cls.canonical))
+        out.append((cls, word, phi(d, word, "hat")))
+    return tuple(out)
 
 
 def _structure_violations(d: DaggerSymbol) -> List[dict]:
@@ -418,14 +407,14 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     is type B through exactly one pendant, which discharges odd torsion
     through the named trusted reductions; (4) for each type-A path from
     each attachment, whether the map is faithful on the visible type-B
-    subgroup of its pendant and that path, read from the path's own
-    modtwo.is_independent_for (the check admissibility ran); one that is
-    not faithful must be parity compensated: hat mode, a non-special
-    attachment, odd rank, and a longest element that survives the map.
+    subgroup of its pendant and that path, the flag modtwo.type_a_paths
+    gives it (the check admissibility ran); one that is not faithful
+    must be parity compensated: hat mode, a non-special attachment, odd
+    rank, and a longest element that survives the map.
 
     The class words and images of step (2) are read from _class_table, a
-    same-process cache derived from d and mode alone; it never holds
-    anything taken from a certificate.
+    same-process cache derived from d alone; it never holds anything taken
+    from a certificate.
     """
     if mode == "plain" and not all(d.special):
         raise DaggerError("plain-mode certification needs specially admissible attachments")
@@ -437,7 +426,7 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
                            "failed": [s.objects for s in rel.steps if not s.ok]},
                           rel.ok))
 
-    for cls, word, image in _class_table(d, mode):
+    for cls, word, image in _class_table(d):
         nontrivial = not image.is_identity()
         steps.append(CertStep("involution-class",
                               {"members": [[str(v) for v in mm] for mm in cls.members],
@@ -455,10 +444,8 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     entries = []
     ok4 = True
     for i in range(d.m):
-        s = d.attachments[i]
-        for path in m2.type_a_paths(d.psi, s):
+        for path, faithful in m2.type_a_paths(d.psi, d.attachments[i]):
             k = len(path) + 1
-            faithful = m2.is_independent_for(d.psi, s, {path[-1]})
             entry = {"pendant": d.pendants[i], "k": k,
                      "path": [str(v) for v in path], "faithful": faithful}
             if not faithful:
@@ -551,7 +538,7 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
     exclusions = []
     ok_ex = True
     psi_nodes = set(psi.symbol.nodes)
-    for cls, _, image in _class_table(d, "hat"):
+    for cls, _, image in _class_table(d):
         if image.x != 0:
             reason = "x-parity"
         elif all(v in psi_nodes for v in cls.canonical):
@@ -593,10 +580,10 @@ def replay_certificate(d: DaggerSymbol, cert: Certificate) -> bool:
     unknown mode), does not replay.
 
     The involution-class words and images come from _class_table, a
-    same-process cache derived from d and the map's mode alone, never from
-    the objects cert records.  A replay in a fresh process recomputes
-    them; in the process that certified, it compares cert with a
-    certificate freshly derived from the same table.
+    same-process cache derived from d alone, never from the objects cert
+    records.  A replay in a fresh process recomputes them; in the process
+    that certified, it compares cert with a certificate freshly derived
+    from the same table.
     """
     derive = {
         "torsion-free": lambda: certify_torsion_free(d, cert.mode),

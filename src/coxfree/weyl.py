@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .symbols import CoxeterSymbol, classify_finite_type, component_shape
 
@@ -198,17 +198,22 @@ def mat_vec(a: Matrix, v: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
+def power(x, k: int, mul: Callable, one):
+    """x^k for k >= 0 by square-and-multiply under the associative product
+    mul with identity one; each caller rejects a negative k itself."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, x)
+        x = mul(x, x)
+        k >>= 1
+    return result
+
+
 def mat_pow(a: Matrix, k: int) -> Matrix:
     if k < 0:
         raise WeylError(f"negative exponent {k}")
-    result = identity_matrix(len(a))
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
+    return power(a, k, mat_mul, identity_matrix(len(a)))
 
 
 def row_reduce(a: Sequence[Sequence]) -> Tuple[RationalMatrix, Tuple[int, ...], Fraction]:

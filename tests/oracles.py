@@ -141,3 +141,21 @@ def eigen_signs(a: Sequence[Sequence], tol: float = 1e-9) -> Tuple[int, int, int
     eig = np.linalg.eigvalsh(np.array(a, dtype=float))
     n_plus, n_minus = int(np.sum(eig > tol)), int(np.sum(eig < -tol))
     return n_plus, n_minus, len(eig) - n_plus - n_minus
+
+
+def tree_path(symbol, s, t) -> Tuple:
+    """The minimal path s..t in a tree symbol, by breadth-first search."""
+    prev = {s: None}
+    queue = [s]
+    while queue:
+        v = queue.pop(0)
+        if v == t:
+            path = [t]
+            while path[-1] != s:
+                path.append(prev[path[-1]])
+            return tuple(reversed(path))
+        for u in symbol.neighbors(v):
+            if u not in prev:
+                prev[u] = v
+                queue.append(u)
+    raise ValueError(f"nodes {s!r} and {t!r} are not connected")

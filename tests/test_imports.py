@@ -1,5 +1,6 @@
-"""Imports in src/coxfree: every module-level one is used, and none hides
-inside a function body but numpy's.
+"""Imports and names in src/coxfree: every module-level import is used,
+none hides inside a function body but numpy's, and every module-level
+name is mentioned somewhere besides its own definition.
 
 Parses each module with ast: a name bound by an import at module level
 (including under `if TYPE_CHECKING:`) must occur as a name somewhere in
@@ -7,16 +8,22 @@ the module.  __init__.py re-exports by importing and __future__ imports
 bind no name, so both are exempt.  An import inside a function body is
 allowed only for numpy in symbols.bilinear_gram and symbols.signature,
 which keeps numpy off the import path and leaves no room for a deferred
-import that works round an import cycle.
+import that works round an import cycle.  A non-dunder name that a
+module-level def, class or assignment binds must appear on some line of
+src/, tests/ or perfbench/ other than the one that defines it; a name that
+nothing mentions is dead code.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coxfree"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = SRC.parent.parent
 
 
 def _module_level(body):
@@ -85,3 +92,42 @@ def test_flags_an_import_in_a_function():
                      "    def g():\n        import numpy\n")
     assert _function_imports("m.py", tree) == [("m.py", "f", ".symbols"),
                                                ("m.py", "g", "numpy")]
+
+
+def _lines_mentioning(texts):
+    """Word -> number of lines, over all the texts, on which it occurs."""
+    counts = Counter()
+    for text in texts:
+        for line in text.splitlines():
+            counts.update(set(re.findall(r"\w+", line)))
+    return counts
+
+
+def _unmentioned(tree, mentions):
+    """Non-dunder names bound at module level by a def, a class or an
+    assignment that no line but their definition mentions."""
+    names = []
+    for node in _module_level(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names
+            if not (name.startswith("__") and name.endswith("__")) and mentions[name] < 2]
+
+
+def test_every_module_level_name_is_mentioned():
+    files = [p for top in ("src", "tests", "perfbench") for p in (ROOT / top).rglob("*.py")]
+    mentions = _lines_mentioning(p.read_text(encoding="utf-8") for p in files)
+    found = {}
+    for p in sorted(SRC.glob("*.py")):
+        names = _unmentioned(ast.parse(p.read_text(encoding="utf-8")), mentions)
+        if names:
+            found[p.name] = names
+    assert found == {}
+
+
+def test_flags_an_unmentioned_name():
+    text = "X = 1\nY: int = 2\n__all__ = []\ndef f():\n    return Y\nclass C:\n    pass\n"
+    assert _unmentioned(ast.parse(text), _lines_mentioning([text])) == ["X", "f", "C"]

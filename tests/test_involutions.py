@@ -77,6 +77,18 @@ class TestMoves:
         with pytest.raises(InvolutionError):
             elementary_moves(weyl_data("A", 3).symbol, [1, 2])
 
+    def test_empty_and_unknown_rejected(self):
+        g = weyl_data("A", 3).symbol
+        with pytest.raises(InvolutionError):
+            elementary_moves(g, [])
+        with pytest.raises(SymbolError, match="99"):
+            elementary_moves(g, [1, 99])
+
+    def test_infinite_subsymbol_rejected(self):
+        g = CoxeterSymbol([1, 2, 3], [(1, 2, 3), (2, 3, 3), (1, 3, 3)])
+        with pytest.raises(InvolutionError):
+            elementary_moves(g, [1, 2, 3])
+
 
 def _relabelled(g, seed):
     names = [f"v{i}" for i in range(g.rank)]

@@ -26,6 +26,7 @@ from coxfree import (
 from coxfree import modtwo as m2
 from coxfree import weyl as wy
 from coxfree.symbols import classify_finite_type, induced_subsymbol
+from oracles import tree_path
 
 ALL_RANK_LE_8 = (
     [("A", r) for r in range(1, 9)]
@@ -182,14 +183,44 @@ class TestTypeAPaths:
             for s in w.symbol.nodes:
                 expected = []
                 for t in w.symbol.nodes:
-                    path = m2.tree_path(w.symbol, s, t)
+                    path = tree_path(w.symbol, s, t)
                     types = classify_finite_type(induced_subsymbol(w.symbol, path))
                     if [ft.family for ft in types] == ["A"]:
                         expected.append(path)
-                assert m2.type_a_paths(w, s) == expected
+                assert [path for path, _ in m2.type_a_paths(w, s)] == expected
 
     def test_b4_from_the_short_end(self):
-        assert m2.type_a_paths(weyl_data("B", 4), 1) == [(1,), (1, 2), (1, 2, 3)]
+        paths = [path for path, _ in m2.type_a_paths(weyl_data("B", 4), 1)]
+        assert paths == [(1,), (1, 2), (1, 2, 3)]
+
+    def test_flag_is_independence_of_the_path(self):
+        types = ([("A", r) for r in range(2, 10)] + [("B", r) for r in range(3, 9)]
+                 + [("D", r) for r in range(4, 10)]
+                 + [("E6", None), ("E7", None), ("E8", None), ("F4", None), ("G2", None)])
+        from_admissible = 0
+        for fam, rank in types:
+            w = weyl_data(fam, rank)
+            admissible = {s for s, _ in admissible_nodes(w)}
+            for s in w.symbol.nodes:
+                for path, faithful in m2.type_a_paths(w, s):
+                    assert faithful == is_independent_for(w, s, {path[-1]}), (fam, rank, s, path)
+                    from_admissible += s in admissible
+        assert from_admissible == 447
+
+
+class TestUnknownNodes:
+    @pytest.mark.parametrize("call", [
+        lambda w: x_set(w, 99, 1),
+        lambda w: x_set(w, 1, 99),
+        lambda w: is_independent_for(w, 99, {1}),
+        lambda w: is_independent_for(w, 1, {2, 99}),
+        lambda w: m2.type_a_paths(w, 99),
+        lambda w: is_admissible(w, 99),
+        lambda w: is_specially_admissible(w, 99),
+    ])
+    def test_named_in_a_mod_two_error(self, call):
+        with pytest.raises(ModTwoError, match="unknown node 99"):
+            call(weyl_data("A", 3))
 
 
 class TestXSets:

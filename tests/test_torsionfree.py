@@ -119,7 +119,7 @@ class TestTypeBRecords:
             step = next(x for x in cert.steps if x.name == "type-B-faithfulness")
             entries = step.objects["subgroups"]
             assert [e["path"] for e in entries] == \
-                [[str(v) for v in p] for p in m2.type_a_paths(w, s)]
+                [[str(v) for v in p] for p, _ in m2.type_a_paths(w, s)]
             u = m2.weight_vector(w, s).mod2()
             for entry in entries:
                 path = [int(v) for v in entry["path"]]
@@ -204,11 +204,6 @@ class TestReplay:
         assert replay_certificate(d, dataclasses.replace(cert, mode="other")) is False
 
 
-def _clear_class_tables():
-    tf._class_words.cache_clear()
-    tf._class_table.cache_clear()
-
-
 def _count_longest_words(monkeypatch):
     calls = []
     original = tf._subset_longest_word
@@ -218,7 +213,7 @@ def _count_longest_words(monkeypatch):
         return original(d, subset)
 
     monkeypatch.setattr(tf, "_subset_longest_word", counting)
-    _clear_class_tables()
+    tf._class_table.cache_clear()
     return calls
 
 
@@ -240,11 +235,24 @@ class TestClassTable:
         assert hat.ok and plain.ok
         assert len(calls) == len(inv.equivalence_classes(d.gamma)) == 199
 
+    def test_one_weight_vector_per_attachment(self, monkeypatch):
+        d = build_dagger(weyl_data("E8"), [1, 8])
+        calls = []
+        original = m2.weight_vector
+
+        def counting(w, s):
+            calls.append(s)
+            return original(w, s)
+
+        monkeypatch.setattr(m2, "weight_vector", counting)
+        assert certify_torsion_free(d, "hat").ok
+        assert sorted(calls) == [1, 8]
+
     def test_warm_table_trusts_nothing(self):
         d = build_dagger(weyl_data("E6"), [1])
         cold = []
         for derive in (certify_torsion_free, lambda d: cyclic_extension(d).certificate):
-            _clear_class_tables()
+            tf._class_table.cache_clear()
             cold.append(derive(d).to_json())
         hits = tf._class_table.cache_info().hits
         cert = cyclic_extension(d).certificate
@@ -253,7 +261,7 @@ class TestClassTable:
         tampers = [_tampered(cert, i, path) for i, step in enumerate(cert.steps)
                    for path in [None] + _leaf_paths(step.objects)]
         assert not any(replay_certificate(d, bad) for bad in tampers)
-        table = tf._class_table(d, "hat")
+        table = tf._class_table(d)
         assert type(table) is tuple and len(table) == len(inv.equivalence_classes(d.gamma))
         for entry in table:
             cls, word, image = entry

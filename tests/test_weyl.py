@@ -262,6 +262,11 @@ class TestNegativeExponents:
         xi = coxeter_element(weyl_data("B", 4))
         assert wy.mat_pow(xi, 0) == identity_matrix(4)
 
+    def test_power_is_repeated_product(self):
+        # Non-commutative words under concatenation show the product order.
+        for k in range(9):
+            assert wy.power("ab", k, lambda x, y: x + y, "") == "ab" * k
+
 
 class TestSparseReflections:
     def test_reflect_rows_matches_dense_product(self):
