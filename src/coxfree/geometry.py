@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from . import torsionfree as tf
 from . import weyl as wy
-from .symbols import CoxeterSymbol, euler_characteristic
+from .symbols import CoxeterSymbol, euler_characteristic, inertia
 
 
 class GeometryError(ValueError):
@@ -151,11 +151,11 @@ def vinberg_symbol(n: int) -> Tuple[CoxeterSymbol, Optional[tf.DaggerSymbol]]:
 
     The pendant location is found by scanning: it must give hyperbolic
     signature (n positive, 1 negative) and a unimodular root-basis Gram
-    matrix, since the roots form a basis of the self-dual lattice.  For
-    even n the placement is cross-checked against the Bernoulli covolume.
+    matrix, since the roots form a basis of the self-dual lattice.
     Symmetric placements give isomorphic symbols; the first in node order
-    is kept.  For n in {4, 6, 8} the attachment is admissible and the
-    pendant symbol is returned as well.
+    is kept, and for even n it must match the Bernoulli covolume (else
+    GeometryError).  For n in {4, 6, 8} the attachment is admissible and
+    the pendant symbol is returned as well.
 
     The signature is counted exactly, on the integer root Gram matrix G.
     The trial symbol is crystallographic with one order-4 edge, so its
@@ -171,18 +171,14 @@ def vinberg_symbol(n: int) -> Tuple[CoxeterSymbol, Optional[tf.DaggerSymbol]]:
     else:
         psi = wy.weyl_data(*_VINBERG_CORE[n])
         core = psi.symbol
-    candidates = []
-    for s in core.nodes:
-        trial = CoxeterSymbol(list(core.nodes) + ["t1"],
-                              list(core.edges()) + [(s, "t1", 4)])
-        if _root_gram_det(core, s) != -1 or wy.inertia(_root_gram(core, s)) != (n, 1, 0):
-            continue
-        if n % 2 == 0 and covolume_gauss_bonnet(trial, n) != covolume_siegel(n):
-            continue
-        candidates.append((s, trial))
-    if not candidates:
+    s = next((v for v in core.nodes if _root_gram_det(core, v) == -1
+              and inertia(_root_gram(core, v)) == (n, 1, 0)), None)
+    if s is None:
         raise GeometryError(f"no pendant node embeds in dimension {n}")
-    s, symbol = candidates[0]
+    symbol = CoxeterSymbol(list(core.nodes) + ["t1"], list(core.edges()) + [(s, "t1", 4)])
+    if n % 2 == 0 and covolume_gauss_bonnet(symbol, n) != covolume_siegel(n):
+        raise GeometryError(f"Gauss-Bonnet covolume of the dimension-{n} placement "
+                            "differs from Siegel's")
     if n in (4, 6, 8):
         dagger = tf.build_dagger(psi, [s])
         return dagger.gamma, dagger

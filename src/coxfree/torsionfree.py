@@ -73,9 +73,10 @@ def build_dagger(psi: WeylData, nodes: Sequence[int]) -> DaggerSymbol:
     for s in nodes:
         if s not in psi.symbol.nodes:
             raise DaggerError(f"{psi.label()} has no node {s!r}")
-        if not m2.is_admissible(psi, s):
+        admissible, special = m2._admissibility(psi, s)
+        if not admissible:
             raise DaggerError(f"node {s} of {psi.label()} is not admissible")
-        tagged.append((s, m2.is_specially_admissible(psi, s)))
+        tagged.append((s, special))
     ordered = [p for p in tagged if not p[1]] + [p for p in tagged if p[1]]
     attachments = tuple(s for s, _ in ordered)
     special = tuple(sp for _, sp in ordered)

@@ -287,45 +287,6 @@ def minus_one_rank(g: Matrix) -> int:
                                for i, row in enumerate(g)))
 
 
-def inertia(a: Sequence[Sequence]) -> Tuple[int, int, int]:
-    """Exact inertia (n_plus, n_minus, n_zero) of a symmetric matrix over Q.
-
-    Symmetric elimination: each step is a congruence, which keeps the
-    inertia by Sylvester's law.  A nonzero diagonal entry is a 1x1 pivot
-    and counts by its sign.  When the whole remaining diagonal is zero but
-    an entry b is not, its rows and columns span a block [[0, b], [b, 0]],
-    which counts one positive and one negative.  What is left when every
-    remaining entry is zero counts as zero.
-    """
-    rows = [[Fraction(x) for x in row] for row in a]
-    if any(len(row) != len(rows) for row in rows) or any(
-            rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
-        raise WeylError("matrix is not symmetric")
-    live = list(range(len(rows)))
-    n_plus = n_minus = 0
-    while live:
-        i = next((k for k in live if rows[k][k]), None)
-        if i is not None:
-            n_plus += rows[i][i] > 0
-            n_minus += rows[i][i] < 0
-            block_inverse = {(i, i): 1 / rows[i][i]}
-        else:
-            pair = next(((k, j) for k in live for j in live if rows[k][j]), None)
-            if pair is None:
-                break
-            i, j = pair
-            n_plus += 1
-            n_minus += 1
-            block_inverse = {(i, j): 1 / rows[i][j], (j, i): 1 / rows[i][j]}
-        block = {p for p, _ in block_inverse}
-        live = [k for k in live if k not in block]
-        for k in live:  # Schur complement of the pivot block
-            for j in live:
-                rows[k][j] -= sum(rows[k][p] * c * rows[q][j]
-                                  for (p, q), c in block_inverse.items())
-    return n_plus, n_minus, len(rows) - n_plus - n_minus
-
-
 def preserves_gram(w: WeylData, m: Matrix) -> bool:
     mt = tuple(zip(*m))
     return mat_mul(mat_mul(mt, w.gram2), m) == w.gram2

@@ -135,11 +135,16 @@ def verify_exponents(xi: Sequence[Sequence[int]], h: int, exponents: Sequence[in
     return bool(np.allclose(actual, expected, atol=tol))
 
 
+def eigenvalues(a: Sequence[Sequence]) -> List[float]:
+    """Float eigenvalues of a symmetric matrix, ascending."""
+    return [float(x) for x in np.linalg.eigvalsh(np.array(a, dtype=float))]
+
+
 def eigen_signs(a: Sequence[Sequence], tol: float = 1e-9) -> Tuple[int, int, int]:
     """(n_plus, n_minus, n_zero) of a symmetric matrix from the signs of its
     float eigenvalues; |lambda| < tol counts as zero."""
-    eig = np.linalg.eigvalsh(np.array(a, dtype=float))
-    n_plus, n_minus = int(np.sum(eig > tol)), int(np.sum(eig < -tol))
+    eig = eigenvalues(a)
+    n_plus, n_minus = sum(x > tol for x in eig), sum(x < -tol for x in eig)
     return n_plus, n_minus, len(eig) - n_plus - n_minus
 
 

@@ -104,32 +104,38 @@ class TestGoldenStdout:
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TF[command]
 
 
-# Each verb but `symbol signature` runs without numpy, so a cold CLI child
-# does not pay for importing it.
+# coxfree has no runtime dependency: every verb runs with numpy blocked.
 NUMPY_FREE = [
+    "symbol classify --file {a3}",
+    "symbol euler --file {a3}",
+    "symbol signature --file {a3}",
     "weyl info E8",
     "modtwo weight E8 --node 1",
-    "symbol euler --file {a3}",
+    "modtwo admissible E6",
+    "modtwo dpsi E6",
+    "involutions classes --file {a3}",
+    "tf build --psi E6 --nodes 1 5",
     "tf certify --psi E6 --nodes 1 5",
+    "tf extend --psi E6 --nodes 1",
     "geometry volume 8",
     "geometry covol 8 --route gb",
 ]
 
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 from coxfree import cli
 for command in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run(["--quiet", *command])
     assert code == 0, command
-    assert "numpy" not in sys.modules, command
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.run(["--quiet", "symbol", "signature", "--file", sys.argv[2], "--inf", "-2"])
 print(code, out.getvalue(), end="")
 """
 
 
-def test_only_symbol_signature_imports_numpy(tmp_path):
+def test_every_verb_runs_without_numpy(tmp_path):
     a3, inf_edge = tmp_path / "a3.json", tmp_path / "inf.json"
     a3.write_text(json.dumps(A3_SYMBOL))
     inf_edge.write_text(json.dumps({"nodes": ["a", "b"], "edges": [["a", "b", "inf"]]}))
@@ -142,3 +148,13 @@ def test_only_symbol_signature_imports_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # [[1, -2], [-2, 1]] has eigenvalues 3 and -1.
     assert proc.stdout == '0 {"n_minus":1,"n_plus":1,"n_zero":0}\n'
+
+
+def test_signature_with_a_huge_infinite_edge_value(tmp_path, capsys):
+    # a-b at -1e300, b-c order 3: the cosine form has eigenvalues near
+    # +-1e300 and one near 1, so the inertia is (2, 1, 0).
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps({"nodes": ["a", "b", "c"],
+                                "edges": [["a", "b", "inf"], ["b", "c", 3]]}))
+    assert cli.run(["symbol", "signature", "--file", str(path), "--inf=-1e300"]) == 0
+    assert capsys.readouterr().out == '{"n_minus":1,"n_plus":2,"n_zero":0}\n'

@@ -2,7 +2,7 @@ import pytest
 
 from coxfree import geometry as geo
 from coxfree import weyl as wy
-from coxfree.symbols import CoxeterSymbol, signature
+from coxfree.symbols import CoxeterSymbol, inertia, signature
 from oracles import eigen_signs
 
 
@@ -32,6 +32,15 @@ def test_exact_inertia_matches_float_signature_on_every_trial():
         for s in core.nodes:
             gram = geo._root_gram(core, s)
             trial = CoxeterSymbol(list(core.nodes) + ["t1"], list(core.edges()) + [(s, "t1", 4)])
-            assert wy.inertia(gram) == eigen_signs(gram) == signature(trial)
+            assert inertia(gram) == eigen_signs(gram) == signature(trial)
             trials += 1
     assert trials == 39
+
+
+def test_gauss_bonnet_mismatch_raises(monkeypatch):
+    # The placement is chosen by det and inertia alone; its Gauss-Bonnet
+    # covolume is then checked against Siegel's, and a mismatch is an error.
+    siegel = geo.covolume_siegel
+    monkeypatch.setattr(geo, "covolume_siegel", lambda n: siegel(n) * 2)
+    with pytest.raises(geo.GeometryError):
+        geo.vinberg_symbol(6)

@@ -1,14 +1,13 @@
 """Imports and names in src/coxfree: every module-level import is used,
-none hides inside a function body but numpy's, and every module-level
-name is mentioned somewhere besides its own definition.
+none hides inside a function body, and every module-level name is
+mentioned somewhere besides its own definition.
 
 Parses each module with ast: a name bound by an import at module level
 (including under `if TYPE_CHECKING:`) must occur as a name somewhere in
 the module.  __init__.py re-exports by importing and __future__ imports
-bind no name, so both are exempt.  An import inside a function body is
-allowed only for numpy in symbols.bilinear_gram and symbols.signature,
-which keeps numpy off the import path and leaves no room for a deferred
-import that works round an import cycle.  A non-dunder name that a
+bind no name, so both are exempt.  No import sits inside a function body,
+which leaves no room for a deferred import that works round an import
+cycle or hides a dependency from the import path.  A non-dunder name that a
 module-level def, class or assignment binds must appear on some line of
 src/, tests/ or perfbench/ other than the one that defines it; a name that
 nothing mentions is dead code.
@@ -79,12 +78,11 @@ def _function_imports(module, tree):
     return found
 
 
-def test_only_numpy_is_imported_in_a_function():
+def test_no_import_in_a_function():
     found = []
     for module in sorted(p.name for p in SRC.glob("*.py")):
         found += _function_imports(module, ast.parse((SRC / module).read_text(encoding="utf-8")))
-    assert sorted(found) == [("symbols.py", "bilinear_gram", "numpy"),
-                             ("symbols.py", "signature", "numpy")]
+    assert found == []
 
 
 def test_flags_an_import_in_a_function():

@@ -22,7 +22,7 @@ from coxfree import (
     weyl_data,
 )
 from coxfree.symbols import component_shape, spherical_subsets
-from oracles import closure, signed_generators
+from oracles import closure, eigen_signs, eigenvalues, signed_generators
 
 
 def path_symbol(labels):
@@ -293,6 +293,49 @@ class TestBilinearForm:
             n_plus, n_minus, n_zero = signature(g)
             assert (n_plus == n and n_minus == n_zero == 0) == finite
             assert n_plus + n_minus + n_zero == n
+
+
+def random_symbol(rng):
+    """A tree on 2-12 nodes plus up to two extra edges, labels 3, 4, 5, 6, INF."""
+    n = rng.randint(2, 12)
+    edges = {(rng.randint(1, i - 1), i): rng.choice([3, 4, 5, 6, INF]) for i in range(2, n + 1)}
+    for _ in range(rng.randint(0, 2)):
+        edges.setdefault(tuple(sorted(rng.sample(range(1, n + 1), 2))), rng.choice([3, 4, 5, 6, INF]))
+    return CoxeterSymbol(range(1, n + 1), [(a, b, m) for (a, b), m in edges.items()])
+
+
+# Affine symbols at inf_value -1: each has exactly one zero eigenvalue.
+AFFINE = [
+    CoxeterSymbol([1, 2], [(1, 2, INF)]),
+    CoxeterSymbol([1, 2, 3], [(1, 2, 3), (2, 3, 3), (1, 3, 3)]),
+    CoxeterSymbol(range(1, 6), [(i, i % 5 + 1, 3) for i in range(1, 6)]),
+    path_symbol([4, 4]),
+    path_symbol([6, 3]),
+    path_symbol([4, 3, 3, 4]),
+    path_symbol([3, 3, 4, 3]),
+]
+
+
+class TestSignatureSweep:
+    def test_affine_symbols_have_one_zero(self):
+        for g in AFFINE:
+            assert signature(g) == (g.rank - 1, 0, 1), g
+
+    def test_matches_eigenvalue_signs_on_random_symbols(self):
+        # Every oracle eigenvalue is either rounding noise around zero or
+        # clear of SIGNATURE_TOL by orders of magnitude, so the signs are
+        # unambiguous and the exact elimination must reproduce them.
+        rng = random.Random(104723)
+        cases = [(random_symbol(rng), rng.choice([-1.0, -1.5, -2.0])) for _ in range(300)]
+        cases += [(g, -1.0) for g in AFFINE]
+        singular = 0
+        for g, inf_value in cases:
+            gram = bilinear_gram(g, inf_value)
+            assert all(abs(x) <= 1e-12 or abs(x) >= 1e-5 for x in eigenvalues(gram)), g
+            counts = signature(g, inf_value)
+            assert counts == eigen_signs(gram), (g, inf_value)
+            singular += counts[2] > 0
+        assert len(cases) >= 300 and singular >= 5 + len(AFFINE)
 
 
 class TestParity:

@@ -14,6 +14,7 @@ from coxfree import (
     longest_word,
 )
 from coxfree import weyl as wy
+from coxfree.symbols import SymbolError, inertia
 from coxfree.weyl import identity_matrix, mat_mul, preserves_gram
 from oracles import (eigen_signs, leibniz_det, minor_rank, signed_generators,
                      symmetric_generators, verify_exponents, word_perm)
@@ -377,12 +378,33 @@ def _random_symmetric(rng, n):
 
 class TestInertia:
     def test_pins(self):
-        assert wy.inertia([[0, 1], [1, 0]]) == (1, 1, 0)
-        assert wy.inertia([[0, 0], [0, 0]]) == (0, 0, 2)
-        assert wy.inertia([]) == (0, 0, 0)
-        assert wy.inertia([[2, -1], [-1, 2]]) == (2, 0, 0)
+        assert inertia([[0, 1], [1, 0]]) == (1, 1, 0)
+        assert inertia([[0, 0], [0, 0]]) == (0, 0, 2)
+        assert inertia([]) == (0, 0, 0)
+        assert inertia([[2, -1], [-1, 2]]) == (2, 0, 0)
         # Rational entries: det = -1/10 - 1/9 < 0.
-        assert wy.inertia([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-1, 5)]]) == (1, 1, 0)
+        assert inertia([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-1, 5)]]) == (1, 1, 0)
+
+    def test_two_by_two_pivot_on_a_nonzero_diagonal(self):
+        # The off-diagonal 4 is more than twice the diagonal 1, so the first
+        # pivot is a 2x2 block; eigenvalues 5 and -3.
+        assert inertia([[1, 4], [4, 1]]) == (1, 1, 0)
+        # The same block spread over rows 0 and 2 of a 3x3; eigenvalues 5, -1, -3.
+        assert inertia([[1, 0, 4], [0, -1, 0], [4, 0, 1]]) == (1, 2, 0)
+        # Huge off-diagonal: eigenvalues near +-1e300 and one near 1.
+        assert inertia([[1, -1e300, 0], [-1e300, 1, -0.5], [0, -0.5, 1]]) == (2, 1, 0)
+
+    def test_tolerance(self):
+        assert inertia([[1e-9, 0], [0, 1]]) == (2, 0, 0)
+        assert inertia([[1e-9, 0], [0, 1]], tol=1e-8) == (1, 0, 1)
+        assert inertia([[0, 1e-9], [1e-9, 0]]) == (1, 1, 0)
+        assert inertia([[0, 1e-9], [1e-9, 0]], tol=1e-8) == (0, 0, 2)
+        # The Schur complement of the first pivot is the exact 1e-12-ish
+        # gap between the rounded entries.
+        assert inertia([[1, 1], [1, 1 + 1e-12]]) == (2, 0, 0)
+        assert inertia([[1, 1], [1, 1 + 1e-12]], tol=1e-8) == (1, 0, 1)
+        # The largest diagonal entry in size is the first pivot.
+        assert inertia([[-3, 0], [0, 2]], tol=2) == (0, 1, 1)
 
     def test_matches_float_eigenvalue_signs(self):
         rng = random.Random(7)
@@ -390,13 +412,13 @@ class TestInertia:
         for _ in range(400):
             a = _random_symmetric(rng, rng.randint(1, 7))
             expected = eigen_signs(a)
-            assert wy.inertia(a) == expected, a
+            assert inertia(a) == expected, a
             zero_diagonal += len(a) > 1 and not any(a[i][i] for i in range(len(a))) and any(map(any, a))
             singular += expected[2] > 0
         assert zero_diagonal >= 50 and singular >= 50
 
     def test_rejects_non_symmetric(self):
-        with pytest.raises(WeylError):
-            wy.inertia([[1, 2], [3, 4]])
-        with pytest.raises(WeylError):
-            wy.inertia([[1, 2]])
+        with pytest.raises(SymbolError):
+            inertia([[1, 2], [3, 4]])
+        with pytest.raises(SymbolError):
+            inertia([[1, 2]])
