@@ -31,6 +31,7 @@ from .symbols import (
     connected_components,
     induced_subsymbol,
     mask_nodes,
+    mask_sort_key,
     node_sort_key,
     spherical_subsets,
 )
@@ -85,25 +86,30 @@ def pi_permutation(g: CoxeterSymbol) -> Dict:
 
 
 def _moves(g: CoxeterSymbol, walk: SphericalWalk, mask: int,
-           partners: Dict[int, Dict]) -> List[int]:
+           partners: Dict[int, Dict[int, int]]) -> List[int]:
     """Masks one exchange move away from the antipodal set mask.
 
-    partners memoizes the opposition per component mask, keyed by mask.
+    partners memoizes, per component mask, the opposition as a map from
+    bit to bit.
     """
     results = []
-    for i, s in enumerate(g.nodes):
-        bit = 1 << i
-        if mask & bit:
-            continue
+    free = (1 << g.rank) - 1 & ~mask
+    while free:
+        bit = free & -free
+        free ^= bit
         comps = walk.get(mask | bit)
         if comps is None:
             continue
-        comp, t = next(c for c in comps if c[0] & bit)
+        for comp, t in comps:
+            if comp & bit:
+                break
         if t.antipodal:
             continue
         if comp not in partners:
-            partners[comp] = _opposition(g, mask_nodes(g, comp), t)
-        results.append((mask | bit) & ~(1 << g.nodes.index(partners[comp][s])))
+            bit_of = {v: 1 << i for i, v in enumerate(g.nodes) if comp >> i & 1}
+            partners[comp] = {bit_of[a]: bit_of[b] for a, b in
+                              _opposition(g, mask_nodes(g, comp), t).items()}
+        results.append((mask | bit) & ~partners[comp][bit])
     return results
 
 
@@ -144,7 +150,9 @@ class EquivalenceClass:
 def equivalence_classes(g: CoxeterSymbol) -> Tuple[EquivalenceClass, ...]:
     """All involution classes of the group, one per move-closure of
     antipodal subsymbols.  Deterministic: members sorted, classes ordered
-    by (rank, least member).  Not memoized: its callers that repeat
+    by (rank, least member).  The union-find, the moves and the sorts run
+    on bitmasks, ordered by mask_sort_key; masks become node tuples once,
+    for the output.  Not memoized: its callers that repeat
     (maximal_rank_class, the class table of torsionfree) cache their own
     results."""
     walk = spherical_subsets(g)
@@ -158,21 +166,23 @@ def equivalence_classes(g: CoxeterSymbol) -> Tuple[EquivalenceClass, ...]:
             x = parent[x]
         return x
 
-    partners: Dict[int, Dict] = {}
+    partners: Dict[int, Dict[int, int]] = {}
     for sub in subsets:
         for moved in _moves(g, walk, sub, partners):
             ra, rb = find(sub), find(moved)
             if ra != rb:
                 parent[ra] = rb
-    groups: Dict[int, List[Tuple]] = {}
+    groups: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
     for sub in subsets:
-        groups.setdefault(find(sub), []).append(mask_nodes(g, sub))
-    classes = []
+        groups.setdefault(find(sub), []).append((mask_sort_key(g, sub), sub))
+    keyed = []
     for members in groups.values():
-        members.sort(key=lambda m: tuple(node_sort_key(v) for v in m))
-        classes.append(EquivalenceClass(tuple(members), len(members[0])))
-    classes.sort(key=lambda c: (c.rank, tuple(node_sort_key(v) for v in c.canonical)))
-    return tuple(classes)
+        members.sort()
+        keyed.append(((len(members[0][0]), members[0][0]), members))
+    keyed.sort()
+    return tuple(EquivalenceClass(tuple(mask_nodes(g, m) for _, m in members),
+                                  len(members[0][0]))
+                 for _, members in keyed)
 
 
 @lru_cache(maxsize=16)

@@ -59,7 +59,9 @@ class CoxeterSymbol:
 
     Nodes are hashable identifiers kept in their construction order.
     Edges are stored sparsely: only labels m >= 3 (or INF) appear.
-    Instances are treated as immutable values.
+    Instances are treated as immutable values, so the hash and the order
+    of the bit positions by node_sort_key (which mask_nodes reads) are
+    computed once, here.
     """
 
     def __init__(self, nodes: Iterable, edges: Iterable[tuple] = ()):
@@ -89,6 +91,9 @@ class CoxeterSymbol:
             self._adj[b].append(a)
         for v in self._adj:
             self._adj[v].sort(key=node_sort_key)
+        self._order = tuple(sorted(range(len(self.nodes)),
+                                   key=lambda i: node_sort_key(self.nodes[i])))
+        self._hash = hash((self.nodes, frozenset(self._edges.items())))
 
     def order(self, s, t):
         """Product order m(s,t); 1 on the diagonal, 2 for non-edges."""
@@ -117,7 +122,7 @@ class CoxeterSymbol:
         return self.nodes == other.nodes and self._edges == other._edges
 
     def __hash__(self):
-        return hash((self.nodes, frozenset(self._edges.items())))
+        return self._hash
 
     def __repr__(self):
         return f"CoxeterSymbol(nodes={list(self.nodes)!r}, edges={self.edges()!r})"
@@ -330,8 +335,14 @@ SphericalWalk = Mapping[int, Tuple[Tuple[int, FiniteType], ...]]
 
 def mask_nodes(g: CoxeterSymbol, mask: int) -> Tuple:
     """Nodes of a bitmask (bit i is g.nodes[i]), sorted by node_sort_key."""
-    return tuple(sorted((v for i, v in enumerate(g.nodes) if mask >> i & 1),
-                        key=node_sort_key))
+    nodes = g.nodes
+    return tuple(nodes[i] for i in g._order if mask >> i & 1)
+
+
+def mask_sort_key(g: CoxeterSymbol, mask: int) -> Tuple[int, ...]:
+    """Ranks under node_sort_key of the nodes of a bitmask, ascending: it
+    orders masks as their mask_nodes tuples compare under node_sort_key."""
+    return tuple(r for r, i in enumerate(g._order) if mask >> i & 1)
 
 
 @lru_cache(maxsize=8)

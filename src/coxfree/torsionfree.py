@@ -21,13 +21,14 @@ import itertools
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import involutions as inv
 from . import modtwo as m2
 from . import weyl as wy
-from .symbols import CoxeterSymbol, component_shape, mask_nodes, node_sort_key, spherical_subsets
+from .symbols import CoxeterSymbol, component_shape, mask_nodes, mask_sort_key, spherical_subsets
 from .weyl import Matrix, WeylData
 
 WORD_CAP = 10_000
@@ -50,6 +51,11 @@ class DaggerSymbol:
     admissible) ones come first; ell counts them.  Pendant t_i is joined
     to attachment node i by an order-4 edge and commutes with everything
     else.
+
+    Two per-symbol memos hang off the instance, derived from its fields
+    alone and dropped with it: the letter table of each mode (_letters)
+    and, per component mask of a spherical subset, that component's
+    sort key, longest word and fold actions (_parts).
     """
 
     psi: WeylData
@@ -63,6 +69,24 @@ class DaggerSymbol:
     @property
     def m(self) -> int:
         return len(self.attachments)
+
+    @cached_property
+    def _letters(self) -> Mapping[str, Mapping[object, "Action"]]:
+        """Per mode, each generator's fold action: a Weyl node reflects;
+        pendant t_i is the translation by u_i mod 2 in slot i, toggling bit
+        i of x in the augmented map for a plain attachment."""
+        tables = {}
+        for mode in ("plain", "hat"):
+            letters: Dict[object, Action] = {s: (s, None) for s in self.psi.symbol.nodes}
+            for i, t in enumerate(self.pendants):
+                x = 1 << i if mode == "hat" and i < self.ell else 0
+                letters[t] = (t, (x, ((i, _bits(m2.vec_mod2(self.weights[i]))),)))
+            tables[mode] = MappingProxyType(letters)
+        return MappingProxyType(tables)
+
+    @cached_property
+    def _parts(self) -> Dict[int, "Part"]:
+        return {}
 
 
 def build_dagger(psi: WeylData, nodes: Sequence[int]) -> DaggerSymbol:
@@ -145,39 +169,70 @@ def _generator_images(d: DaggerSymbol, mode: str) -> Dict[object, SemidirectElem
     return images
 
 
+# A fold action: (s, None) is the reflection of Weyl node s; (t, (x_T,
+# slots)) is a translation (x_T, v_T, 1), slots listing (j, the odd
+# coordinates of v_T[j]) for each nonzero slot j.
+Action = Tuple[object, Optional[Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]]]
+# A component's part: its mask_sort_key, its longest word, its fold actions.
+Part = Tuple[Tuple[int, ...], Tuple, Tuple[Action, ...]]
+
+
+def _bits(v: int) -> Tuple[int, ...]:
+    return tuple(j for j in range(v.bit_length()) if v >> j & 1)
+
+
+class _Fold:
+    """Mutable state (x, v, g), right-multiplied in place by fold actions.
+
+    A reflection s right-multiplies g by s_s.  A translation enters by the
+    semidirect law (x, v, g)(x_T, v_T, 1) = (x + x_T, v + (g mod 2) v_T, g).
+    """
+
+    __slots__ = ("psi", "x", "v", "g")
+
+    def __init__(self, d: DaggerSymbol):
+        self.psi = d.psi
+        self.x = 0
+        self.v = [0] * d.m
+        self.g = [list(r) for r in wy.identity_matrix(d.psi.rank)]
+
+    def apply(self, actions: Iterable[Action]) -> None:
+        psi, v, g = self.psi, self.v, self.g
+        for s, shift in actions:
+            if shift is None:
+                wy.reflect_rows(psi, g, s)
+                continue
+            x, slots = shift
+            self.x ^= x
+            for j, cols in slots:
+                for r, row in enumerate(g):
+                    if sum([row[c] for c in cols]) & 1:
+                        v[j] ^= 1 << r
+
+    def element(self) -> SemidirectElement:
+        return SemidirectElement(self.x, tuple(self.v), tuple(map(tuple, self.g)))
+
+
 def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement:
     """Image of a word in the generators of the pendant symbol.
 
-    The word is folded into mutable state: a Weyl letter s right-multiplies
-    g by s_s in place; a pendant letter t_i toggles bit i of x (augmented
-    map, plain pendants only) and adds g u_i mod 2 to slot i of v.
+    The word is folded into mutable state through the symbol's letter
+    table of the mode: a Weyl letter s right-multiplies g by s_s in place;
+    a pendant letter t_i toggles bit i of x (augmented map, plain pendants
+    only) and adds g u_i mod 2 to slot i of v.
     """
     if len(word) > WORD_CAP:
         raise DaggerError(f"word longer than the {WORD_CAP} cap")
     if mode not in ("plain", "hat"):
         raise DaggerError(f"unknown mode {mode!r}")
-    psi = d.psi
-    supports = psi.reflection_supports
-    slots = {t: i for i, t in enumerate(d.pendants)}
-    odd = [[j for j, c in enumerate(u) if c & 1] for u in d.weights]
-    toggles = d.ell if mode == "hat" else 0
-    g = [list(r) for r in wy.identity_matrix(psi.rank)]
-    v = [0] * d.m
-    x = 0
-    for s in word:
-        i = slots.get(s)
-        if i is None:
-            if s not in supports:
-                raise DaggerError(f"unknown generator {s!r}")
-            wy.reflect_rows(psi, g, s)
-            continue
-        if i < toggles:
-            x ^= 1 << i
-        cols = odd[i]
-        for r, row in enumerate(g):
-            if sum([row[j] for j in cols]) & 1:
-                v[i] ^= 1 << r
-    return SemidirectElement(x, tuple(v), tuple(map(tuple, g)))
+    letters = d._letters[mode]
+    try:
+        actions = [letters[s] for s in word]
+    except KeyError as exc:
+        raise DaggerError(f"unknown generator {exc.args[0]!r}") from None
+    fold = _Fold(d)
+    fold.apply(actions)
+    return fold.element()
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +271,8 @@ class Certificate:
 
 
 def verify_relations(d: DaggerSymbol, mode: str = "hat") -> Certificate:
-    """Check every defining relation of the pendant symbol in the image."""
+    """Check every defining relation of the pendant symbol in the image,
+    each word folded through the symbol's letter table of the mode."""
     steps = []
     gens = list(d.gamma.nodes)
     for a in gens:
@@ -333,17 +389,44 @@ def _component_longest_word(d: DaggerSymbol, comp: Sequence) -> List:
     return _b_longest_word(t, path[1:])
 
 
-def _subset_longest_word(d: DaggerSymbol, subset: Sequence) -> List:
-    """Concatenated component longest words of a spherical subset, the
-    components ordered by least node."""
+def _component_part(d: DaggerSymbol, comp: int) -> "Part":
+    """(sort key, longest word, fold actions) of one component mask of a
+    spherical subset, memoized in d._parts.  A component of the Weyl part
+    acts by the letters of its word.  A component through a pendant acts
+    by one translation: its word's image under phi (augmented map), which
+    must fix the Weyl part, since its word cancels once the pendant is
+    erased.
+    """
+    part = d._parts.get(comp)
+    if part is None:
+        nodes = mask_nodes(d.gamma, comp)
+        word = tuple(_component_longest_word(d, nodes))
+        if set(nodes) <= set(d.psi.symbol.nodes):
+            letters = d._letters["hat"]
+            actions = tuple(letters[s] for s in word)
+        else:
+            image = phi(d, word, "hat")
+            if image.g != wy.identity_matrix(d.psi.rank):
+                raise DaggerError("pendant component image moves the Weyl part")
+            slots = tuple((j, _bits(vj)) for j, vj in enumerate(image.v) if vj)
+            actions = ((None, (image.x, slots)),)
+        part = d._parts[comp] = (mask_sort_key(d.gamma, comp), word, actions)
+    return part
+
+
+def _subset_parts(d: DaggerSymbol, subset: Sequence) -> List["Part"]:
+    """The parts of the components of a spherical subset, ordered by least
+    node (components are disjoint, so their sort keys differ there)."""
     gamma = d.gamma
     chosen = set(subset)
     mask = sum(1 << i for i, v in enumerate(gamma.nodes) if v in chosen)
-    comps = [mask_nodes(gamma, comp) for comp, _ in spherical_subsets(gamma)[mask]]
-    word: List = []
-    for comp in sorted(comps, key=lambda c: node_sort_key(c[0])):
-        word += _component_longest_word(d, comp)
-    return word
+    return sorted(_component_part(d, comp) for comp, _ in spherical_subsets(gamma)[mask])
+
+
+def _subset_longest_word(d: DaggerSymbol, subset: Sequence) -> List:
+    """Concatenated component longest words of a spherical subset, the
+    components ordered by least node."""
+    return [s for _, word, _ in _subset_parts(d, subset) for s in word]
 
 
 @lru_cache(maxsize=2)
@@ -353,18 +436,33 @@ def _class_table(d: DaggerSymbol
     symbol: the longest word of its canonical antipodal subsymbol and that
     word's image under the augmented map.
 
+    The image is a fold over the components in least-node order: a Weyl
+    component applies its letters to g in place, as phi does, and a
+    pendant component enters as its own image (x_P, v_P, 1) by the
+    semidirect law, the arithmetic phi does letter by letter.  Its caches:
+    the table itself, per symbol (memoized by value for the last two
+    symbols, so that certify, the certify a replay re-derives, and the
+    class exclusions of the cyclic extension share it); the letter table,
+    per symbol and mode (d._letters); each component's word and actions,
+    per component mask of the symbol (d._parts); and the reduced words of
+    Weyl components, per Weyl type and node set (weyl.longest_word).  All
+    are derived from d alone, none is ever filled from a certificate, and
+    every entry is immutable, so a caller cannot change what the next one
+    reads.
+
     One table serves both modes.  Plain mode is certified only when every
     attachment is special; then ell = 0 and the two maps agree on every
-    generator.  A pure function of d, memoized by value for the last two
-    symbols, so that certify, the certify a replay re-derives, and the
-    class exclusions of the cyclic extension build each word and image
-    once per symbol.  It is never filled from a certificate, and every
-    entry is immutable, so a caller cannot change what the next one reads.
+    generator.
     """
     out = []
     for cls in inv.equivalence_classes(d.gamma):
         word = tuple(_subset_longest_word(d, cls.canonical))
-        out.append((cls, word, phi(d, word, "hat")))
+        if len(word) > WORD_CAP:
+            raise DaggerError(f"word longer than the {WORD_CAP} cap")
+        fold = _Fold(d)
+        for _, _, actions in _subset_parts(d, cls.canonical):
+            fold.apply(actions)
+        out.append((cls, word, fold.element()))
     return tuple(out)
 
 
@@ -414,8 +512,8 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     rank, and a longest element that survives the map.
 
     The class words and images of step (2) are read from _class_table, a
-    same-process cache derived from d alone; it never holds anything taken
-    from a certificate.
+    same-process cache per symbol derived from d alone, as are its letter
+    and per-component caches; none holds anything taken from a certificate.
     """
     if mode == "plain" and not all(d.special):
         raise DaggerError("plain-mode certification needs specially admissible attachments")
@@ -481,18 +579,13 @@ def _two_adic(n: int) -> Tuple[int, int]:
     return p, n
 
 
-def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
-    """Extend the kernel by a cyclic 2-group inside the image.
-
-    Generic route: for even Coxeter number h = 2^p q with kernel/image
-    defect above one, the element zeta = (0, (u,..,u), xi^q) generates a
-    copy of Z/2^p avoiding every involution class in the image of the
-    group.  Odd-rank type A uses the Coxeter half-turn directly (p = 1);
-    E6 does better through a Coxeter element of its visible D5, giving
-    p = 3 instead of the generic p = 2.
-    """
-    psi = d.psi
-    n = psi.rank
+@lru_cache(maxsize=16)
+def _half_turn(psi: WeylData) -> Tuple[str, int, Matrix, int, m2.F2Subspace, m2.F2Subspace]:
+    """What the extension of every pendant symbol over one Weyl type
+    shares, computed once per type from psi alone: the route, p (zeta has
+    order 2^p), xi^q for the Weyl part of zeta, the target u, and the
+    kernel and image of g + 1 mod 2 for the half-turn g = xi^(2^(p-1) q).
+    The routes are those of cyclic_extension."""
     if psi.family == "A" and psi.rank % 2 == 0:
         raise DaggerError(f"Coxeter number {psi.coxeter_number} is odd; no 2-group extension")
     if psi.family == "A":
@@ -509,13 +602,38 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
             raise DaggerError("kernel/image defect is too small for the generic route")
         xi = wy.coxeter_element(psi)
         route = "generic"
-
     u = m2.find_target(psi, xi, q, p)
-    zeta = SemidirectElement(0, tuple(u for _ in range(d.m)), wy.mat_pow(xi, q))
+    xi_q = wy.mat_pow(xi, q)
+    half = wy.mat_pow(xi_q, 2 ** (p - 1))
+    ker, im, _ = m2.involution_ker_im(m2.mat_mod2(half), psi.rank)
+    return route, p, xi_q, u, ker, im
+
+
+def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
+    """Extend the kernel by a cyclic 2-group inside the image.
+
+    Generic route: for even Coxeter number h = 2^p q with kernel/image
+    defect above one, the element zeta = (0, (u,..,u), xi^q) generates a
+    copy of Z/2^p avoiding every involution class in the image of the
+    group.  Odd-rank type A uses the Coxeter half-turn directly (p = 1);
+    E6 does better through a Coxeter element of its visible D5, giving
+    p = 3 instead of the generic p = 2.
+
+    Its caches: the route, xi^q, dpsi, the target u and the half-turn's
+    kernel and image, per Weyl type (_half_turn); the class table, per
+    symbol, with its letter and per-component caches (_class_table).  All
+    are derived from d alone and none is ever filled from a certificate.
+    Everything that depends on the pendants (zeta, its powers, the slot
+    checks, the class exclusions) is computed afresh on each call.
+    """
+    psi = d.psi
+    n = psi.rank
+    route, p, xi_q, u, ker, im = _half_turn(psi)
+    zeta = SemidirectElement(0, tuple(u for _ in range(d.m)), xi_q)
     steps: List[CertStep] = []
 
     half = zeta.power(2 ** (p - 1))
-    order_ok = zeta.power(2 ** p).is_identity() and not half.is_identity()
+    order_ok = (half * half).is_identity() and not half.is_identity()
     steps.append(CertStep("cyclic-order",
                           {"route": route, "p": p, "order": 2 ** p,
                            "zeta": _element_json(zeta)}, order_ok))
@@ -529,7 +647,6 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
                           wy.mat_mul(g, g) == wy.identity_matrix(n) and half.x == 0
                           and eig_dim == max_rank))
 
-    ker, im, _ = m2.involution_ker_im(m2.mat_mod2(g), n)
     slot_checks = [{"slot": j, "in_kernel": ker.contains(v), "in_image": im.contains(v)}
                    for j, v in enumerate(half.v)]
     avoid_ok = all(c["in_kernel"] for c in slot_checks) and \
@@ -580,11 +697,13 @@ def replay_certificate(d: DaggerSymbol, cert: Certificate) -> bool:
     DaggerError, such as plain mode on a non-special attachment or an
     unknown mode), does not replay.
 
-    The involution-class words and images come from _class_table, a
-    same-process cache derived from d alone, never from the objects cert
-    records.  A replay in a fresh process recomputes them; in the process
-    that certified, it compares cert with a certificate freshly derived
-    from the same table.
+    The same-process caches it reads are derived from d alone, never from
+    the objects cert records: the class table, per symbol, with its letter
+    table per symbol and mode and its component words and actions per
+    component mask (_class_table); and the extension's half-turn data, per
+    Weyl type (_half_turn).  A replay in a fresh process recomputes them;
+    in the process that certified, it compares cert with a certificate
+    freshly derived from the same caches.
     """
     derive = {
         "torsion-free": lambda: certify_torsion_free(d, cert.mode),

@@ -18,6 +18,7 @@ from coxfree import (
     reflection_matrix,
     weyl_data,
 )
+from coxfree.symbols import mask_nodes, node_sort_key
 from coxfree.weyl import mat_mul
 from oracles import closure, involution_class_count, signed_generators, symmetric_generators
 
@@ -157,3 +158,36 @@ class TestHalfTurn:
 
     def test_e8_maximal_class_has_full_rank(self):
         assert maximal_rank_class(weyl_data("E8")).rank == 8
+
+
+class TestUnsortedNodeOrder:
+    """Bit i of a mask is g.nodes[i]; outputs list nodes by node_sort_key.
+    Symbols whose nodes are not given in that order exercise the symbol's
+    precomputed bit order."""
+
+    SYMBOLS = [
+        (["v3", "v1", "v10", "v2"], [("v1", "v2", 3), ("v2", "v3", 3), ("v3", "v10", 3)]),
+        ([2, "t1", 1], [(1, 2, 3), (2, "t1", 4)]),
+    ]
+
+    @staticmethod
+    def _key(nodes):
+        return tuple(node_sort_key(v) for v in nodes)
+
+    @pytest.mark.parametrize("nodes,edges", SYMBOLS)
+    def test_mask_nodes(self, nodes, edges):
+        g = CoxeterSymbol(nodes, edges)
+        assert sorted(nodes, key=node_sort_key) != nodes
+        for mask in range(1 << len(nodes)):
+            chosen = [v for i, v in enumerate(nodes) if mask >> i & 1]
+            assert mask_nodes(g, mask) == tuple(sorted(chosen, key=node_sort_key))
+
+    @pytest.mark.parametrize("nodes,edges", SYMBOLS)
+    def test_equivalence_classes(self, nodes, edges):
+        classes = equivalence_classes(CoxeterSymbol(nodes, edges))
+        for c in classes:
+            assert all(m == tuple(sorted(m, key=node_sort_key)) for m in c.members)
+            assert list(c.members) == sorted(c.members, key=self._key)
+        assert list(classes) == sorted(classes, key=lambda c: (c.rank, self._key(c.canonical)))
+        in_order = CoxeterSymbol(sorted(nodes, key=node_sort_key), edges)
+        assert classes == equivalence_classes(in_order)

@@ -20,6 +20,8 @@ from coxfree import (
 from coxfree import involutions as inv
 from coxfree import modtwo as m2
 from coxfree import torsionfree as tf
+from coxfree import weyl as wy
+from coxfree.symbols import spherical_subsets
 
 
 def _fold(d, word, mode):
@@ -271,6 +273,80 @@ class TestClassTable:
                 image.x = 1
             with pytest.raises(dataclasses.FrozenInstanceError):
                 cls.rank = 0
+
+
+class TestClassFold:
+    """The table folds each class image over its components; phi evaluates
+    the class word letter by letter, and _fold multiplies generator images."""
+
+    @pytest.mark.parametrize("args,nodes", [(("A", 5), (2, 4)), (("B", 4), (2,)),
+                                            (("D", 8), (2, 6)), (("E6",), (1, 3, 5)),
+                                            (("E8",), (1, 8))])
+    def test_images_match_phi(self, args, nodes):
+        d = build_dagger(weyl_data(*args), nodes)
+        tf._class_table.cache_clear()
+        table = tf._class_table(d)
+        for _, word, image in table:
+            assert image == phi(d, word, "hat")
+        for _, word, image in table[::8]:
+            assert image == _fold(d, word, "hat")
+        if args == ("A", 5):  # both pendants plain: class images toggle x
+            assert any(image.x for _, _, image in table)
+
+    def test_word_cap(self, monkeypatch):
+        d = build_dagger(weyl_data("E8"), [1, 8])
+        longest = max((word for _, word, _ in tf._class_table(d)), key=len)
+        monkeypatch.setattr(tf, "WORD_CAP", len(longest) - 1)
+        with pytest.raises(DaggerError, match="cap"):
+            phi(d, longest)
+        tf._class_table.cache_clear()
+        with pytest.raises(DaggerError, match="cap"):
+            tf._class_table(build_dagger(weyl_data("E8"), [1, 8]))
+
+
+class TestWorkCounters:
+    """Deterministic counts of the work a cache saves, so a lost cache fails
+    whatever the host's speed."""
+
+    def test_half_turn_once_per_weyl_type(self, monkeypatch):
+        calls = []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count(m2, "find_target")
+        count(wy, "mat_pow")  # every Coxeter-element power
+        count(wy, "coxeter_element")
+        tf._half_turn.cache_clear()
+        assert cyclic_extension(build_dagger(weyl_data("E8"), [1])).certificate.ok
+        assert "find_target" in calls and "mat_pow" in calls and "coxeter_element" in calls
+        calls.clear()
+        assert cyclic_extension(build_dagger(weyl_data("E8"), [8])).certificate.ok
+        assert calls == []
+
+    def test_one_word_per_component_mask(self, monkeypatch):
+        d = build_dagger(weyl_data("E6"), [1, 3, 5])
+        built = []
+        original = tf._component_longest_word
+
+        def counting(d, comp):
+            built.append(tuple(comp))
+            return original(d, comp)
+
+        monkeypatch.setattr(tf, "_component_longest_word", counting)
+        tf._class_table.cache_clear()
+        table = tf._class_table(d)
+        walk = spherical_subsets(d.gamma)
+        index = {v: i for i, v in enumerate(d.gamma.nodes)}
+        masks = {comp for cls, _, _ in table
+                 for comp, _ in walk[sum(1 << index[v] for v in cls.canonical)]}
+        assert len(built) == len(set(built)) == len(masks)
 
 
 class TestExtensionIndex:
