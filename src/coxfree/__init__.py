@@ -13,7 +13,6 @@ from .symbols import (
     euler_characteristic,
     finite_order,
     induced_subsymbol,
-    parity_character,
     parse_symbol,
     serialize_symbol,
     signature,
@@ -22,8 +21,6 @@ from .weyl import (
     WeylData,
     WeylError,
     coxeter_element,
-    element_order,
-    longest_element,
     longest_word,
     reflection_matrix,
     weyl_data,
@@ -38,24 +35,17 @@ from .modtwo import (
     dpsi,
     find_target,
     involution_ker_im,
-    is_admissible,
-    is_independent_for,
-    is_specially_admissible,
     lambda_dim,
     orbit_span,
-    reduce_mod2,
     weight_vector,
-    x_set,
 )
 from .involutions import (
     EquivalenceClass,
     InvolutionError,
     elementary_moves,
     equivalence_classes,
-    half_coxeter_check,
     is_minus_one_type,
     maximal_rank_class,
-    pi_permutation,
 )
 from .torsionfree import (
     Certificate,
@@ -63,7 +53,6 @@ from .torsionfree import (
     DaggerError,
     DaggerSymbol,
     SemidirectElement,
-    TorsionWitness,
     build_dagger,
     certify_torsion_free,
     cyclic_extension,
@@ -71,7 +60,6 @@ from .torsionfree import (
     kernel_index,
     phi,
     replay_certificate,
-    torsion_witnesses,
     verify_relations,
 )
 from .geometry import (

@@ -10,8 +10,8 @@ the diagram that image is read off symbols.component_shape: the identity
 on an antipodal type, the path reversed for A_n and I2(odd), the two
 equal arms at the branch node swapped for D_odd and E6.  This module
 enumerates the subsymbols from the spherical-subset walk, closes them
-under the moves, and checks the Coxeter half-turn against the unique
-class of maximal rank.
+under the moves, and picks out the unique class of maximal rank of an
+irreducible Weyl group.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from . import weyl as wy
 from .symbols import (
     CoxeterSymbol,
     FiniteType,
@@ -28,7 +27,6 @@ from .symbols import (
     SymbolError,
     classify_finite_type,
     component_shape,
-    connected_components,
     induced_subsymbol,
     mask_nodes,
     mask_sort_key,
@@ -71,18 +69,6 @@ def _opposition(g: CoxeterSymbol, comp: Sequence, t: FiniteType) -> Dict:
         pi.update(zip(x, y))
         pi.update(zip(y, x))
     return pi
-
-
-def pi_permutation(g: CoxeterSymbol) -> Dict:
-    """The opposition involution s -> w0 s w0 of a connected finite symbol:
-    the identity on an antipodal symbol, else its unique order-2 diagram
-    symmetry."""
-    if len(connected_components(g)) != 1:
-        raise InvolutionError("symbol must be connected")
-    types = classify_finite_type(g)
-    if types is None:
-        raise InvolutionError("symbol is not of finite type")
-    return _opposition(g, g.nodes, types[0])
 
 
 def _moves(g: CoxeterSymbol, walk: SphericalWalk, mask: int,
@@ -194,15 +180,3 @@ def maximal_rank_class(w: WeylData) -> EquivalenceClass:
     if len(winners) != 1:
         raise InvolutionError("maximal rank class is not unique")  # pragma: no cover
     return winners[0]
-
-
-def half_coxeter_check(w: WeylData) -> bool:
-    """Verify that the Coxeter half-turn is an involution whose minus-one
-    eigenspace dimension equals the maximal involution-class rank."""
-    h = w.coxeter_number
-    if h % 2 != 0:
-        raise InvolutionError(f"Coxeter number {h} is odd")
-    g = wy.mat_pow(wy.coxeter_element(w), h // 2)
-    if wy.mat_mul(g, g) != wy.identity_matrix(w.rank):
-        raise InvolutionError("half-turn is not an involution")  # pragma: no cover
-    return wy.minus_one_rank(g) == maximal_rank_class(w).rank

@@ -48,13 +48,6 @@ def mat_mod2(rows: Matrix) -> F2Matrix:
     )
 
 
-def reduce_mod2(obj):
-    """Entrywise parity of an integer vector or matrix."""
-    if obj and isinstance(obj[0], (tuple, list)):
-        return mat_mod2(tuple(tuple(r) for r in obj))
-    return vec_mod2(obj)
-
-
 def f2_identity(n: int) -> F2Matrix:
     return tuple(1 << j for j in range(n))
 
@@ -232,41 +225,13 @@ def _walk_from(w: WeylData, s: int) -> Dict[int, Tuple[Tuple[int, ...], List[int
     return walk
 
 
-def _walk_to(walk: Mapping, t) -> Tuple[Tuple[int, ...], List[int]]:
-    if t not in walk:
-        raise ModTwoError(f"unknown node {t!r}")
-    return walk[t]
-
-
-def x_set(w: WeylData, s: int, t: int) -> List[int]:
-    """Successive reflection images of u_s mod 2 along the path from s to t."""
-    return _walk_to(_walk_from(w, s), t)[1]
-
-
-def is_independent_for(w: WeylData, s: int, t_set: Iterable[int]) -> bool:
-    """True when the path images span one more dimension than the number of
-    nodes on the union of the minimal paths from s.  For one type-A path,
-    whether the pendant map is faithful on the visible type-B subgroup of a
-    pendant at s and that path: type_a_paths flags each path with it."""
-    targets = sorted(set(t_set))
-    if not targets:
-        raise ModTwoError("t_set must be nonempty")
-    walk = _walk_from(w, s)
-    vectors: List[int] = []
-    path_nodes: Set[int] = set()
-    for t in targets:
-        path, xs = _walk_to(walk, t)
-        vectors += xs
-        path_nodes.update(path)
-    return f2_rank(vectors) == len(path_nodes) + 1
-
-
 def type_a_paths(w: WeylData, s: int) -> List[Tuple[Tuple[int, ...], bool]]:
     """(path, faithful) for each minimal path from s whose edges all have
     order 3, so that it induces a type-A subsymbol, in node order of the far
-    end; the one-node path (s,) is among them.  faithful is
-    is_independent_for(w, s, {path[-1]}), read off the same walk: whether
-    the x-set of the path spans len(path) + 1 dimensions."""
+    end; the one-node path (s,) is among them.  faithful says whether the
+    x-set of the path spans len(path) + 1 dimensions: for one type-A path,
+    whether the pendant map is faithful on the visible type-B subgroup of
+    a pendant at s and that path."""
     walk = _walk_from(w, s)
     out = []
     for t in w.symbol.nodes:
@@ -284,14 +249,6 @@ def _admissibility(w: WeylData, s: int) -> Tuple[bool, bool]:
     paths = type_a_paths(w, s)
     return (all(ok for path, ok in paths if len(path) % 2),
             all(ok for _, ok in paths))
-
-
-def is_admissible(w: WeylData, s: int) -> bool:
-    return _admissibility(w, s)[0]
-
-
-def is_specially_admissible(w: WeylData, s: int) -> bool:
-    return _admissibility(w, s)[1]
 
 
 def admissible_nodes(w: WeylData) -> List[Tuple[int, bool]]:

@@ -484,22 +484,3 @@ def signature(g: CoxeterSymbol, inf_value: float = -1.0) -> Tuple[int, int, int]
     matched their signs on every one.
     """
     return inertia(bilinear_gram(g, inf_value), SIGNATURE_TOL)
-
-
-def parity_character(g: CoxeterSymbol, t, word: Sequence) -> int:
-    """Occurrence count of the generator t in the word, mod 2.
-
-    Well-defined on the group only when every finite edge label at t is
-    even: the braid relations then preserve the parity of t-occurrences.
-    """
-    if t not in set(g.nodes):
-        raise SymbolError(f"unknown node {t!r}")
-    for s in g.neighbors(t):
-        m = g.order(s, t)
-        if m != INF and m % 2 == 1:
-            raise SymbolError(f"odd edge label m({s!r},{t!r}) = {m}; parity is ill-defined")
-    node_set = set(g.nodes)
-    for s in word:
-        if s not in node_set:
-            raise SymbolError(f"unknown generator {s!r} in word")
-    return sum(1 for s in word if s == t) % 2

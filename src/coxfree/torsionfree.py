@@ -10,9 +10,8 @@ by sending s in Psi to itself, t_i to the translation by the weight
 vector u_i (its slot of the product), and, in the parity-augmented map,
 t_i for a non-special attachment also to the i-th standard bit.  The
 kernel of the augmented map is torsion free; this module verifies the
-defining relations, certifies torsion-freeness class by class, locates
-the residual torsion of the unaugmented map, and extends the kernel by a
-cyclic 2-group built from a Coxeter element.
+defining relations, certifies torsion-freeness class by class, and
+extends the kernel by a cyclic 2-group built from a Coxeter element.
 """
 
 from __future__ import annotations
@@ -322,7 +321,7 @@ def kernel_index(d: DaggerSymbol, mode: str = "hat",
 
 
 # ---------------------------------------------------------------------------
-# Visible type-B subgroups and residual torsion
+# Torsion-free certification
 
 def _b_longest_word(pendant, path: Sequence[int]) -> List:
     """Reduced word for the longest element of the visible type-B subgroup
@@ -337,39 +336,6 @@ def _b_longest_word(pendant, path: Sequence[int]) -> List:
     word.append(pendant)
     return word
 
-
-@dataclass(frozen=True)
-class TorsionWitness:
-    nodes: Tuple
-    word: Tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.nodes)
-
-
-def torsion_witnesses(d: DaggerSymbol) -> List[TorsionWitness]:
-    """Longest elements of odd-rank visible type-B subgroups through a
-    pendant that die under the unaugmented map.
-
-    Adjoining disjoint antipodal pieces of the Weyl part cannot enlarge a
-    witness: their longest elements survive in the reflection factor, so
-    only the bare type-B pieces can reach the kernel.
-    """
-    out = []
-    for i in range(d.m):
-        for path, _ in m2.type_a_paths(d.psi, d.attachments[i]):
-            k = len(path) + 1
-            if k % 2 == 0 or k == 1:
-                continue
-            word = _b_longest_word(d.pendants[i], path)
-            if phi(d, word, "plain").is_identity():
-                out.append(TorsionWitness((d.pendants[i],) + tuple(path), tuple(word)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Torsion-free certification
 
 def _component_longest_word(d: DaggerSymbol, comp: Sequence) -> List:
     psi_nodes = set(d.psi.symbol.nodes)
@@ -423,12 +389,6 @@ def _subset_parts(d: DaggerSymbol, subset: Sequence) -> List["Part"]:
     return sorted(_component_part(d, comp) for comp, _ in spherical_subsets(gamma)[mask])
 
 
-def _subset_longest_word(d: DaggerSymbol, subset: Sequence) -> List:
-    """Concatenated component longest words of a spherical subset, the
-    components ordered by least node."""
-    return [s for _, word, _ in _subset_parts(d, subset) for s in word]
-
-
 @lru_cache(maxsize=2)
 def _class_table(d: DaggerSymbol
                  ) -> Tuple[Tuple[inv.EquivalenceClass, Tuple, SemidirectElement], ...]:
@@ -456,11 +416,12 @@ def _class_table(d: DaggerSymbol
     """
     out = []
     for cls in inv.equivalence_classes(d.gamma):
-        word = tuple(_subset_longest_word(d, cls.canonical))
+        parts = _subset_parts(d, cls.canonical)
+        word = tuple(s for _, part_word, _ in parts for s in part_word)
         if len(word) > WORD_CAP:
             raise DaggerError(f"word longer than the {WORD_CAP} cap")
         fold = _Fold(d)
-        for _, _, actions in _subset_parts(d, cls.canonical):
+        for _, _, actions in parts:
             fold.apply(actions)
         out.append((cls, word, fold.element()))
     return tuple(out)
@@ -585,7 +546,10 @@ def _half_turn(psi: WeylData) -> Tuple[str, int, Matrix, int, m2.F2Subspace, m2.
     shares, computed once per type from psi alone: the route, p (zeta has
     order 2^p), xi^q for the Weyl part of zeta, the target u, and the
     kernel and image of g + 1 mod 2 for the half-turn g = xi^(2^(p-1) q).
-    The routes are those of cyclic_extension."""
+    The routes are those of cyclic_extension.  The generic route needs a
+    kernel/image defect above one, read off that kernel and image before
+    the target is sought.  It stands as the route's precondition: the
+    defect is at least 2 on B_n, D_n, E7, E8, F4 and G2."""
     if psi.family == "A" and psi.rank % 2 == 0:
         raise DaggerError(f"Coxeter number {psi.coxeter_number} is odd; no 2-group extension")
     if psi.family == "A":
@@ -598,14 +562,14 @@ def _half_turn(psi: WeylData) -> Tuple[str, int, Matrix, int, m2.F2Subspace, m2.
         route = "visible-D5"
     else:
         p, q = _two_adic(psi.coxeter_number)
-        if m2.dpsi(psi) <= 1:
-            raise DaggerError("kernel/image defect is too small for the generic route")
         xi = wy.coxeter_element(psi)
         route = "generic"
-    u = m2.find_target(psi, xi, q, p)
     xi_q = wy.mat_pow(xi, q)
     half = wy.mat_pow(xi_q, 2 ** (p - 1))
-    ker, im, _ = m2.involution_ker_im(m2.mat_mod2(half), psi.rank)
+    ker, im, defect = m2.involution_ker_im(m2.mat_mod2(half), psi.rank)
+    if route == "generic" and defect <= 1:
+        raise DaggerError("kernel/image defect is too small for the generic route")
+    u = m2.find_target(psi, xi, q, p)
     return route, p, xi_q, u, ker, im
 
 
@@ -619,8 +583,8 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
     E6 does better through a Coxeter element of its visible D5, giving
     p = 3 instead of the generic p = 2.
 
-    Its caches: the route, xi^q, dpsi, the target u and the half-turn's
-    kernel and image, per Weyl type (_half_turn); the class table, per
+    Its caches: the route, xi^q, the target u and the half-turn's kernel
+    and image, per Weyl type (_half_turn); the class table, per
     symbol, with its letter and per-component caches (_class_table).  All
     are derived from d alone and none is ever filled from a certificate.
     Everything that depends on the pendants (zeta, its powers, the slot

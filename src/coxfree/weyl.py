@@ -194,10 +194,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_vec(a: Matrix, v: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def power(x, k: int, mul: Callable, one):
     """x^k for k >= 0 by square-and-multiply under the associative product
     mul with identity one; each caller rejects a negative k itself."""
@@ -264,32 +260,21 @@ def rational_inverse(a: Sequence[Sequence[int]]) -> RationalMatrix:
     return tuple(row[n:] for row in rows)
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix whose inverse is integral, such as
-    a unimodular one; WeylError when it is singular or its inverse is not."""
-    inv = rational_inverse(a)
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise WeylError("inverse is not integral")
-    return tuple(tuple(int(x) for x in row) for row in inv)
-
-
 def rank_rational(a: Matrix) -> int:
-    """Rank over the rationals via exact Gaussian elimination."""
+    """Rank over the rationals via exact Gaussian elimination.  No code in
+    the package calls it: the tests rank with it as the reference for
+    minus_one_rank, and perfbench's tracer looks it up by name."""
     return len(row_reduce(a)[1])
 
 
-@lru_cache(maxsize=256)
 def minus_one_rank(g: Matrix) -> int:
-    """Rank over Q of g - 1: for an involution g, the dimension of its
-    minus-one eigenspace.  Memoized, since certify, replay and extend rank
-    the same few half-turns and class images again and again."""
-    return rank_rational(tuple(tuple(x - (i == j) for j, x in enumerate(row))
-                               for i, row in enumerate(g)))
-
-
-def preserves_gram(w: WeylData, m: Matrix) -> bool:
-    mt = tuple(zip(*m))
-    return mat_mul(mat_mul(mt, w.gram2), m) == w.gram2
+    """Dimension of the minus-one eigenspace of an integer involution g,
+    read off its trace as (n - tr g) / 2.  Exact for any integer g with
+    g^2 = 1: such a g is diagonalizable over Q with eigenvalues +1 and -1,
+    so tr g = n - 2 r where r is that dimension, the rank of g - 1.  The
+    caller must pass an involution; on any other matrix the value means
+    nothing."""
+    return (len(g) - sum(row[i] for i, row in enumerate(g))) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +340,6 @@ def coxeter_element(w: WeylData, nodes: Optional[Iterable[int]] = None) -> Matri
     return word_to_matrix(w, chosen)
 
 
-def element_order(m: Matrix, bound: int = 64) -> int:
-    if bound < 1:
-        raise WeylError("bound must be >= 1")
-    ident = identity_matrix(len(m))
-    acc = m
-    for k in range(1, bound + 1):
-        if acc == ident:
-            return k
-        acc = mat_mul(acc, m)
-    raise WeylError(f"element order exceeds bound {bound}")
-
-
 def longest_word(w: WeylData, delta: Optional[Iterable[int]] = None) -> Tuple[int, ...]:
     """Reduced word for the longest element of the visible subgroup on delta.
 
@@ -393,8 +366,3 @@ def _longest_word(w: WeylData, nodes: Tuple[int, ...]) -> Tuple[int, ...]:
                 break
         else:
             return tuple(word)
-
-
-def longest_element(w: WeylData, delta: Optional[Iterable[int]] = None) -> Tuple[Matrix, int]:
-    word = longest_word(w, delta)
-    return word_to_matrix(w, word), len(word)

@@ -2,9 +2,9 @@
 
 Everything here is built from first principles (signed permutations as
 tuples, breadth-first closures, conjugacy by exhaustive multiplication,
-Leibniz determinants, minor searches, floating-point eigenvalues) so that
-the values frozen into the tests do not depend on the code paths they are
-checking.
+Leibniz determinants, minor searches, floating-point eigenvalues, integer
+reflections along breadth-first tree paths) so that the values frozen
+into the tests do not depend on the code paths they are checking.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import itertools
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
+
+from coxfree.modtwo import weight_vector
 
 Perm = Tuple[int, ...]  # entry i-1 is the signed image of +i
 
@@ -164,3 +166,82 @@ def tree_path(symbol, s, t) -> Tuple:
                 prev[u] = v
                 queue.append(u)
     raise ValueError(f"nodes {s!r} and {t!r} are not connected")
+
+
+def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def element_order(m: Sequence[Sequence[int]], bound: int = 64) -> int:
+    """Least k >= 1 with m^k = 1, by repeated multiplication; ValueError
+    when there is none up to bound."""
+    n = len(m)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    acc = tuple(map(tuple, m))
+    for k in range(1, bound + 1):
+        if acc == ident:
+            return k
+        acc = _mat_mul(acc, m)
+    raise ValueError(f"element order exceeds bound {bound}")
+
+
+def preserves_gram(w, m: Sequence[Sequence[int]]) -> bool:
+    """m^T G m == G for the Weyl group's integer form G = w.gram2."""
+    mt = tuple(zip(*m))
+    return _mat_mul(_mat_mul(mt, w.gram2), m) == w.gram2
+
+
+def _reflect(w, i: int, v: Sequence[int]) -> List[int]:
+    """s_i(v) = v - <v, x_i^v> x_i in root coordinates: only coordinate i
+    moves, by the pairing of v with Cartan row i."""
+    out = list(v)
+    out[i - 1] -= sum(c * x for c, x in zip(w.cartan[i - 1], v))
+    return out
+
+
+def _bits(v: Sequence[int]) -> int:
+    return sum(1 << j for j, c in enumerate(v) if c % 2)
+
+
+def x_set(w, s, t) -> List[int]:
+    """u_s, then its successive images under the reflections of the nodes
+    on the tree path s..t, each reduced mod 2 to a bitset: k + 1 entries
+    for a k-node path.  The images are integer vectors until the end; u_s
+    is coxfree's weight vector, which its own tests check against a solve
+    of the Cartan system."""
+    v = list(weight_vector(w, s).coords)
+    out = [_bits(v)]
+    for node in tree_path(w.symbol, s, t):
+        v = _reflect(w, node, v)
+        out.append(_bits(v))
+    return out
+
+
+def f2_rank(vectors) -> int:
+    """Rank over F2 of bitset vectors, eliminating on the highest bit."""
+    basis: Dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
+
+
+def is_independent_for(w, s, t_set) -> bool:
+    """True when the x-sets of the paths from s to the nodes of t_set span
+    one more dimension than the number of nodes on those paths.  For one
+    path, whether the pendant map is faithful on the visible type-B
+    subgroup of a pendant at s and that path."""
+    targets = sorted(set(t_set))
+    if not targets:
+        raise ValueError("t_set must be nonempty")
+    vectors: List[int] = []
+    nodes: Set = set()
+    for t in targets:
+        vectors += x_set(w, s, t)
+        nodes.update(tree_path(w.symbol, s, t))
+    return f2_rank(vectors) == len(nodes) + 1

@@ -10,7 +10,11 @@ which leaves no room for a deferred import that works round an import
 cycle or hides a dependency from the import path.  A non-dunder name that a
 module-level def, class or assignment binds must appear on some line of
 src/, tests/ or perfbench/ other than the one that defines it; a name that
-nothing mentions is dead code.
+nothing mentions is dead code.  A public module-level def or class must
+also have a user outside the tests: an ast Name or Attribute that refers
+to it in some src/coxfree module other than __init__, or a word in
+perfbench/*.py (the benchmark's tracer looks names up as strings).  A
+docstring mention does not count, and neither does a test.
 """
 
 import ast
@@ -129,3 +133,47 @@ def test_every_module_level_name_is_mentioned():
 def test_flags_an_unmentioned_name():
     text = "X = 1\nY: int = 2\n__all__ = []\ndef f():\n    return Y\nclass C:\n    pass\n"
     assert _unmentioned(ast.parse(text), _lines_mentioning([text])) == ["X", "f", "C"]
+
+
+def _public_defs(tree):
+    """Module-level defs and classes whose names have no leading underscore."""
+    return [node.name for node in _module_level(tree.body)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _references(trees):
+    """Every name an ast Name or Attribute node of the trees refers to."""
+    refs = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    return refs
+
+
+def _without_user(tree, refs, words):
+    return [name for name in _public_defs(tree) if name not in refs and name not in words]
+
+
+def test_every_public_def_has_a_user():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    refs = _references(tree for name, tree in trees.items() if name != "__init__.py")
+    words = set()
+    for p in (ROOT / "perfbench").glob("*.py"):
+        words.update(re.findall(r"\w+", p.read_text(encoding="utf-8")))
+    found = {name: _without_user(tree, refs, words) for name, tree in trees.items()}
+    assert {name: defs for name, defs in found.items() if defs} == {}
+
+
+def test_flags_a_public_def_without_a_user():
+    text = ("def used():\n    pass\n"
+            "def traced():\n    pass\n"
+            "def unused():\n    \"\"\"Mentions unused and used.\"\"\"\n"
+            "class Unused:\n    pass\n"
+            "class Holder:\n    pass\n"
+            "def _private():\n    return used(), mod.Holder\n")
+    tree = ast.parse(text)
+    assert _without_user(tree, _references([tree]), {"traced"}) == ["unused", "Unused"]

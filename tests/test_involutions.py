@@ -7,19 +7,21 @@ from coxfree import (
     CoxeterSymbol,
     InvolutionError,
     SymbolError,
+    classify_finite_type,
+    coxeter_element,
     elementary_moves,
     equivalence_classes,
     euler_characteristic,
-    half_coxeter_check,
     is_minus_one_type,
-    longest_element,
+    longest_word,
     maximal_rank_class,
-    pi_permutation,
     reflection_matrix,
     weyl_data,
+    word_to_matrix,
 )
+from coxfree.involutions import _opposition
 from coxfree.symbols import mask_nodes, node_sort_key
-from coxfree.weyl import mat_mul
+from coxfree.weyl import identity_matrix, mat_mul, mat_pow, minus_one_rank
 from oracles import closure, involution_class_count, signed_generators, symmetric_generators
 
 
@@ -98,8 +100,14 @@ def _relabelled(g, seed):
     return relabel, CoxeterSymbol(names, [(relabel[a], relabel[b], m) for a, b, m in g.edges()])
 
 
+def pi_permutation(g):
+    """The opposition involution of a connected finite symbol, as the move
+    closure of equivalence_classes reads it."""
+    return _opposition(g, g.nodes, classify_finite_type(g)[0])
+
+
 class TestOpposition:
-    """pi_permutation is the opposition involution s -> w0 s w0 on the
+    """_opposition is the opposition involution s -> w0 s w0 on the
     generators, computed here in the reflection representation."""
 
     NON_ANTIPODAL = [("A", r) for r in range(2, 10)] + [("D", 5), ("D", 7), ("D", 9),
@@ -109,7 +117,7 @@ class TestOpposition:
 
     @staticmethod
     def _w0_conjugation(w):
-        w0, _ = longest_element(w)
+        w0 = word_to_matrix(w, longest_word(w))
         refl = {s: reflection_matrix(w, s) for s in w.symbol.nodes}
         images = {}
         for s in w.symbol.nodes:
@@ -143,18 +151,17 @@ class TestOpposition:
         assert pi_permutation(CoxeterSymbol(["a", "b"], [("a", "b", m)])) == \
             {"a": "a", "b": "b"}
 
-    def test_rejects_disconnected_and_infinite(self):
-        with pytest.raises(InvolutionError):
-            pi_permutation(CoxeterSymbol([1, 2]))
-        with pytest.raises(InvolutionError):
-            pi_permutation(CoxeterSymbol([1, 2, 3], [(1, 2, 3), (2, 3, 3), (1, 3, 3)]))
-
 
 class TestHalfTurn:
     @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 4), ("D", 6), ("E6", None),
                                           ("E8", None), ("F4", None)])
     def test_half_coxeter_rank(self, fam, rank):
-        assert half_coxeter_check(weyl_data(fam, rank))
+        # The Coxeter half-turn is an involution whose minus-one eigenspace
+        # has the rank of the unique maximal involution class.
+        w = weyl_data(fam, rank)
+        g = mat_pow(coxeter_element(w), w.coxeter_number // 2)
+        assert mat_mul(g, g) == identity_matrix(w.rank)
+        assert minus_one_rank(g) == maximal_rank_class(w).rank
 
     def test_e8_maximal_class_has_full_rank(self):
         assert maximal_rank_class(weyl_data("E8")).rank == 8

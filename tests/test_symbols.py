@@ -15,7 +15,6 @@ from coxfree import (
     euler_characteristic,
     finite_order,
     induced_subsymbol,
-    parity_character,
     parse_symbol,
     serialize_symbol,
     signature,
@@ -336,31 +335,3 @@ class TestSignatureSweep:
             assert counts == eigen_signs(gram), (g, inf_value)
             singular += counts[2] > 0
         assert len(cases) >= 300 and singular >= 5 + len(AFFINE)
-
-
-class TestParity:
-    def test_longest_b3_word(self):
-        b3 = weyl_data("B", 3).symbol
-        word = [1, 2, 3, 2, 1, 2, 3, 2, 3]
-        assert parity_character(b3, 3, word) == 1
-
-    def test_empty_word(self):
-        assert parity_character(weyl_data("B", 3).symbol, 3, []) == 0
-
-    def test_b4_longest(self):
-        b4 = weyl_data("B", 4).symbol
-        word = [1, 2, 3, 4, 3, 2, 1, 2, 3, 4, 3, 2, 3, 4, 3, 4]
-        assert parity_character(b4, 4, word) == 0
-
-    def test_odd_label_rejected(self):
-        with pytest.raises(SymbolError):
-            parity_character(weyl_data("A", 2).symbol, 1, [1])
-
-    def test_homomorphism(self):
-        b4 = weyl_data("B", 4).symbol
-        rng = random.Random(99)
-        for _ in range(30):
-            w1 = [rng.randint(1, 4) for _ in range(rng.randint(0, 12))]
-            w2 = [rng.randint(1, 4) for _ in range(rng.randint(0, 12))]
-            assert parity_character(b4, 4, w1 + w2) == \
-                (parity_character(b4, 4, w1) + parity_character(b4, 4, w2)) % 2

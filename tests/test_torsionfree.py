@@ -206,22 +206,22 @@ class TestReplay:
         assert replay_certificate(d, dataclasses.replace(cert, mode="other")) is False
 
 
-def _count_longest_words(monkeypatch):
+def _count_subset_parts(monkeypatch):
     calls = []
-    original = tf._subset_longest_word
+    original = tf._subset_parts
 
     def counting(d, subset):
         calls.append(subset)
         return original(d, subset)
 
-    monkeypatch.setattr(tf, "_subset_longest_word", counting)
+    monkeypatch.setattr(tf, "_subset_parts", counting)
     tf._class_table.cache_clear()
     return calls
 
 
 class TestClassTable:
     def test_words_are_built_once_per_class(self, monkeypatch):
-        calls = _count_longest_words(monkeypatch)
+        calls = _count_subset_parts(monkeypatch)
         d = build_dagger(weyl_data("E6"), [1])
         cert = certify_torsion_free(d, "hat")
         # An equal symbol built afresh, as each pipeline stage may do, shares the table.
@@ -230,7 +230,7 @@ class TestClassTable:
         assert len(calls) == len(inv.equivalence_classes(d.gamma))
 
     def test_both_modes_share_the_words(self, monkeypatch):
-        calls = _count_longest_words(monkeypatch)
+        calls = _count_subset_parts(monkeypatch)
         d = build_dagger(weyl_data("D", 8), [2, 6])
         hat = certify_torsion_free(d, "hat")
         plain = certify_torsion_free(d, "plain")
@@ -304,6 +304,26 @@ class TestClassFold:
             tf._class_table(build_dagger(weyl_data("E8"), [1, 8]))
 
 
+class TestMinusOneRank:
+    """minus_one_rank reads an involution's minus-one eigenspace off its
+    trace; the reference is the rank of g - 1 by exact elimination."""
+
+    @pytest.mark.parametrize("args,nodes", [(["E8"], [1, 8]), (["E6"], [1, 5]),
+                                            (["D", 8], [2, 6]), (["E7"], [1, 2]),
+                                            (["E8"], [1, 7, 8])])
+    def test_class_images_against_elimination(self, args, nodes):
+        table = tf._class_table(build_dagger(weyl_data(*args), nodes))
+        ranks = set()
+        for _, _, image in table:
+            g = image.g
+            n = len(g)
+            assert wy.mat_mul(g, g) == wy.identity_matrix(n)
+            minus = tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(g))
+            assert wy.minus_one_rank(g) == wy.rank_rational(minus)
+            ranks.add(wy.minus_one_rank(g))
+        assert len(ranks) > 2
+
+
 class TestWorkCounters:
     """Deterministic counts of the work a cache saves, so a lost cache fails
     whatever the host's speed."""
@@ -323,9 +343,14 @@ class TestWorkCounters:
         count(m2, "find_target")
         count(wy, "mat_pow")  # every Coxeter-element power
         count(wy, "coxeter_element")
+        count(m2, "involution_ker_im")
+        count(m2, "dpsi")
         tf._half_turn.cache_clear()
         assert cyclic_extension(build_dagger(weyl_data("E8"), [1])).certificate.ok
         assert "find_target" in calls and "mat_pow" in calls and "coxeter_element" in calls
+        # One kernel and image for the half-turn's own data and one inside
+        # find_target; the generic route's defect is read off the first.
+        assert calls.count("involution_ker_im") == 2 and "dpsi" not in calls
         calls.clear()
         assert cyclic_extension(build_dagger(weyl_data("E8"), [8])).certificate.ok
         assert calls == []
