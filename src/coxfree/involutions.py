@@ -11,14 +11,18 @@ on an antipodal type, the path reversed for A_n and I2(odd), the two
 equal arms at the branch node swapped for D_odd and E6.  This module
 enumerates the subsymbols from the spherical-subset walk, closes them
 under the moves, and picks out the unique class of maximal rank of an
-irreducible Weyl group.
+irreducible Weyl group.  equivalence_classes is the generic closure, for
+any symbol: the `involutions classes` verb, maximal_rank_class and the
+tests' oracle call it.  The class table of a pendant symbol
+(torsionfree._class_table) is built instead from its pendant
+configurations and move_classes on the Weyl nodes each leaves free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .symbols import (
     CoxeterSymbol,
@@ -133,17 +137,12 @@ class EquivalenceClass:
         return self.members[0]
 
 
-def equivalence_classes(g: CoxeterSymbol) -> Tuple[EquivalenceClass, ...]:
-    """All involution classes of the group, one per move-closure of
-    antipodal subsymbols.  Deterministic: members sorted, classes ordered
-    by (rank, least member).  The union-find, the moves and the sorts run
-    on bitmasks, ordered by mask_sort_key; masks become node tuples once,
-    for the output.  Not memoized: its callers that repeat
-    (maximal_rank_class, the class table of torsionfree) cache their own
-    results."""
-    walk = spherical_subsets(g)
-    subsets = [mask for mask, comps in walk.items()
-               if mask and all(t.antipodal for _, t in comps)]
+def move_classes(g: CoxeterSymbol, subsets: Sequence[int],
+                 moves: Callable[[int], Iterable[int]]) -> List[List[int]]:
+    """The move-closures of the antipodal masks subsets of g, where
+    moves(mask) lists the masks of subsets one exchange move away.  Each
+    closure's masks are sorted by mask_sort_key, and the closures by
+    (rank, least member)."""
     parent = {m: m for m in subsets}
 
     def find(x):
@@ -152,23 +151,33 @@ def equivalence_classes(g: CoxeterSymbol) -> Tuple[EquivalenceClass, ...]:
             x = parent[x]
         return x
 
-    partners: Dict[int, Dict[int, int]] = {}
     for sub in subsets:
-        for moved in _moves(g, walk, sub, partners):
+        for moved in moves(sub):
             ra, rb = find(sub), find(moved)
             if ra != rb:
                 parent[ra] = rb
     groups: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
     for sub in subsets:
         groups.setdefault(find(sub), []).append((mask_sort_key(g, sub), sub))
-    keyed = []
-    for members in groups.values():
-        members.sort()
-        keyed.append(((len(members[0][0]), members[0][0]), members))
-    keyed.sort()
-    return tuple(EquivalenceClass(tuple(mask_nodes(g, m) for _, m in members),
-                                  len(members[0][0]))
-                 for _, members in keyed)
+    classes = sorted((sorted(members) for members in groups.values()),
+                     key=lambda c: (len(c[0][0]), c[0][0]))
+    return [[m for _, m in members] for members in classes]
+
+
+def equivalence_classes(g: CoxeterSymbol) -> Tuple[EquivalenceClass, ...]:
+    """All involution classes of the group, one per move-closure of
+    antipodal subsymbols.  Deterministic: members sorted, classes ordered
+    by (rank, least member).  The closure, the moves and the sorts run on
+    bitmasks (move_classes); masks become node tuples once, for the
+    output.  Not memoized: maximal_rank_class caches its own result."""
+    walk = spherical_subsets(g)
+    subsets = [mask for mask, comps in walk.items()
+               if mask and all(t.antipodal for _, t in comps)]
+    partners: Dict[int, Dict[int, int]] = {}
+    return tuple(EquivalenceClass(tuple(mask_nodes(g, m) for m in members),
+                                  members[0].bit_count())
+                 for members in move_classes(g, subsets,
+                                             lambda sub: _moves(g, walk, sub, partners)))
 
 
 @lru_cache(maxsize=16)

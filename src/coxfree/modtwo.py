@@ -225,20 +225,23 @@ def _walk_from(w: WeylData, s: int) -> Dict[int, Tuple[Tuple[int, ...], List[int
     return walk
 
 
-def type_a_paths(w: WeylData, s: int) -> List[Tuple[Tuple[int, ...], bool]]:
+@lru_cache(maxsize=128)
+def type_a_paths(w: WeylData, s: int) -> Tuple[Tuple[Tuple[int, ...], bool], ...]:
     """(path, faithful) for each minimal path from s whose edges all have
     order 3, so that it induces a type-A subsymbol, in node order of the far
     end; the one-node path (s,) is among them.  faithful says whether the
     x-set of the path spans len(path) + 1 dimensions: for one type-A path,
     whether the pendant map is faithful on the visible type-B subgroup of
-    a pendant at s and that path."""
+    a pendant at s and that path.  Memoized per (Weyl type, node), from w
+    alone, so admissibility, certify and the class table share one walk;
+    the result is an immutable tuple."""
     walk = _walk_from(w, s)
     out = []
     for t in w.symbol.nodes:
         path, xs = walk[t]
         if all(w.symbol.order(a, b) == 3 for a, b in zip(path, path[1:])):
             out.append((path, f2_rank(xs) == len(path) + 1))
-    return out
+    return tuple(out)
 
 
 def _admissibility(w: WeylData, s: int) -> Tuple[bool, bool]:
@@ -290,9 +293,7 @@ def dpsi(w: WeylData) -> int:
     h = w.coxeter_number
     if h % 2 != 0:
         raise ModTwoError(f"Coxeter number {h} is odd")
-    half = wy.mat_pow(wy.coxeter_element(w), h // 2)
-    _, _, d = involution_ker_im(mat_mod2(half), w.rank)
-    return d
+    return half_turn_ker_im(wy.coxeter_element(w), h // 2)[2]
 
 
 def alpha_map(w: WeylData, xi: Matrix, q: int, p: int) -> F2Matrix:
@@ -311,22 +312,26 @@ def alpha_map(w: WeylData, xi: Matrix, q: int, p: int) -> F2Matrix:
     return acc
 
 
-def find_target(w: WeylData, xi: Matrix, q: int, p: int) -> int:
+def half_turn_ker_im(xi: Matrix, k: int) -> Tuple[F2Subspace, F2Subspace, int]:
+    """involution_ker_im of the half-turn g = xi^k mod 2, which must be a
+    nontrivial involution over Z (g = -1, the identity mod 2, is allowed)."""
+    half = wy.mat_pow(xi, k)
+    ident = wy.identity_matrix(len(xi))
+    if half == ident or wy.mat_mul(half, half) != ident:
+        raise ModTwoError(f"xi^{k} is not a half-turn")
+    return involution_ker_im(mat_mod2(half), len(xi))
+
+
+def find_target(w: WeylData, xi: Matrix, q: int, p: int,
+                half_turn: Optional[Tuple[F2Subspace, F2Subspace, int]] = None) -> int:
     """First vector u (lexicographic scan of L/2, coordinate 1 most
     significant) whose alpha image lies in ker(g+1) minus im(g+1), where
-    g is the half-turn xi^(2^(p-1) q) mod 2.
-
-    The half-turn must be a nontrivial involution over Z: g != 1 and
-    g^2 = 1, else ModTwoError.  Only the integer power is checked, so
-    g = -1, which is the identity mod 2 (E8 with xi^15), is allowed.
+    g is the half-turn xi^(2^(p-1) q) mod 2.  half_turn is
+    half_turn_ker_im(xi, 2^(p-1) q), computed here unless the caller holds it.
     """
     n = w.rank
     alpha = alpha_map(w, xi, q, p)
-    half = wy.mat_pow(xi, (2 ** (p - 1)) * q)
-    ident = wy.identity_matrix(n)
-    if half == ident or wy.mat_mul(half, half) != ident:
-        raise ModTwoError("xi^(2^(p-1) q) is not a half-turn")
-    ker, im, _ = involution_ker_im(mat_mod2(half), n)
+    ker, im, _ = half_turn or half_turn_ker_im(xi, (2 ** (p - 1)) * q)
     for val in range(1, 1 << n):
         mask = 0
         for i in range(n):

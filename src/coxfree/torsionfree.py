@@ -12,6 +12,19 @@ t_i for a non-special attachment also to the i-th standard bit.  The
 kernel of the augmented map is torsion free; this module verifies the
 defining relations, certifies torsion-freeness class by class, and
 extends the kernel by a cyclic 2-group built from a Coxeter element.
+
+The involution classes of a pendant symbol form a product: pendant
+configurations times the classes of the Weyl nodes each leaves free
+(_class_table).  Two facts make it one: a finite component through a
+pendant is A1 or B_k, so no exchange move touches it or a neighbour of
+it; and adding a fixed disjoint set keeps the order of sets of one size.
+
+Its caches are derived from their arguments alone, never from a
+certificate, and every value a caller reads is immutable.  Per Weyl
+type: the free classes with their w0 (_weyl_classes), the Weyl relation
+verdicts (_weyl_relations) and the extension's half-turn data
+(_half_turn).  Per symbol: the class table (_class_table, the last two
+symbols) and the letter table of each mode (DaggerSymbol._letters).
 """
 
 from __future__ import annotations
@@ -22,12 +35,12 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import involutions as inv
 from . import modtwo as m2
 from . import weyl as wy
-from .symbols import CoxeterSymbol, component_shape, mask_nodes, mask_sort_key, spherical_subsets
+from .symbols import CoxeterSymbol, SphericalWalk, mask_nodes, mask_sort_key, spherical_subsets
 from .weyl import Matrix, WeylData
 
 WORD_CAP = 10_000
@@ -49,12 +62,7 @@ class DaggerSymbol:
     Attachments are reordered so the plain (admissible but not specially
     admissible) ones come first; ell counts them.  Pendant t_i is joined
     to attachment node i by an order-4 edge and commutes with everything
-    else.
-
-    Two per-symbol memos hang off the instance, derived from its fields
-    alone and dropped with it: the letter table of each mode (_letters)
-    and, per component mask of a spherical subset, that component's
-    sort key, longest word and fold actions (_parts).
+    else.  The letter table of each mode (_letters) is memoized on it.
     """
 
     psi: WeylData
@@ -71,7 +79,7 @@ class DaggerSymbol:
 
     @cached_property
     def _letters(self) -> Mapping[str, Mapping[object, "Action"]]:
-        """Per mode, each generator's fold action: a Weyl node reflects;
+        """Per mode, each generator's action in phi: a Weyl node reflects;
         pendant t_i is the translation by u_i mod 2 in slot i, toggling bit
         i of x in the augmented map for a plain attachment."""
         tables = {}
@@ -79,13 +87,9 @@ class DaggerSymbol:
             letters: Dict[object, Action] = {s: (s, None) for s in self.psi.symbol.nodes}
             for i, t in enumerate(self.pendants):
                 x = 1 << i if mode == "hat" and i < self.ell else 0
-                letters[t] = (t, (x, ((i, _bits(m2.vec_mod2(self.weights[i]))),)))
+                letters[t] = (t, (x, i, tuple(j for j, c in enumerate(self.weights[i]) if c & 1)))
             tables[mode] = MappingProxyType(letters)
         return MappingProxyType(tables)
-
-    @cached_property
-    def _parts(self) -> Dict[int, "Part"]:
-        return {}
 
 
 def build_dagger(psi: WeylData, nodes: Sequence[int]) -> DaggerSymbol:
@@ -152,73 +156,21 @@ def identity_element(slots: int, n: int) -> SemidirectElement:
     return SemidirectElement(0, tuple(0 for _ in range(slots)), wy.identity_matrix(n))
 
 
-def _generator_images(d: DaggerSymbol, mode: str) -> Dict[object, SemidirectElement]:
-    if mode not in ("plain", "hat"):
-        raise DaggerError(f"unknown mode {mode!r}")
-    n = d.psi.rank
-    slots = d.m
-    images: Dict[object, SemidirectElement] = {}
-    zero = tuple(0 for _ in range(slots))
-    for s in d.psi.symbol.nodes:
-        images[s] = SemidirectElement(0, zero, wy.reflection_matrix(d.psi, s))
-    for i, t in enumerate(d.pendants):
-        x = (1 << i) if (mode == "hat" and i < d.ell) else 0
-        v = tuple(m2.vec_mod2(d.weights[i]) if j == i else 0 for j in range(slots))
-        images[t] = SemidirectElement(x, v, wy.identity_matrix(n))
-    return images
-
-
-# A fold action: (s, None) is the reflection of Weyl node s; (t, (x_T,
-# slots)) is a translation (x_T, v_T, 1), slots listing (j, the odd
-# coordinates of v_T[j]) for each nonzero slot j.
-Action = Tuple[object, Optional[Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]]]
-# A component's part: its mask_sort_key, its longest word, its fold actions.
-Part = Tuple[Tuple[int, ...], Tuple, Tuple[Action, ...]]
-
-
-def _bits(v: int) -> Tuple[int, ...]:
-    return tuple(j for j in range(v.bit_length()) if v >> j & 1)
-
-
-class _Fold:
-    """Mutable state (x, v, g), right-multiplied in place by fold actions.
-
-    A reflection s right-multiplies g by s_s.  A translation enters by the
-    semidirect law (x, v, g)(x_T, v_T, 1) = (x + x_T, v + (g mod 2) v_T, g).
-    """
-
-    __slots__ = ("psi", "x", "v", "g")
-
-    def __init__(self, d: DaggerSymbol):
-        self.psi = d.psi
-        self.x = 0
-        self.v = [0] * d.m
-        self.g = [list(r) for r in wy.identity_matrix(d.psi.rank)]
-
-    def apply(self, actions: Iterable[Action]) -> None:
-        psi, v, g = self.psi, self.v, self.g
-        for s, shift in actions:
-            if shift is None:
-                wy.reflect_rows(psi, g, s)
-                continue
-            x, slots = shift
-            self.x ^= x
-            for j, cols in slots:
-                for r, row in enumerate(g):
-                    if sum([row[c] for c in cols]) & 1:
-                        v[j] ^= 1 << r
-
-    def element(self) -> SemidirectElement:
-        return SemidirectElement(self.x, tuple(self.v), tuple(map(tuple, self.g)))
+# A letter's action: (s, None) is the reflection of Weyl node s; (t, (x_T,
+# j, cols)) is a translation (x_T, v_T, 1) whose one nonzero slot j has its
+# odd coordinates at cols.
+Action = Tuple[object, Optional[Tuple[int, int, Tuple[int, ...]]]]
 
 
 def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement:
     """Image of a word in the generators of the pendant symbol.
 
-    The word is folded into mutable state through the symbol's letter
-    table of the mode: a Weyl letter s right-multiplies g by s_s in place;
-    a pendant letter t_i toggles bit i of x (augmented map, plain pendants
-    only) and adds g u_i mod 2 to slot i of v.
+    The word is folded into mutable state (x, v, g) through the symbol's
+    letter table of the mode: a Weyl letter s right-multiplies g by s_s in
+    place; a pendant letter enters as its translation by the semidirect
+    law (x, v, g)(x_T, v_T, 1) = (x + x_T, v + (g mod 2) v_T, g), which
+    toggles bit i of x (augmented map, plain pendants only) and adds
+    g u_i mod 2 to slot i of v.
     """
     if len(word) > WORD_CAP:
         raise DaggerError(f"word longer than the {WORD_CAP} cap")
@@ -229,9 +181,19 @@ def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement
         actions = [letters[s] for s in word]
     except KeyError as exc:
         raise DaggerError(f"unknown generator {exc.args[0]!r}") from None
-    fold = _Fold(d)
-    fold.apply(actions)
-    return fold.element()
+    psi = d.psi
+    x, v = 0, [0] * d.m
+    g = [list(r) for r in wy.identity_matrix(psi.rank)]
+    for s, shift in actions:
+        if shift is None:
+            wy.reflect_rows(psi, g, s)
+            continue
+        dx, j, cols = shift
+        x ^= dx
+        for r, row in enumerate(g):
+            if sum([row[c] for c in cols]) & 1:
+                v[j] ^= 1 << r
+    return SemidirectElement(x, tuple(v), tuple(map(tuple, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +231,35 @@ class Certificate:
         }
 
 
+@lru_cache(maxsize=16)
+def _weyl_relations(psi: WeylData) -> Mapping[Tuple[int, int], bool]:
+    """Whether each relation between two Weyl letters holds: its word's
+    product of reflections is the identity.  The verdict depends on psi
+    alone, so it is computed once per Weyl type."""
+    g = psi.symbol
+    one = wy.identity_matrix(psi.rank)
+    pairs = [(a, a) for a in g.nodes] + list(itertools.combinations(g.nodes, 2))
+    return MappingProxyType({(a, b): wy.word_to_matrix(psi, [a, b] * g.order(a, b)) == one
+                             for a, b in pairs})
+
+
 def verify_relations(d: DaggerSymbol, mode: str = "hat") -> Certificate:
-    """Check every defining relation of the pendant symbol in the image,
-    each word folded through the symbol's letter table of the mode."""
+    """Check every defining relation of the pendant symbol in the image:
+    a relation between two Weyl letters by its per-type verdict
+    (_weyl_relations), every other by folding its word through phi."""
+    if mode not in ("plain", "hat"):
+        raise DaggerError(f"unknown mode {mode!r}")
+    weyl = _weyl_relations(d.psi)
     steps = []
-    gens = list(d.gamma.nodes)
-    for a in gens:
-        word = [a, a]
-        ok = phi(d, word, mode).is_identity()
-        steps.append(CertStep("relation", {"generators": [str(a)], "order": 1,
-                                           "relation_word": [str(x) for x in word]}, ok))
-    for a, b in itertools.combinations(gens, 2):
+    gens = d.gamma.nodes
+    for a, b in [(a, a) for a in gens] + list(itertools.combinations(gens, 2)):
         m = d.gamma.order(a, b)
         word = [a, b] * m
-        ok = phi(d, word, mode).is_identity()
-        steps.append(CertStep("relation", {"generators": [str(a), str(b)], "order": m,
+        ok = weyl.get((a, b))
+        if ok is None:
+            ok = phi(d, word, mode).is_identity()
+        steps.append(CertStep("relation", {"generators": [str(a)] if a == b else [str(a), str(b)],
+                                           "order": m,
                                            "relation_word": [str(x) for x in word]}, ok))
     return Certificate("homomorphism-check", mode, tuple(steps))
 
@@ -291,8 +267,7 @@ def verify_relations(d: DaggerSymbol, mode: str = "hat") -> Certificate:
 def enumerate_image(d: DaggerSymbol, mode: str = "hat", cap: int = CLOSURE_CAP) -> int:
     """Order of the image subgroup by breadth-first closure of the
     generator images.  Raises when the closure exceeds cap."""
-    images = _generator_images(d, mode)
-    gens = [images[s] for s in d.gamma.nodes]
+    gens = [phi(d, [s], mode) for s in d.gamma.nodes]
     seen = m2.bfs_closure(identity_element(d.m, d.psi.rank), gens, operator.mul, cap)
     if len(seen) > cap:
         raise DaggerError(f"closure exceeds cap {cap}")
@@ -337,56 +312,60 @@ def _b_longest_word(pendant, path: Sequence[int]) -> List:
     return word
 
 
-def _component_longest_word(d: DaggerSymbol, comp: Sequence) -> List:
-    psi_nodes = set(d.psi.symbol.nodes)
-    comp = list(comp)
-    pend = [v for v in comp if v not in psi_nodes]
-    if not pend:
-        return list(wy.longest_word(d.psi, comp))
-    if len(pend) != 1:
-        raise DaggerError("component with two pendants is never finite")
-    t = pend[0]
-    shape = component_shape(d.gamma, comp)
-    if shape is None or shape[0] is not None:
-        raise DaggerError("pendant component is not a path")
-    path = shape[1][0]
-    if path[0] != t:
-        path = path[::-1]
-    return _b_longest_word(t, path[1:])
+@lru_cache(maxsize=16)
+def _weyl_classes(psi: WeylData) -> Tuple[SphericalWalk, Mapping[int, Tuple[int, ...]], Dict]:
+    """What the class tables of every pendant symbol over one Weyl type
+    share, from psi alone: psi's walk, each antipodal node mask of psi with
+    the masks one exchange move away (read off that walk once), and the
+    classes of each free mask met so far (_build_free_classes)."""
+    g = psi.symbol
+    walk = spherical_subsets(g)
+    partners: Dict[int, Dict[int, int]] = {}
+    moves = {mask: tuple(inv._moves(g, walk, mask, partners))
+             for mask, comps in walk.items() if mask and all(t.antipodal for _, t in comps)}
+    return walk, MappingProxyType(moves), {}
 
 
-def _component_part(d: DaggerSymbol, comp: int) -> "Part":
-    """(sort key, longest word, fold actions) of one component mask of a
-    spherical subset, memoized in d._parts.  A component of the Weyl part
-    acts by the letters of its word.  A component through a pendant acts
-    by one translation: its word's image under phi (augmented map), which
-    must fix the Weyl part, since its word cancels once the pendant is
-    erased.
-    """
-    part = d._parts.get(comp)
-    if part is None:
-        nodes = mask_nodes(d.gamma, comp)
-        word = tuple(_component_longest_word(d, nodes))
-        if set(nodes) <= set(d.psi.symbol.nodes):
-            letters = d._letters["hat"]
-            actions = tuple(letters[s] for s in word)
-        else:
-            image = phi(d, word, "hat")
-            if image.g != wy.identity_matrix(d.psi.rank):
-                raise DaggerError("pendant component image moves the Weyl part")
-            slots = tuple((j, _bits(vj)) for j, vj in enumerate(image.v) if vj)
-            actions = ((None, (image.x, slots)),)
-        part = d._parts[comp] = (mask_sort_key(d.gamma, comp), word, actions)
-    return part
+def _build_free_classes(psi: WeylData, free: int) -> Tuple[Tuple, ...]:
+    """The classes of the subdiagram on free: the move-closures of psi's
+    antipodal sets inside free under psi's moves that stay inside it (a
+    move adds a node and removes one of the component through it).  Each
+    is (member masks, (sort key, longest word) of each component of the
+    least member, w0 of the least member)."""
+    g = psi.symbol
+    walk, moves, _ = _weyl_classes(psi)
+    inside = [mask for mask in moves if not mask & ~free]
+    out = []
+    for members in inv.move_classes(g, inside,
+                                    lambda mask: [m for m in moves[mask] if not m & ~free]):
+        parts = tuple((mask_sort_key(g, comp), wy.longest_word(psi, mask_nodes(g, comp)))
+                      for comp, _ in walk[members[0]])
+        w0 = wy.word_to_matrix(psi, [s for _, word in parts for s in word])
+        out.append((tuple(members), parts, w0))
+    return tuple(out)
 
 
-def _subset_parts(d: DaggerSymbol, subset: Sequence) -> List["Part"]:
-    """The parts of the components of a spherical subset, ordered by least
-    node (components are disjoint, so their sort keys differ there)."""
+def _pendant_components(d: DaggerSymbol, i: int) -> List[Tuple]:
+    """The finite components through pendant t_i: t_i alone (A1), and t_i
+    with each type-A path from s_i (B_k).  Each is (mask, mask with its
+    neighbours, (sort key, longest word), x, v_i), where (x, v, 1) is the
+    word's image under the augmented map and v_i its slot i, the only one
+    it moves.  The image must fix the Weyl part, since the word cancels
+    once the pendant is erased."""
     gamma = d.gamma
-    chosen = set(subset)
-    mask = sum(1 << i for i, v in enumerate(gamma.nodes) if v in chosen)
-    return sorted(_component_part(d, comp) for comp, _ in spherical_subsets(gamma)[mask])
+    bit = {v: 1 << k for k, v in enumerate(gamma.nodes)}
+    t = d.pendants[i]
+    out = []
+    for path in [()] + [path for path, _ in m2.type_a_paths(d.psi, d.attachments[i])]:
+        nodes = (t,) + path
+        mask = sum(bit[v] for v in nodes)
+        around = mask | sum(bit[w] for w in {w for v in nodes for w in gamma.neighbors(v)})
+        word = tuple(_b_longest_word(t, path))
+        image = phi(d, word, "hat")
+        if image.g != wy.identity_matrix(d.psi.rank):
+            raise DaggerError("pendant component image moves the Weyl part")
+        out.append((mask, around, (mask_sort_key(gamma, mask), word), image.x, image.v[i]))
+    return out
 
 
 @lru_cache(maxsize=2)
@@ -396,35 +375,64 @@ def _class_table(d: DaggerSymbol
     symbol: the longest word of its canonical antipodal subsymbol and that
     word's image under the augmented map.
 
-    The image is a fold over the components in least-node order: a Weyl
-    component applies its letters to g in place, as phi does, and a
-    pendant component enters as its own image (x_P, v_P, 1) by the
-    semidirect law, the arithmetic phi does letter by letter.  Its caches:
-    the table itself, per symbol (memoized by value for the last two
-    symbols, so that certify, the certify a replay re-derives, and the
-    class exclusions of the cyclic extension share it); the letter table,
-    per symbol and mode (d._letters); each component's word and actions,
-    per component mask of the symbol (d._parts); and the reduced words of
-    Weyl components, per Weyl type and node set (weyl.longest_word).  All
-    are derived from d alone, none is ever filled from a certificate, and
-    every entry is immutable, so a caller cannot change what the next one
-    reads.
+    The table is a product, by two facts.  (a) A finite component through
+    a pendant t_i is t_i alone (A1) or t_i with a type-A path from s_i
+    (B_k); both are antipodal, so no exchange move adds or removes a node
+    of a pendant component, or a neighbour of one.  A configuration U
+    picks, for each pendant, none or one of these, its picks disjoint and
+    not adjacent.  With F the Weyl nodes neither in U nor next to it, the
+    classes through U are {U + A : A in C} for each class C of F, and {U}
+    when U is not empty.  (b) Adding a fixed disjoint set keeps the
+    mask_sort_key order of sets of one size: the least node where two
+    such sets differ stays the same.  So each class keeps the member
+    order of C, and U + (least member of C) is its canonical member.
+    Classes are ordered by (rank, least member), as equivalence_classes
+    orders them; the tests take that generic closure as the reference.
 
-    One table serves both modes.  Plain mode is certified only when every
-    attachment is special; then ell = 0 and the two maps agree on every
-    generator.
+    The word lists the components' longest words in least-node order.  The
+    components commute and phi is a homomorphism (certify's step 1), so
+    the image is (x_U, v_U, w0): the product of U's pendant translations,
+    with the w0 of the least member of C.  One table serves both modes:
+    plain mode is certified only when every attachment is special, and
+    then the two maps agree on every generator.
     """
-    out = []
-    for cls in inv.equivalence_classes(d.gamma):
-        parts = _subset_parts(d, cls.canonical)
-        word = tuple(s for _, part_word, _ in parts for s in part_word)
+    gamma = d.gamma
+    weyl = (1 << d.psi.rank) - 1
+    one = wy.identity_matrix(d.psi.rank)
+    built = _weyl_classes(d.psi)[2]
+    rows = []
+
+    def add(members, parts, image):
+        word = tuple(s for _, part in sorted(parts) for s in part)
         if len(word) > WORD_CAP:
             raise DaggerError(f"word longer than the {WORD_CAP} cap")
-        fold = _Fold(d)
-        for _, _, actions in parts:
-            fold.apply(actions)
-        out.append((cls, word, fold.element()))
-    return tuple(out)
+        key = mask_sort_key(gamma, members[0])
+        rows.append(((len(key), key), members, word, image))
+
+    # (pendant mask, closed mask, x, pick per pendant so far), extended one
+    # pendant at a time by the picks disjoint from and not next to the rest.
+    configs = [(0, 0, 0, ())]
+    for i in range(d.m):
+        options = [None] + _pendant_components(d, i)
+        configs = [(pend | c[0], closed | c[1], x ^ c[3], picks + (c,)) if c
+                   else (pend, closed, x, picks + (None,))
+                   for pend, closed, x, picks in configs
+                   for c in options if not (c and c[0] & closed)]
+    for pend, closed, x, picks in configs:
+        parts = [c[2] for c in picks if c]
+        v = tuple(c[4] if c else 0 for c in picks)
+        if pend:
+            add((pend,), parts, SemidirectElement(x, v, one))
+        free = weyl & ~closed
+        if free not in built:
+            built[free] = _build_free_classes(d.psi, free)
+        for members, free_parts, w0 in built[free]:
+            add(tuple(pend | m for m in members), parts + list(free_parts),
+                SemidirectElement(x, v, w0))
+    rows.sort(key=operator.itemgetter(0))
+    return tuple((inv.EquivalenceClass(tuple(mask_nodes(gamma, m) for m in members), rank),
+                  word, image)
+                 for (rank, _), members, word, image in rows)
 
 
 def _structure_violations(d: DaggerSymbol) -> List[dict]:
@@ -470,11 +478,8 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     subgroup of its pendant and that path, the flag modtwo.type_a_paths
     gives it (the check admissibility ran); one that is not faithful
     must be parity compensated: hat mode, a non-special attachment, odd
-    rank, and a longest element that survives the map.
-
-    The class words and images of step (2) are read from _class_table, a
-    same-process cache per symbol derived from d alone, as are its letter
-    and per-component caches; none holds anything taken from a certificate.
+    rank, and a longest element that survives the map.  Steps (1) and (2)
+    read the module's caches (_weyl_relations, _class_table).
     """
     if mode == "plain" and not all(d.special):
         raise DaggerError("plain-mode certification needs specially admissible attachments")
@@ -532,14 +537,6 @@ class CyclicExtension:
     certificate: Certificate
 
 
-def _two_adic(n: int) -> Tuple[int, int]:
-    p = 0
-    while n % 2 == 0:
-        n //= 2
-        p += 1
-    return p, n
-
-
 @lru_cache(maxsize=16)
 def _half_turn(psi: WeylData) -> Tuple[str, int, Matrix, int, m2.F2Subspace, m2.F2Subspace]:
     """What the extension of every pendant symbol over one Weyl type
@@ -561,15 +558,16 @@ def _half_turn(psi: WeylData) -> Tuple[str, int, Matrix, int, m2.F2Subspace, m2.
         p, q = 3, 1
         route = "visible-D5"
     else:
-        p, q = _two_adic(psi.coxeter_number)
+        h = psi.coxeter_number
+        p = (h & -h).bit_length() - 1  # h = 2^p q with q odd
+        q = h >> p
         xi = wy.coxeter_element(psi)
         route = "generic"
     xi_q = wy.mat_pow(xi, q)
-    half = wy.mat_pow(xi_q, 2 ** (p - 1))
-    ker, im, defect = m2.involution_ker_im(m2.mat_mod2(half), psi.rank)
+    ker, im, defect = half_turn = m2.half_turn_ker_im(xi_q, 2 ** (p - 1))
     if route == "generic" and defect <= 1:
         raise DaggerError("kernel/image defect is too small for the generic route")
-    u = m2.find_target(psi, xi, q, p)
+    u = m2.find_target(psi, xi, q, p, half_turn)
     return route, p, xi_q, u, ker, im
 
 
@@ -581,14 +579,9 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
     copy of Z/2^p avoiding every involution class in the image of the
     group.  Odd-rank type A uses the Coxeter half-turn directly (p = 1);
     E6 does better through a Coxeter element of its visible D5, giving
-    p = 3 instead of the generic p = 2.
-
-    Its caches: the route, xi^q, the target u and the half-turn's kernel
-    and image, per Weyl type (_half_turn); the class table, per
-    symbol, with its letter and per-component caches (_class_table).  All
-    are derived from d alone and none is ever filled from a certificate.
-    Everything that depends on the pendants (zeta, its powers, the slot
-    checks, the class exclusions) is computed afresh on each call.
+    p = 3 instead of the generic p = 2.  It reads _half_turn and
+    _class_table; everything that depends on the pendants (zeta, its
+    powers, the slot checks, the class exclusions) is computed afresh.
     """
     psi = d.psi
     n = psi.rank
@@ -659,15 +652,8 @@ def replay_certificate(d: DaggerSymbol, cert: Certificate) -> bool:
     certificate replays only when it equals the fresh one field for
     field.  An unknown kind, or one that cannot be re-derived for d (a
     DaggerError, such as plain mode on a non-special attachment or an
-    unknown mode), does not replay.
-
-    The same-process caches it reads are derived from d alone, never from
-    the objects cert records: the class table, per symbol, with its letter
-    table per symbol and mode and its component words and actions per
-    component mask (_class_table); and the extension's half-turn data, per
-    Weyl type (_half_turn).  A replay in a fresh process recomputes them;
-    in the process that certified, it compares cert with a certificate
-    freshly derived from the same caches.
+    unknown mode), does not replay.  The module's caches it reads hold
+    nothing taken from cert.
     """
     derive = {
         "torsion-free": lambda: certify_torsion_free(d, cert.mode),

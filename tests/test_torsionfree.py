@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import itertools
 import operator
 import random
 import warnings
@@ -24,9 +25,24 @@ from coxfree import weyl as wy
 from coxfree.symbols import spherical_subsets
 
 
+def _generator_images(d, mode):
+    """Each generator's image built from its definition: a Weyl node's
+    reflection matrix; pendant t_i's translation by u_i mod 2 in slot i,
+    with bit i of x set in hat mode for a plain attachment."""
+    n, slots = d.psi.rank, d.m
+    zero = (0,) * slots
+    images = {s: tf.SemidirectElement(0, zero, wy.reflection_matrix(d.psi, s))
+              for s in d.psi.symbol.nodes}
+    for i, t in enumerate(d.pendants):
+        x = 1 << i if mode == "hat" and i < d.ell else 0
+        v = tuple(m2.vec_mod2(d.weights[i]) if j == i else 0 for j in range(slots))
+        images[t] = tf.SemidirectElement(x, v, wy.identity_matrix(n))
+    return images
+
+
 def _fold(d, word, mode):
     """phi as the left fold of the generator images under the group product."""
-    images = tf._generator_images(d, mode)
+    images = _generator_images(d, mode)
     acc = tf.identity_element(d.m, d.psi.rank)
     for s in word:
         acc = acc * images[s]
@@ -206,49 +222,57 @@ class TestReplay:
         assert replay_certificate(d, dataclasses.replace(cert, mode="other")) is False
 
 
-def _count_subset_parts(monkeypatch):
+def _count(monkeypatch, owner, name):
+    """Record the positional arguments of every call of owner.name."""
     calls = []
-    original = tf._subset_parts
+    original = getattr(owner, name)
 
-    def counting(d, subset):
-        calls.append(subset)
-        return original(d, subset)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(tf, "_subset_parts", counting)
-    tf._class_table.cache_clear()
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
 class TestClassTable:
     def test_words_are_built_once_per_class(self, monkeypatch):
-        calls = _count_subset_parts(monkeypatch)
+        # The table, with each class's word, is built once per symbol, and
+        # the walk of the pendant symbol runs once, in the structure check.
+        built = _count(monkeypatch, tf, "_pendant_components")
+        tf._class_table.cache_clear()
+        tf._weyl_classes.cache_clear()
+        spherical_subsets.cache_clear()
         d = build_dagger(weyl_data("E6"), [1])
         cert = certify_torsion_free(d, "hat")
         # An equal symbol built afresh, as each pipeline stage may do, shares the table.
         assert replay_certificate(build_dagger(weyl_data("E6"), [1]), cert)
         assert cyclic_extension(d).certificate.ok
-        assert len(calls) == len(inv.equivalence_classes(d.gamma))
+        assert built == [(d, 0)] and tf._class_table.cache_info().misses == 1
+        # Two walks: the pendant symbol's and E6's own, from which the free
+        # classes and maximal_rank_class read.
+        assert spherical_subsets.cache_info().misses == 2
+        assert spherical_subsets.cache_info().currsize == 2
 
     def test_both_modes_share_the_words(self, monkeypatch):
-        calls = _count_subset_parts(monkeypatch)
+        built = _count(monkeypatch, tf, "_pendant_components")
+        tf._class_table.cache_clear()
         d = build_dagger(weyl_data("D", 8), [2, 6])
         hat = certify_torsion_free(d, "hat")
         plain = certify_torsion_free(d, "plain")
         assert hat.ok and plain.ok
-        assert len(calls) == len(inv.equivalence_classes(d.gamma)) == 199
+        assert built == [(d, 0), (d, 1)]  # one call per pendant, for the one table
+        assert len(tf._class_table(d)) == len(inv.equivalence_classes(d.gamma)) == 199
 
     def test_one_weight_vector_per_attachment(self, monkeypatch):
+        # build_dagger walked the type-A paths from each attachment; certify
+        # and its replay read the memoized walk and compute no u_s again.
         d = build_dagger(weyl_data("E8"), [1, 8])
-        calls = []
-        original = m2.weight_vector
-
-        def counting(w, s):
-            calls.append(s)
-            return original(w, s)
-
-        monkeypatch.setattr(m2, "weight_vector", counting)
-        assert certify_torsion_free(d, "hat").ok
-        assert sorted(calls) == [1, 8]
+        weights = _count(monkeypatch, m2, "weight_vector")
+        walks = _count(monkeypatch, m2, "_walk_from")
+        cert = certify_torsion_free(d, "hat")
+        assert cert.ok and replay_certificate(d, cert)
+        assert weights == [] and walks == []
 
     def test_warm_table_trusts_nothing(self):
         d = build_dagger(weyl_data("E6"), [1])
@@ -276,8 +300,9 @@ class TestClassTable:
 
 
 class TestClassFold:
-    """The table folds each class image over its components; phi evaluates
-    the class word letter by letter, and _fold multiplies generator images."""
+    """The table builds each class image from its pendant configuration
+    and the w0 of its free part; phi evaluates the class word letter by
+    letter, and _fold multiplies generator images."""
 
     @pytest.mark.parametrize("args,nodes", [(("A", 5), (2, 4)), (("B", 4), (2,)),
                                             (("D", 8), (2, 6)), (("E6",), (1, 3, 5)),
@@ -348,30 +373,79 @@ class TestWorkCounters:
         tf._half_turn.cache_clear()
         assert cyclic_extension(build_dagger(weyl_data("E8"), [1])).certificate.ok
         assert "find_target" in calls and "mat_pow" in calls and "coxeter_element" in calls
-        # One kernel and image for the half-turn's own data and one inside
-        # find_target; the generic route's defect is read off the first.
-        assert calls.count("involution_ker_im") == 2 and "dpsi" not in calls
+        # One kernel and image for the half-turn, which find_target reads
+        # too; the generic route's defect is read off the same one.
+        assert calls.count("involution_ker_im") == 1 and "dpsi" not in calls
         calls.clear()
         assert cyclic_extension(build_dagger(weyl_data("E8"), [8])).certificate.ok
         assert calls == []
 
-    def test_one_word_per_component_mask(self, monkeypatch):
-        d = build_dagger(weyl_data("E6"), [1, 3, 5])
-        built = []
-        original = tf._component_longest_word
-
-        def counting(d, comp):
-            built.append(tuple(comp))
-            return original(d, comp)
-
-        monkeypatch.setattr(tf, "_component_longest_word", counting)
+    def test_free_classes_once_per_free_mask(self, monkeypatch):
+        calls = _count(monkeypatch, tf, "_build_free_classes")
         tf._class_table.cache_clear()
+        tf._weyl_classes.cache_clear()
+        e6 = weyl_data("E6")
+        seen = set()
+        for nodes, count in (((1, 3, 5), 22), ((1, 3, 6), 6)):
+            calls.clear()
+            d = build_dagger(e6, nodes)
+            assert certify_torsion_free(d).ok
+            built = [free for _, free, *_ in calls]
+            assert len(built) == len(set(built)) == count
+            assert not seen & set(built)  # masks met before are not rebuilt
+            seen |= set(built)
+            assert seen >= _free_masks(d)
+        assert seen == _free_masks(build_dagger(e6, (1, 3, 5))) | _free_masks(d)
+
+
+def _free_masks(d):
+    """The Weyl nodes each pendant configuration of d leaves free, read off
+    the generic walk: for each antipodal subset, the Weyl nodes neither in
+    nor next to its components through a pendant."""
+    gamma = d.gamma
+    index = {v: i for i, v in enumerate(gamma.nodes)}
+    weyl = (1 << d.psi.rank) - 1
+    out = set()
+    for mask, comps in spherical_subsets(gamma).items():
+        if not all(t.antipodal for _, t in comps):
+            continue
+        closed = 0
+        for comp, _ in comps:
+            if comp & ~weyl:
+                nodes = [v for v in gamma.nodes if comp >> index[v] & 1]
+                closed |= comp | sum(1 << index[w] for w in
+                                     {w for v in nodes for w in gamma.neighbors(v)})
+        out.add(weyl & ~closed)
+    return out
+
+
+class TestProductTable:
+    """The class table built from pendant configurations against the
+    generic closure: the same classes in the same order, each image phi of
+    its word, and no pendant component that is not A1 or B_k."""
+
+    @staticmethod
+    def _check(args, nodes):
+        d = build_dagger(weyl_data(*args), nodes)
         table = tf._class_table(d)
-        walk = spherical_subsets(d.gamma)
-        index = {v: i for i, v in enumerate(d.gamma.nodes)}
-        masks = {comp for cls, _, _ in table
-                 for comp, _ in walk[sum(1 << index[v] for v in cls.canonical)]}
-        assert len(built) == len(set(built)) == len(masks)
+        assert tuple(cls for cls, _, _ in table) == inv.equivalence_classes(d.gamma), nodes
+        for _, word, image in table:
+            assert image == phi(d, word, "hat"), (nodes, word)
+        assert tf._structure_violations(d) == []
+
+    @pytest.mark.parametrize("args", [("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
+                             + [("D", r) for r in range(4, 7)] + [("E6",), ("F4",), ("G2",)],
+                             ids=lambda args: "".join(map(str, args)))
+    def test_every_set_of_at_most_three_pendants(self, args):
+        admissible = [s for s, _ in m2.admissible_nodes(weyl_data(*args))]
+        for k in range(4):
+            for nodes in itertools.combinations(admissible, k):
+                self._check(args, nodes)
+
+    @pytest.mark.parametrize("args,nodes", [(("E7",), (1, 2)), (("E8",), (1, 8)),
+                                            (("D", 8), (2, 6)), (("E6",), (1, 2, 3, 4, 5, 6))])
+    def test_larger_symbols(self, args, nodes):
+        self._check(args, nodes)
 
 
 class TestExtensionIndex:
