@@ -34,9 +34,8 @@ def _emit(payload: dict, quiet: bool, note: str = "") -> None:
 
 
 def _read_symbol(args) -> sym.CoxeterSymbol:
-    path = getattr(args, "file", None) or getattr(args, "symbol", None)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
+    if args.file:
+        with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
@@ -149,7 +148,7 @@ def _cmd_tf(args) -> int:
     # extend
     ext = tf.cyclic_extension(d)
     payload = ext.certificate.to_json()
-    payload["zeta"] = tf._element_json(ext.zeta)
+    payload["zeta"] = ext.zeta.to_json()
     _emit(payload, args.quiet,
           note="\n".join(f"[{'ok' if s.ok else 'FAIL'}] {s.name}" for s in ext.certificate.steps))
     return 0 if ext.certificate.ok else CHECK_FAILED
@@ -195,7 +194,6 @@ def _parser() -> argparse.ArgumentParser:
 
     pi = sub.add_parser("involutions")
     pi.add_argument("action", choices=["classes"])
-    pi.add_argument("--symbol")
     pi.add_argument("--file")
 
     pt = sub.add_parser("tf")

@@ -45,23 +45,11 @@ class PiMonomial:
             if other.power != self.power:
                 raise GeometryError("pi powers differ")
             return self.coeff / other.coeff
-        if isinstance(other, (int, Fraction)):
-            return PiMonomial(self.coeff / other, self.power)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, PiMonomial):
-            if other.power != self.power:
-                raise GeometryError("pi powers differ")
-            return PiMonomial(self.coeff + other.coeff, self.power)
         return NotImplemented
 
     def to_json(self) -> dict:
         return {"num": self.coeff.numerator, "den": self.coeff.denominator,
                 "pi_power": self.power}
-
-    def __str__(self):
-        return f"({self.coeff})*pi^{self.power}"
 
 
 @lru_cache(maxsize=None)

@@ -11,23 +11,26 @@ on an antipodal type, the path reversed for A_n and I2(odd), the two
 equal arms at the branch node swapped for D_odd and E6.  This module
 enumerates the subsymbols from the spherical-subset walk, closes them
 under the moves, and picks out the unique class of maximal rank of an
-irreducible Weyl group.  equivalence_classes is the generic closure, for
-any symbol: the `involutions classes` verb, maximal_rank_class and the
-tests' oracle call it.  The class table of a pendant symbol
-(torsionfree._class_table) is built instead from its pendant
-configurations and move_classes on the Weyl nodes each leaves free.
+irreducible Weyl group.  The moves are built once per symbol, in
+_move_table; move_classes closes the masks inside a node mask under
+them, and elementary_moves reads them.  equivalence_classes formats
+move_classes of a whole symbol: the `involutions classes` verb,
+maximal_rank_class and the tests' oracle call it.  The class table of a
+pendant symbol (torsionfree._class_table) is built instead from its
+pendant configurations and move_classes of its Weyl type on the nodes
+each leaves free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .symbols import (
     CoxeterSymbol,
     FiniteType,
-    SphericalWalk,
     SymbolError,
     classify_finite_type,
     component_shape,
@@ -75,32 +78,38 @@ def _opposition(g: CoxeterSymbol, comp: Sequence, t: FiniteType) -> Dict:
     return pi
 
 
-def _moves(g: CoxeterSymbol, walk: SphericalWalk, mask: int,
-           partners: Dict[int, Dict[int, int]]) -> List[int]:
-    """Masks one exchange move away from the antipodal set mask.
-
-    partners memoizes, per component mask, the opposition as a map from
-    bit to bit.
-    """
-    results = []
-    free = (1 << g.rank) - 1 & ~mask
-    while free:
-        bit = free & -free
-        free ^= bit
-        comps = walk.get(mask | bit)
-        if comps is None:
+@lru_cache(maxsize=16)
+def _move_table(g: CoxeterSymbol) -> Mapping[int, Tuple[int, ...]]:
+    """Each antipodal mask of g's walk, mapped to the masks one exchange
+    move away (elementary_moves says what a move is).  Built once per
+    symbol, memoizing the opposition of each component mask on the way."""
+    walk = spherical_subsets(g)
+    full = (1 << g.rank) - 1
+    partners: Dict[int, Dict[int, int]] = {}
+    table = {}
+    for mask, comps in walk.items():
+        if not mask or not all(t.antipodal for _, t in comps):
             continue
-        for comp, t in comps:
-            if comp & bit:
-                break
-        if t.antipodal:
-            continue
-        if comp not in partners:
-            bit_of = {v: 1 << i for i, v in enumerate(g.nodes) if comp >> i & 1}
-            partners[comp] = {bit_of[a]: bit_of[b] for a, b in
-                              _opposition(g, mask_nodes(g, comp), t).items()}
-        results.append((mask | bit) & ~partners[comp][bit])
-    return results
+        moves = []
+        rest = full & ~mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            grown = walk.get(mask | bit)
+            if grown is None:
+                continue
+            for comp, t in grown:
+                if comp & bit:
+                    break
+            if t.antipodal:
+                continue
+            if comp not in partners:
+                bit_of = {v: 1 << i for i, v in enumerate(g.nodes) if comp >> i & 1}
+                partners[comp] = {bit_of[a]: bit_of[b] for a, b in
+                                  _opposition(g, mask_nodes(g, comp), t).items()}
+            moves.append((mask | bit) & ~partners[comp][bit])
+        table[mask] = tuple(moves)
+    return MappingProxyType(table)
 
 
 def elementary_moves(g: CoxeterSymbol, t_nodes) -> List[Tuple]:
@@ -110,19 +119,18 @@ def elementary_moves(g: CoxeterSymbol, t_nodes) -> List[Tuple]:
     through s is finite but not antipodal, the move adds s and removes the
     image of s under that component's opposition involution (s itself
     when s lies on its axis of symmetry).  Whether T is antipodal and the
-    moves are both read off the spherical-subset walk of g, which raises
-    SymbolError past MAX_NODES, as it does for a node not in g.
+    moves are both read off g's move table, whose walk raises SymbolError
+    past MAX_NODES, as it does for a node not in g.
     """
     t_set = set(t_nodes)
     unknown = t_set - set(g.nodes)
     if unknown:
         raise SymbolError(f"unknown nodes {sorted(unknown, key=node_sort_key)!r}")
-    walk = spherical_subsets(g)
+    table = _move_table(g)
     mask = sum(1 << i for i, v in enumerate(g.nodes) if v in t_set)
-    comps = walk.get(mask)
-    if not mask or comps is None or not all(t.antipodal for _, t in comps):
+    if mask not in table:
         raise InvolutionError("moves are defined on antipodal subsymbols only")
-    return [mask_nodes(g, m) for m in _moves(g, walk, mask, {})]
+    return [mask_nodes(g, m) for m in table[mask]]
 
 
 @dataclass(frozen=True)
@@ -137,12 +145,16 @@ class EquivalenceClass:
         return self.members[0]
 
 
-def move_classes(g: CoxeterSymbol, subsets: Sequence[int],
-                 moves: Callable[[int], Iterable[int]]) -> List[List[int]]:
-    """The move-closures of the antipodal masks subsets of g, where
-    moves(mask) lists the masks of subsets one exchange move away.  Each
-    closure's masks are sorted by mask_sort_key, and the closures by
-    (rank, least member)."""
+def move_classes(g: CoxeterSymbol, free: Optional[int] = None) -> List[List[int]]:
+    """The move-closures of g's antipodal masks inside the node mask free
+    (all of g when None), under the moves of g's move table that stay
+    inside free.  These are the classes of the subdiagram on free: a move
+    adds s and removes a node of the component through s.  Each closure's
+    masks are sorted by mask_sort_key, and the closures by (rank, least
+    member)."""
+    table = _move_table(g)
+    outside = 0 if free is None else ~free
+    subsets = [mask for mask in table if not mask & outside]
     parent = {m: m for m in subsets}
 
     def find(x):
@@ -152,7 +164,9 @@ def move_classes(g: CoxeterSymbol, subsets: Sequence[int],
         return x
 
     for sub in subsets:
-        for moved in moves(sub):
+        for moved in table[sub]:
+            if moved & outside:
+                continue
             ra, rb = find(sub), find(moved)
             if ra != rb:
                 parent[ra] = rb
@@ -169,15 +183,11 @@ def equivalence_classes(g: CoxeterSymbol) -> Tuple[EquivalenceClass, ...]:
     antipodal subsymbols.  Deterministic: members sorted, classes ordered
     by (rank, least member).  The closure, the moves and the sorts run on
     bitmasks (move_classes); masks become node tuples once, for the
-    output.  Not memoized: maximal_rank_class caches its own result."""
-    walk = spherical_subsets(g)
-    subsets = [mask for mask, comps in walk.items()
-               if mask and all(t.antipodal for _, t in comps)]
-    partners: Dict[int, Dict[int, int]] = {}
+    output.  Only the move table is memoized: maximal_rank_class caches
+    its own result."""
     return tuple(EquivalenceClass(tuple(mask_nodes(g, m) for m in members),
                                   members[0].bit_count())
-                 for members in move_classes(g, subsets,
-                                             lambda sub: _moves(g, walk, sub, partners)))
+                 for members in move_classes(g))
 
 
 @lru_cache(maxsize=16)

@@ -21,10 +21,11 @@ it; and adding a fixed disjoint set keeps the order of sets of one size.
 
 Its caches are derived from their arguments alone, never from a
 certificate, and every value a caller reads is immutable.  Per Weyl
-type: the free classes with their w0 (_weyl_classes), the Weyl relation
-verdicts (_weyl_relations) and the extension's half-turn data
-(_half_turn).  Per symbol: the class table (_class_table, the last two
-symbols) and the letter table of each mode (DaggerSymbol._letters).
+type: the Weyl relation verdicts (_weyl_relations), the extension's
+half-turn data (_half_turn) and, per free mask, the free classes with
+their w0 (_build_free_classes).  Per symbol: the class table
+(_class_table, the last two symbols) and the letter table of each mode
+(DaggerSymbol._letters).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import involutions as inv
 from . import modtwo as m2
 from . import weyl as wy
-from .symbols import CoxeterSymbol, SphericalWalk, mask_nodes, mask_sort_key, spherical_subsets
+from .symbols import CoxeterSymbol, mask_nodes, mask_sort_key, spherical_subsets
 from .weyl import Matrix, WeylData
 
 WORD_CAP = 10_000
@@ -96,14 +97,14 @@ def build_dagger(psi: WeylData, nodes: Sequence[int]) -> DaggerSymbol:
     nodes = list(nodes)
     if len(set(nodes)) != len(nodes):
         raise DaggerError("attachment nodes must be distinct")
+    admissible = dict(m2.admissible_nodes(psi))
     tagged = []
     for s in nodes:
         if s not in psi.symbol.nodes:
             raise DaggerError(f"{psi.label()} has no node {s!r}")
-        admissible, special = m2._admissibility(psi, s)
-        if not admissible:
+        if s not in admissible:
             raise DaggerError(f"node {s} of {psi.label()} is not admissible")
-        tagged.append((s, special))
+        tagged.append((s, admissible[s]))
     ordered = [p for p in tagged if not p[1]] + [p for p in tagged if p[1]]
     attachments = tuple(s for s, _ in ordered)
     special = tuple(sp for _, sp in ordered)
@@ -150,6 +151,9 @@ class SemidirectElement:
 
     def is_identity(self) -> bool:
         return self.x == 0 and all(b == 0 for b in self.v) and self.g == wy.identity_matrix(len(self.g))
+
+    def to_json(self) -> dict:
+        return {"x": self.x, "v": list(self.v), "g": [list(r) for r in self.g]}
 
 
 def identity_element(slots: int, n: int) -> SemidirectElement:
@@ -312,32 +316,20 @@ def _b_longest_word(pendant, path: Sequence[int]) -> List:
     return word
 
 
-@lru_cache(maxsize=16)
-def _weyl_classes(psi: WeylData) -> Tuple[SphericalWalk, Mapping[int, Tuple[int, ...]], Dict]:
-    """What the class tables of every pendant symbol over one Weyl type
-    share, from psi alone: psi's walk, each antipodal node mask of psi with
-    the masks one exchange move away (read off that walk once), and the
-    classes of each free mask met so far (_build_free_classes)."""
+@lru_cache(maxsize=512)
+def _build_free_classes(psi: WeylData, free: int) -> Tuple[Tuple, ...]:
+    """The classes of the subdiagram of psi on the node mask free
+    (inv.move_classes).  Each is (member masks, (sort key, longest word)
+    of each component of the least member, w0 of the least member).
+
+    Memoized per (Weyl type, free mask).  One pipeline pass (seed 104729)
+    meets 138 such keys, and every set of 1-4 pendants of at most 12
+    nodes over E6, E7, E8 and D8 meets 373, so the bound of 512 evicts
+    nothing in either."""
     g = psi.symbol
     walk = spherical_subsets(g)
-    partners: Dict[int, Dict[int, int]] = {}
-    moves = {mask: tuple(inv._moves(g, walk, mask, partners))
-             for mask, comps in walk.items() if mask and all(t.antipodal for _, t in comps)}
-    return walk, MappingProxyType(moves), {}
-
-
-def _build_free_classes(psi: WeylData, free: int) -> Tuple[Tuple, ...]:
-    """The classes of the subdiagram on free: the move-closures of psi's
-    antipodal sets inside free under psi's moves that stay inside it (a
-    move adds a node and removes one of the component through it).  Each
-    is (member masks, (sort key, longest word) of each component of the
-    least member, w0 of the least member)."""
-    g = psi.symbol
-    walk, moves, _ = _weyl_classes(psi)
-    inside = [mask for mask in moves if not mask & ~free]
     out = []
-    for members in inv.move_classes(g, inside,
-                                    lambda mask: [m for m in moves[mask] if not m & ~free]):
+    for members in inv.move_classes(g, free):
         parts = tuple((mask_sort_key(g, comp), wy.longest_word(psi, mask_nodes(g, comp)))
                       for comp, _ in walk[members[0]])
         w0 = wy.word_to_matrix(psi, [s for _, word in parts for s in word])
@@ -399,7 +391,6 @@ def _class_table(d: DaggerSymbol
     gamma = d.gamma
     weyl = (1 << d.psi.rank) - 1
     one = wy.identity_matrix(d.psi.rank)
-    built = _weyl_classes(d.psi)[2]
     rows = []
 
     def add(members, parts, image):
@@ -423,10 +414,7 @@ def _class_table(d: DaggerSymbol
         v = tuple(c[4] if c else 0 for c in picks)
         if pend:
             add((pend,), parts, SemidirectElement(x, v, one))
-        free = weyl & ~closed
-        if free not in built:
-            built[free] = _build_free_classes(d.psi, free)
-        for members, free_parts, w0 in built[free]:
+        for members, free_parts, w0 in _build_free_classes(d.psi, weyl & ~closed):
             add(tuple(pend | m for m in members), parts + list(free_parts),
                 SemidirectElement(x, v, w0))
     rows.sort(key=operator.itemgetter(0))
@@ -593,7 +581,7 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
     order_ok = (half * half).is_identity() and not half.is_identity()
     steps.append(CertStep("cyclic-order",
                           {"route": route, "p": p, "order": 2 ** p,
-                           "zeta": _element_json(zeta)}, order_ok))
+                           "zeta": zeta.to_json()}, order_ok))
 
     g = half.g
     eig_dim = wy.minus_one_rank(g)
@@ -635,10 +623,6 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
     index = image_order // 2 ** p
     cert = Certificate("cyclic-extension", "hat", tuple(steps), index=index, p=p)
     return CyclicExtension(zeta, p, index, cert)
-
-
-def _element_json(e: SemidirectElement) -> dict:
-    return {"x": e.x, "v": list(e.v), "g": [list(r) for r in e.g]}
 
 
 # ---------------------------------------------------------------------------

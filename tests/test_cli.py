@@ -69,6 +69,13 @@ class TestRemovedFlags:
         assert cli.run(["--quiet", "geometry", "volume", "4", "--dim", "6"]) == 2
         assert cli.run(["--quiet", "geometry", "covol", "--dim", "6"]) == 2
 
+    def test_involutions_symbol_flag_is_gone(self, tmp_path):
+        # --file is the one flag that names the symbol file.
+        path = tmp_path / "a3.json"
+        path.write_text(json.dumps(A3_SYMBOL))
+        assert cli.run(["--quiet", "involutions", "classes", "--symbol", str(path)]) == 2
+        assert cli.run(["--quiet", "involutions", "classes", "--file", str(path)]) == 0
+
     def test_positional_dimension(self, capsys):
         # (2^3 - 1) pi^3 / 6! * |B2 B4 B6| = 7/720 * 1/6 * 1/30 * 1/42.
         assert cli.run(["--quiet", "geometry", "covol", "6"]) == 0

@@ -14,7 +14,9 @@ nothing mentions is dead code.  A public module-level def or class must
 also have a user outside the tests: an ast Name or Attribute that refers
 to it in some src/coxfree module other than __init__, or a word in
 perfbench/*.py (the benchmark's tracer looks names up as strings).  A
-docstring mention does not count, and neither does a test.
+docstring mention does not count, and neither does a test.  No module
+reads a private name (one leading underscore, not a dunder) of another
+coxfree module, either as alias._name or by `from .mod import _name`.
 """
 
 import ast
@@ -177,3 +179,42 @@ def test_flags_a_public_def_without_a_user():
             "def _private():\n    return used(), mod.Holder\n")
     tree = ast.parse(text)
     assert _without_user(tree, _references([tree]), {"traced"}) == ["unused", "Unused"]
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads(tree):
+    """Sorted "module.name" or "alias.name" for each private name of another
+    coxfree module that the tree imports or reads off a module alias.  An
+    attribute of anything else, such as an instance's g._order, is not a
+    module read."""
+    aliases = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import mod [as alias]
+                aliases.update(a.asname or a.name for a in node.names)
+            else:
+                found += [f"{node.module}.{a.name}" for a in node.names if _is_private(a.name)]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _is_private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = {p.name: _private_reads(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_flags_a_private_read():
+    tree = ast.parse("from . import modtwo as m2\nfrom . import weyl\n"
+                     "from .symbols import _walk, mask_nodes\n"
+                     "def f(g):\n"
+                     "    return m2._admissibility(g), weyl._cache, m2.admissible_nodes(g), "
+                     "g._order, m2.__name__, mask_nodes\n")
+    assert _private_reads(tree) == ["m2._admissibility", "symbols._walk", "weyl._cache"]

@@ -12,6 +12,7 @@ from coxfree import (
     elementary_moves,
     equivalence_classes,
     euler_characteristic,
+    induced_subsymbol,
     is_minus_one_type,
     longest_word,
     maximal_rank_class,
@@ -19,7 +20,7 @@ from coxfree import (
     weyl_data,
     word_to_matrix,
 )
-from coxfree.involutions import _opposition
+from coxfree.involutions import _opposition, move_classes
 from coxfree.symbols import mask_nodes, node_sort_key
 from coxfree.weyl import identity_matrix, mat_mul, mat_pow, minus_one_rank
 from oracles import closure, involution_class_count, signed_generators, symmetric_generators
@@ -91,6 +92,23 @@ class TestMoves:
         g = CoxeterSymbol([1, 2, 3], [(1, 2, 3), (2, 3, 3), (1, 3, 3)])
         with pytest.raises(InvolutionError):
             elementary_moves(g, [1, 2, 3])
+
+
+class TestMoveClassesInsideAFreeMask:
+    @pytest.mark.parametrize("fam,rank", [("A", 5), ("B", 4), ("D", 5), ("E6", None),
+                                          ("F4", None)])
+    def test_equal_the_closure_of_the_subdiagram(self, fam, rank):
+        # Moves of g that stay inside free are the moves of the subdiagram
+        # on free, so the restricted closure is that subdiagram's generic
+        # closure, its members mapped back to masks of g.
+        g = weyl_data(fam, rank).symbol
+        bit = {v: 1 << i for i, v in enumerate(g.nodes)}
+        for free in range(1, 1 << g.rank):
+            sub = induced_subsymbol(g, mask_nodes(g, free))
+            expected = [[sum(bit[v] for v in m) for m in c.members]
+                        for c in equivalence_classes(sub)]
+            assert move_classes(g, free) == expected
+        assert move_classes(g) == move_classes(g, (1 << g.rank) - 1)
 
 
 def _relabelled(g, seed):

@@ -241,7 +241,8 @@ class TestClassTable:
         # the walk of the pendant symbol runs once, in the structure check.
         built = _count(monkeypatch, tf, "_pendant_components")
         tf._class_table.cache_clear()
-        tf._weyl_classes.cache_clear()
+        inv._move_table.cache_clear()
+        tf._build_free_classes.cache_clear()
         spherical_subsets.cache_clear()
         d = build_dagger(weyl_data("E6"), [1])
         cert = certify_torsion_free(d, "hat")
@@ -380,22 +381,32 @@ class TestWorkCounters:
         assert cyclic_extension(build_dagger(weyl_data("E8"), [8])).certificate.ok
         assert calls == []
 
-    def test_free_classes_once_per_free_mask(self, monkeypatch):
-        calls = _count(monkeypatch, tf, "_build_free_classes")
+    def test_free_classes_once_per_free_mask(self):
+        # Each (Weyl type, free mask) misses the memo once; masks met by an
+        # earlier symbol are not rebuilt.
         tf._class_table.cache_clear()
-        tf._weyl_classes.cache_clear()
+        tf._build_free_classes.cache_clear()
         e6 = weyl_data("E6")
         seen = set()
         for nodes, count in (((1, 3, 5), 22), ((1, 3, 6), 6)):
-            calls.clear()
+            before = tf._build_free_classes.cache_info().misses
             d = build_dagger(e6, nodes)
             assert certify_torsion_free(d).ok
-            built = [free for _, free, *_ in calls]
-            assert len(built) == len(set(built)) == count
-            assert not seen & set(built)  # masks met before are not rebuilt
-            seen |= set(built)
-            assert seen >= _free_masks(d)
-        assert seen == _free_masks(build_dagger(e6, (1, 3, 5))) | _free_masks(d)
+            assert tf._build_free_classes.cache_info().misses - before == count
+            assert len(_free_masks(d) - seen) == count
+            seen |= _free_masks(d)
+
+    def test_move_table_once_per_weyl_type(self):
+        # certify, its replay, extend and maximal_rank_class all read the
+        # one move table of each Weyl type; the pendant symbol needs none.
+        for cache in (inv._move_table, inv.maximal_rank_class, tf._build_free_classes,
+                      tf._class_table):
+            cache.cache_clear()
+        for args, nodes in ((("E6",), (1,)), (("E8",), (1, 8)), (("E6",), (1, 5))):
+            d = build_dagger(weyl_data(*args), nodes)
+            assert replay_certificate(d, certify_torsion_free(d))
+            assert replay_certificate(d, cyclic_extension(d).certificate)
+        assert inv._move_table.cache_info().misses == 2
 
 
 def _free_masks(d):
