@@ -47,6 +47,8 @@ def _fraction_json(q: Fraction) -> dict:
 
 
 def _weyl_from_args(tokens) -> wy.WeylData:
+    if len(tokens) > 2:
+        raise CliError(f"a Weyl type is a family and at most a rank, not {' '.join(tokens)!r}")
     if len(tokens) == 1:
         tok = tokens[0]
         if tok[:1].upper() in ("A", "B", "D") and tok[1:].isdigit():

@@ -24,8 +24,8 @@ certificate, and every value a caller reads is immutable.  Per Weyl
 type: the Weyl relation verdicts (_weyl_relations), the extension's
 half-turn data (_half_turn) and, per free mask, the free classes with
 their w0 (_build_free_classes).  Per symbol: the class table
-(_class_table, the last two symbols) and the letter table of each mode
-(DaggerSymbol._letters).
+(_class_table, the last two symbols) and the letter table of the
+augmented map (DaggerSymbol._letters).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from . import involutions as inv
 from . import modtwo as m2
@@ -45,7 +45,6 @@ from .symbols import CoxeterSymbol, mask_nodes, mask_sort_key, spherical_subsets
 from .weyl import Matrix, WeylData
 
 WORD_CAP = 10_000
-CLOSURE_CAP = 10_000_000
 DEFAULT_VERIFY_CAP = 20_000
 
 
@@ -63,7 +62,8 @@ class DaggerSymbol:
     Attachments are reordered so the plain (admissible but not specially
     admissible) ones come first; ell counts them.  Pendant t_i is joined
     to attachment node i by an order-4 edge and commutes with everything
-    else.  The letter table of each mode (_letters) is memoized on it.
+    else.  The letter table of the augmented map (_letters) is memoized
+    on it.
     """
 
     psi: WeylData
@@ -79,18 +79,17 @@ class DaggerSymbol:
         return len(self.attachments)
 
     @cached_property
-    def _letters(self) -> Mapping[str, Mapping[object, "Action"]]:
-        """Per mode, each generator's action in phi: a Weyl node reflects;
-        pendant t_i is the translation by u_i mod 2 in slot i, toggling bit
-        i of x in the augmented map for a plain attachment."""
-        tables = {}
-        for mode in ("plain", "hat"):
-            letters: Dict[object, Action] = {s: (s, None) for s in self.psi.symbol.nodes}
-            for i, t in enumerate(self.pendants):
-                x = 1 << i if mode == "hat" and i < self.ell else 0
-                letters[t] = (t, (x, i, tuple(j for j, c in enumerate(self.weights[i]) if c & 1)))
-            tables[mode] = MappingProxyType(letters)
-        return MappingProxyType(tables)
+    def _letters(self) -> Mapping[object, Optional[Tuple[int, int, Tuple[int, ...]]]]:
+        """Each generator's action under the augmented map.  A Weyl node
+        maps to None: reflect by it.  Pendant t_i maps to its translation
+        (x_T, i, cols): x_T is bit i for a plain attachment and 0 for a
+        special one, and the one nonzero slot i holds u_i mod 2, whose odd
+        coordinates are cols."""
+        letters = dict.fromkeys(self.psi.symbol.nodes)
+        for i, t in enumerate(self.pendants):
+            letters[t] = (1 << i if i < self.ell else 0, i,
+                          tuple(j for j, c in enumerate(self.weights[i]) if c & 1))
+        return MappingProxyType(letters)
 
 
 def build_dagger(psi: WeylData, nodes: Sequence[int]) -> DaggerSymbol:
@@ -160,35 +159,30 @@ def identity_element(slots: int, n: int) -> SemidirectElement:
     return SemidirectElement(0, tuple(0 for _ in range(slots)), wy.identity_matrix(n))
 
 
-# A letter's action: (s, None) is the reflection of Weyl node s; (t, (x_T,
-# j, cols)) is a translation (x_T, v_T, 1) whose one nonzero slot j has its
-# odd coordinates at cols.
-Action = Tuple[object, Optional[Tuple[int, int, Tuple[int, ...]]]]
-
-
 def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement:
     """Image of a word in the generators of the pendant symbol.
 
     The word is folded into mutable state (x, v, g) through the symbol's
-    letter table of the mode: a Weyl letter s right-multiplies g by s_s in
-    place; a pendant letter enters as its translation by the semidirect
-    law (x, v, g)(x_T, v_T, 1) = (x + x_T, v + (g mod 2) v_T, g), which
-    toggles bit i of x (augmented map, plain pendants only) and adds
-    g u_i mod 2 to slot i of v.
+    letter table of the augmented map: a Weyl letter s right-multiplies g
+    by s_s in place; a pendant letter enters as its translation by the
+    semidirect law (x, v, g)(x_T, v_T, 1) = (x + x_T, v + (g mod 2) v_T, g),
+    which toggles bit i of x (plain pendants only) and adds g u_i mod 2 to
+    slot i of v.  The plain map is the same fold with x set to 0: x counts
+    the plain-pendant letters mod 2, whatever v and g are.
     """
     if len(word) > WORD_CAP:
         raise DaggerError(f"word longer than the {WORD_CAP} cap")
     if mode not in ("plain", "hat"):
         raise DaggerError(f"unknown mode {mode!r}")
-    letters = d._letters[mode]
+    letters = d._letters
     try:
-        actions = [letters[s] for s in word]
+        shifts = [letters[s] for s in word]
     except KeyError as exc:
         raise DaggerError(f"unknown generator {exc.args[0]!r}") from None
     psi = d.psi
     x, v = 0, [0] * d.m
     g = [list(r) for r in wy.identity_matrix(psi.rank)]
-    for s, shift in actions:
+    for s, shift in zip(word, shifts):
         if shift is None:
             wy.reflect_rows(psi, g, s)
             continue
@@ -197,7 +191,7 @@ def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement
         for r, row in enumerate(g):
             if sum([row[c] for c in cols]) & 1:
                 v[j] ^= 1 << r
-    return SemidirectElement(x, tuple(v), tuple(map(tuple, g)))
+    return SemidirectElement(x if mode == "hat" else 0, tuple(v), tuple(map(tuple, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,28 +241,32 @@ def _weyl_relations(psi: WeylData) -> Mapping[Tuple[int, int], bool]:
                              for a, b in pairs})
 
 
-def verify_relations(d: DaggerSymbol, mode: str = "hat") -> Certificate:
-    """Check every defining relation of the pendant symbol in the image:
-    a relation between two Weyl letters by its per-type verdict
-    (_weyl_relations), every other by folding its word through phi."""
+def verify_relations(d: DaggerSymbol, mode: str = "hat") -> CertStep:
+    """Certify's relations step: every defining relation (a b)^m of the
+    pendant symbol holds in the image of the mode's map.  A relation
+    between two Weyl letters is judged by its per-type verdict
+    (_weyl_relations), every other by folding its word through phi.  The
+    step records how many relations were checked and, for each that
+    fails, its generators, order and relation word."""
     if mode not in ("plain", "hat"):
         raise DaggerError(f"unknown mode {mode!r}")
     weyl = _weyl_relations(d.psi)
-    steps = []
     gens = d.gamma.nodes
-    for a, b in [(a, a) for a in gens] + list(itertools.combinations(gens, 2)):
+    pairs = [(a, a) for a in gens] + list(itertools.combinations(gens, 2))
+    failed = []
+    for a, b in pairs:
         m = d.gamma.order(a, b)
-        word = [a, b] * m
         ok = weyl.get((a, b))
         if ok is None:
-            ok = phi(d, word, mode).is_identity()
-        steps.append(CertStep("relation", {"generators": [str(a)] if a == b else [str(a), str(b)],
-                                           "order": m,
-                                           "relation_word": [str(x) for x in word]}, ok))
-    return Certificate("homomorphism-check", mode, tuple(steps))
+            ok = phi(d, [a, b] * m, mode).is_identity()
+        if not ok:
+            failed.append({"generators": [str(a)] if a == b else [str(a), str(b)],
+                           "order": m,
+                           "relation_word": [str(a), str(b)] * m})
+    return CertStep("relations", {"checked": len(pairs), "failed": failed}, not failed)
 
 
-def enumerate_image(d: DaggerSymbol, mode: str = "hat", cap: int = CLOSURE_CAP) -> int:
+def enumerate_image(d: DaggerSymbol, mode: str, cap: int) -> int:
     """Order of the image subgroup by breadth-first closure of the
     generator images.  Raises when the closure exceeds cap."""
     gens = [phi(d, [s], mode) for s in d.gamma.nodes]
@@ -457,27 +455,24 @@ _TRUSTED_REDUCTIONS = (
 def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     """Torsion-freeness certificate for the kernel.
 
-    Steps: (1) every defining relation holds in the image; (2) every
-    involution class of the pendant-symbol group has nontrivial image;
-    (3) every connected finite visible subgroup not inside the Weyl part
-    is type B through exactly one pendant, which discharges odd torsion
-    through the named trusted reductions; (4) for each type-A path from
-    each attachment, whether the map is faithful on the visible type-B
-    subgroup of its pendant and that path, the flag modtwo.type_a_paths
-    gives it (the check admissibility ran); one that is not faithful
-    must be parity compensated: hat mode, a non-special attachment, odd
-    rank, and a longest element that survives the map.  Steps (1) and (2)
-    read the module's caches (_weyl_relations, _class_table).
+    Steps: (1) every defining relation holds in the image (verify_relations);
+    (2) every involution class of the pendant-symbol group has nontrivial
+    image; (3) every connected finite visible subgroup not inside the Weyl
+    part is type B through exactly one pendant, which discharges odd
+    torsion through the named trusted reductions; (4) for each type-A path
+    from each attachment, whether the map is faithful on the visible
+    type-B subgroup of its pendant and that path, the flag
+    modtwo.type_a_paths gives it (the check admissibility ran); one that
+    is not faithful must be parity compensated: hat mode, a non-special
+    attachment, odd rank, and a longest element that survives the map.
+    Steps (1) and (2) read the module's caches (_weyl_relations,
+    _class_table).
     """
     if mode == "plain" and not all(d.special):
         raise DaggerError("plain-mode certification needs specially admissible attachments")
     steps: List[CertStep] = []
 
-    rel = verify_relations(d, mode)
-    steps.append(CertStep("relations",
-                          {"checked": len(rel.steps),
-                           "failed": [s.objects for s in rel.steps if not s.ok]},
-                          rel.ok))
+    steps.append(verify_relations(d, mode))
 
     for cls, word, image in _class_table(d):
         nontrivial = not image.is_identity()
@@ -631,10 +626,12 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
 def replay_certificate(d: DaggerSymbol, cert: Certificate) -> bool:
     """Re-derive the certificate of cert.kind from d and compare.
 
-    Nothing recorded is trusted: every verdict and every object is
-    recomputed by the same code that certify and extend run, so a
-    certificate replays only when it equals the fresh one field for
-    field.  An unknown kind, or one that cannot be re-derived for d (a
+    There are two kinds: "torsion-free" (certify_torsion_free, whose
+    first step is the relations check) and "cyclic-extension"
+    (cyclic_extension).  Nothing recorded is trusted: every verdict and
+    every object is recomputed by the same code that certify and extend
+    run, so a certificate replays only when it equals the fresh one field
+    for field.  Any other kind, or one that cannot be re-derived for d (a
     DaggerError, such as plain mode on a non-special attachment or an
     unknown mode), does not replay.  The module's caches it reads hold
     nothing taken from cert.
@@ -642,7 +639,6 @@ def replay_certificate(d: DaggerSymbol, cert: Certificate) -> bool:
     derive = {
         "torsion-free": lambda: certify_torsion_free(d, cert.mode),
         "cyclic-extension": lambda: cyclic_extension(d).certificate,
-        "homomorphism-check": lambda: verify_relations(d, cert.mode),
     }.get(cert.kind)
     if derive is None:
         return False

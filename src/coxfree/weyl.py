@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .symbols import CoxeterSymbol, classify_finite_type, component_shape
 
@@ -32,9 +32,12 @@ class WeylError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeylData:
-    """Static data of one irreducible Weyl group in the scaled root basis."""
+    """Static data of one irreducible Weyl group in the scaled root basis.
+
+    weyl_data builds one instance per (family, rank), so identity is
+    equality: a memo keyed by a WeylData hashes its id."""
 
     family: str
     rank: int
@@ -114,9 +117,6 @@ def _exponents(family: str, rank: int) -> Tuple[int, ...]:
     }[family]
 
 
-_WEYL_CACHE: Dict[Tuple[str, int], WeylData] = {}
-
-
 def weyl_data(family: str, rank: Optional[int] = None) -> WeylData:
     """Data record for one irreducible Weyl group, e.g. weyl_data("B", 4)."""
     family = family.upper()
@@ -138,11 +138,12 @@ def weyl_data(family: str, rank: Optional[int] = None) -> WeylData:
             raise WeylError("D_n needs rank n >= 4")
     else:
         raise WeylError(f"unknown family {family!r}")
+    return _build_weyl(family, rank)
 
-    key = (family, rank)
-    if key in _WEYL_CACHE:
-        return _WEYL_CACHE[key]
 
+@lru_cache(maxsize=None)
+def _build_weyl(family: str, rank: int) -> WeylData:
+    """The one WeylData of a validated, normalized (family, rank)."""
     symbol, scaled = _family_symbol(family, rank)
     norm2 = {v: (2 if family in ("B", "F4") and v in scaled else 3 if v in scaled else 1)
              for v in symbol.nodes}
@@ -173,10 +174,8 @@ def weyl_data(family: str, rank: Optional[int] = None) -> WeylData:
     h = max(exponents) + 1
     index_conn = {"A": rank + 1, "B": 2, "D": 4, "G2": 1, "F4": 1,
                   "E6": 3, "E7": 2, "E8": 1}[family]
-    data = WeylData(family, rank, symbol, cartan, gram2, exponents, h,
+    return WeylData(family, rank, symbol, cartan, gram2, exponents, h,
                     index_conn, classify_finite_type(symbol)[0].antipodal, scaled)
-    _WEYL_CACHE[key] = data
-    return data
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ class TestExitCodesForEveryVerb:
         ("involutions classes --file {bad}", 2),
         ("tf build --psi E6 --nodes 1", 0),
         ("tf build --psi A 4 --nodes 1 1", 2),
+        ("tf build --psi D 8 2", 2),  # a Weyl type is a family and at most a rank
+        ("tf certify --psi A 1 2 3", 2),
         ("tf certify --psi E6 --nodes 1", 0),
         ("tf certify --psi E6 --nodes 1 --mode plain", 2),
         ("tf extend --psi E6 --nodes 1", 0),

@@ -17,6 +17,8 @@ perfbench/*.py (the benchmark's tracer looks names up as strings).  A
 docstring mention does not count, and neither does a test.  No module
 reads a private name (one leading underscore, not a dunder) of another
 coxfree module, either as alias._name or by `from .mod import _name`.
+No module binds a module-level empty dict, list or set: such a name is a
+hand-filled cache or registry, shared by every caller in the process.
 """
 
 import ast
@@ -218,3 +220,37 @@ def test_flags_a_private_read():
                      "    return m2._admissibility(g), weyl._cache, m2.admissible_nodes(g), "
                      "g._order, m2.__name__, mask_nodes\n")
     assert _private_reads(tree) == ["m2._admissibility", "symbols._walk", "weyl._cache"]
+
+
+def _empty_containers(tree):
+    """Names that a module-level assignment binds to an empty dict, list or
+    set: {}, [], dict(), list() or set()."""
+    def empty(value):
+        if isinstance(value, ast.Dict):
+            return not value.keys
+        if isinstance(value, ast.List):
+            return not value.elts
+        return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set")
+                and not value.args and not value.keywords)
+
+    names = []
+    for node in _module_level(tree.body):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None \
+                and empty(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def test_no_module_level_empty_container():
+    found = {p.name: _empty_containers(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_flags_a_module_level_empty_container():
+    tree = ast.parse("A = {}\nB: list = []\nC = dict()\nif True:\n    D = set()\n"
+                     "E = list()\nF = {1: 2}\nG = [0]\nH = dict(a=1)\nI = set(range(3))\n"
+                     "J: int\ndef f():\n    K = {}\n")
+    assert _empty_containers(tree) == ["A", "B", "C", "D", "E"]

@@ -105,6 +105,27 @@ class TestPhiKillsConjugatedRelators:
         assert phi(d, w + r + w[::-1], mode).is_identity()
 
 
+class TestRelations:
+    def test_a_corrupted_weight_fails_exactly_its_relations(self):
+        # u_1 replaced by x_1: s_2 maps x_1 to x_1 + x_2 mod 2, so the
+        # commuting relation (2 t1)^2 fails; s_1 fixes x_1 mod 2, and no
+        # other Weyl node moves it.
+        d = build_dagger(weyl_data("E6"), [1])
+        bad = dataclasses.replace(d, weights=((1, 0, 0, 0, 0, 0),))
+        gens = bad.gamma.nodes
+        pairs = [(a, a) for a in gens] + list(itertools.combinations(gens, 2))
+        failed = {"generators": ["2", "t1"], "order": 2, "relation_word": ["2", "t1", "2", "t1"]}
+        for mode in ("hat", "plain"):
+            folded = [(a, b) for a, b in pairs
+                      if not _fold(bad, [a, b] * bad.gamma.order(a, b), mode).is_identity()]
+            assert folded == [(2, "t1")]
+            assert tf.verify_relations(bad, mode) == tf.CertStep(
+                "relations", {"checked": 28, "failed": [failed]}, False)
+        cert = certify_torsion_free(bad)
+        assert not cert.ok and cert.steps[0] == tf.verify_relations(bad)
+        assert tf.verify_relations(d) == tf.CertStep("relations", {"checked": 28, "failed": []}, True)
+
+
 class TestBuild:
     def test_unknown_node_rejected(self):
         with pytest.raises(DaggerError):
@@ -206,11 +227,16 @@ class TestReplay:
             tampers += [_tampered(cert, i, path) for path in {None, *paths[:1], *paths[-1:]}]
         assert not any(replay_certificate(d, bad) for bad in tampers)
 
-    def test_relation_check_replays(self):
+    @pytest.mark.parametrize("mode", ["hat", "plain"])
+    def test_relations_step_is_verify_relations(self, mode):
+        d = build_dagger(weyl_data("D", 8), [2, 6])
+        assert tf.verify_relations(d, mode) == certify_torsion_free(d, mode).steps[0]
+
+    def test_relation_check_is_not_a_certificate_kind(self):
+        # The relations check replays as certify's first step, not alone.
         d = build_dagger(weyl_data("E6"), [1])
-        cert = tf.verify_relations(d)
-        assert replay_certificate(d, cert) is True
-        assert replay_certificate(d, _tampered(cert, 0)) is False
+        cert = tf.Certificate("homomorphism-check", "hat", (tf.verify_relations(d),))
+        assert cert.ok and replay_certificate(d, cert) is False
 
     def test_underivable_certificates_are_rejected(self):
         d = build_dagger(weyl_data("E6"), [1])

@@ -36,6 +36,14 @@ def _fact(n):
 
 
 class TestWeylData:
+    def test_one_instance_per_type(self):
+        # weyl_data builds each (family, rank) once, so identity is equality
+        # and a memo keyed by a WeylData hashes its id.
+        assert weyl_data("E", 8) is weyl_data("e8") is weyl_data("E8", 8)
+        assert weyl_data("B", 4) is weyl_data("b", 4)
+        assert wy.WeylData.__eq__ is object.__eq__
+        assert wy.WeylData.__hash__ is object.__hash__
+
     def test_table_rows(self):
         e8 = weyl_data("E8")
         assert (e8.coxeter_number, e8.index_of_connection, e8.minus_one_type) == (30, 1, True)
