@@ -57,6 +57,11 @@ def _weyl_from_args(tokens) -> wy.WeylData:
     return wy.weyl_data(tokens[0], int(tokens[1]))
 
 
+def _weyl_positional(args) -> wy.WeylData:
+    """The Weyl type named by the positional family and optional rank."""
+    return _weyl_from_args([args.family] + ([] if args.rank is None else [str(args.rank)]))
+
+
 def _cmd_symbol(args) -> int:
     g = _read_symbol(args)
     if args.action == "classify":
@@ -81,7 +86,7 @@ def _cmd_symbol(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
-    w = _weyl_from_args([args.family] + ([str(args.rank)] if args.rank else []))
+    w = _weyl_positional(args)
     payload = {
         "label": w.label(),
         "cartan": [list(r) for r in w.cartan],
@@ -96,7 +101,7 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_modtwo(args) -> int:
-    w = _weyl_from_args([args.family] + ([str(args.rank)] if args.rank else []))
+    w = _weyl_positional(args)
     if args.action == "weight":
         if args.node is None:
             raise CliError("weight needs --node")

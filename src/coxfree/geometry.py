@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from . import torsionfree as tf
 from . import weyl as wy
-from .symbols import CoxeterSymbol, euler_characteristic, inertia
+from .symbols import CoxeterSymbol, euler_characteristic, inertia, root_gram
 
 
 class GeometryError(ValueError):
@@ -39,13 +39,6 @@ class PiMonomial:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PiMonomial):
-            if other.power != self.power:
-                raise GeometryError("pi powers differ")
-            return self.coeff / other.coeff
-        return NotImplemented
 
     def to_json(self) -> dict:
         return {"num": self.coeff.numerator, "den": self.coeff.denominator,
@@ -110,28 +103,6 @@ def _affine_e8_symbol() -> CoxeterSymbol:
     return CoxeterSymbol(nodes, edges)
 
 
-def _root_gram(core: CoxeterSymbol, s) -> List[List[int]]:
-    """Integer Gram matrix of the candidate root basis: norm-2 roots on the
-    (simply laced) core plus a norm-1 pendant root joined to s, pairing -1
-    along every edge.  The pendant root comes last."""
-    nodes = list(core.nodes)
-    idx = {v: i for i, v in enumerate(nodes)}
-    size = len(nodes) + 1
-    gram = [[0] * size for _ in range(size)]
-    for i, v in enumerate(nodes):
-        gram[i][i] = 2
-        for u in core.neighbors(v):
-            gram[i][idx[u]] = -1
-    gram[-1][-1] = 1
-    gram[-1][idx[s]] = gram[idx[s]][-1] = -1
-    return gram
-
-
-def _root_gram_det(core: CoxeterSymbol, s) -> Fraction:
-    """Determinant of the integer Gram matrix of the candidate root basis."""
-    return wy.row_reduce(_root_gram(core, s))[2]
-
-
 def vinberg_symbol(n: int) -> Tuple[CoxeterSymbol, Optional[tf.DaggerSymbol]]:
     """Simplex reflection symbol of the odd self-dual Lorentzian lattice in
     dimension n (4 <= n <= 9): the core Weyl (or affine, n = 9) symbol plus
@@ -145,11 +116,10 @@ def vinberg_symbol(n: int) -> Tuple[CoxeterSymbol, Optional[tf.DaggerSymbol]]:
     GeometryError).  For n in {4, 6, 8} the attachment is admissible and
     the pendant symbol is returned as well.
 
-    The signature is counted exactly, on the integer root Gram matrix G.
-    The trial symbol is crystallographic with one order-4 edge, so its
-    cosine form is D^-1/2 G D^-1/2 with D = diag(2, ..., 2, 1), the root
-    norms.  That is a congruence, so by Sylvester's law of inertia G has
-    the same signature, and no floating point enters the volume path.
+    Each trial placement is read off one integer Gram matrix, root_gram
+    with norm-2 core roots and a norm-1 pendant root, so the determinant
+    and the signature are exact and no floating point enters the volume
+    path.
     """
     if n not in range(4, 10):
         raise GeometryError("simplex family covers 4 <= n <= 9")
@@ -159,11 +129,14 @@ def vinberg_symbol(n: int) -> Tuple[CoxeterSymbol, Optional[tf.DaggerSymbol]]:
     else:
         psi = wy.weyl_data(*_VINBERG_CORE[n])
         core = psi.symbol
-    s = next((v for v in core.nodes if _root_gram_det(core, v) == -1
-              and inertia(_root_gram(core, v)) == (n, 1, 0)), None)
-    if s is None:
+    norms = {**dict.fromkeys(core.nodes, 2), "t1": 1}
+    for s in core.nodes:
+        symbol = CoxeterSymbol(list(core.nodes) + ["t1"], list(core.edges()) + [(s, "t1", 4)])
+        gram = root_gram(symbol, norms)
+        if wy.row_reduce(gram)[2] == -1 and inertia(gram) == (n, 1, 0):
+            break
+    else:
         raise GeometryError(f"no pendant node embeds in dimension {n}")
-    symbol = CoxeterSymbol(list(core.nodes) + ["t1"], list(core.edges()) + [(s, "t1", 4)])
     if n % 2 == 0 and covolume_gauss_bonnet(symbol, n) != covolume_siegel(n):
         raise GeometryError(f"Gauss-Bonnet covolume of the dimension-{n} placement "
                             "differs from Siegel's")
@@ -179,12 +152,12 @@ def manifold_volume(n: int) -> Tuple[PiMonomial, Fraction, int, int]:
 
     Dimension 4 uses the kernel itself (the type-A core has odd Coxeter
     number, so no extension exists); 6 extends by Z/8 through the visible
-    D5 of E6; 8 extends by Z/2.  Returns (volume, Euler characteristic,
-    subgroup index, deck group order).
+    D5 of E6; 8 extends by Z/2.  Returns (volume, Euler characteristic
+    index * chi(gamma) of the subgroup, subgroup index, deck group order).
     """
     if n not in (4, 6, 8):
         raise GeometryError("manifold volumes implemented for n in {4, 6, 8}")
-    _, dagger = vinberg_symbol(n)
+    gamma, dagger = vinberg_symbol(n)
     if n == 4:
         index = tf.kernel_index(dagger, "hat")
         deck = 1
@@ -194,6 +167,4 @@ def manifold_volume(n: int) -> Tuple[PiMonomial, Fraction, int, int]:
             raise GeometryError("extension certificate failed")  # pragma: no cover
         index = ext.index
         deck = 2 ** ext.p
-    vol = index * covolume_siegel(n)
-    chi = vol / kappa(n)
-    return vol, chi, index, deck
+    return index * covolume_siegel(n), index * euler_characteristic(gamma), index, deck

@@ -6,7 +6,9 @@ Absent edges mean m = 2 (the generators commute) and m(s, s) = 1 is never
 stored.  INF marks an infinite product order.
 
 This module recognizes finite-type symbols, computes exact Euler
-characteristics, and evaluates the cosine bilinear form and its signature.
+characteristics, and evaluates the float cosine bilinear form
+(bilinear_gram), the exact integer root Gram matrix of a crystallographic
+symbol with chosen root norms (root_gram), and their inertia.
 Two walks carry the combinatorics.  component_shape is the one walk along
 a connected component: its path, or its branch node and arms; the finite
 classification reads its edge labels along that walk, and the diagram
@@ -14,7 +16,7 @@ symmetry (involutions) and the type-B paths through a pendant
 (torsionfree) read the same walk.  spherical_subsets is the one walk over
 the spherical node subsets, and the only place the MAX_NODES cap lives.
 One symmetric elimination (inertia) counts every signature: exactly on
-the integer root Gram matrices of the volume path (geometry.vinberg_symbol),
+the root_gram matrices of the volume path (geometry.vinberg_symbol),
 and up to SIGNATURE_TOL on the float cosine form of the general `symbol
 signature` verb, which accepts any edge label and any value at INF.
 """
@@ -423,6 +425,34 @@ def bilinear_gram(g: CoxeterSymbol, inf_value: float = -1.0) -> List[List[float]
         val = inf_value if m == INF else -math.cos(math.pi / m)
         mat[index[a]][index[b]] = mat[index[b]][index[a]] = val
     return mat
+
+
+def root_gram(g: CoxeterSymbol, norms: Mapping) -> Tuple[Tuple[int, ...], ...]:
+    """Integer Gram matrix, in g.nodes order, of a root basis of the
+    crystallographic symbol g whose root at node a has norm norms[a].
+
+    A non-edge pairs to 0.  Along an edge of order m = 3, 4 or 6 the larger
+    norm must be 1, 2 or 3 times the smaller, and even; the pairing is minus
+    half the larger norm, that is -min(N_a, N_b) * (1/2, 1, 3/2).  Any other
+    edge (order 5 or INF, a wrong ratio, an odd larger norm) has no integral
+    root pairing and raises SymbolError.
+
+    With D the diagonal of norms, the cosine form bilinear_gram(g) is
+    D^-1/2 G D^-1/2.  That is a congruence, so by Sylvester's law of inertia
+    G has the same inertia, and inertia(G) counts it exactly.
+    """
+    index = {v: i for i, v in enumerate(g.nodes)}
+    gram = [[0] * g.rank for _ in g.nodes]
+    for v, i in index.items():
+        gram[i][i] = norms[v]
+    for a, b, m in g.edges():
+        low, high = sorted((norms[a], norms[b]))
+        ratio = {3: 1, 4: 2, 6: 3}.get(m)
+        if ratio is None or high != ratio * low or high % 2:
+            raise SymbolError(f"edge {a!r}-{b!r} of order {m} between root norms "
+                              f"{norms[a]} and {norms[b]} has no integral pairing")
+        gram[index[a]][index[b]] = gram[index[b]][index[a]] = -high // 2
+    return tuple(map(tuple, gram))
 
 
 def inertia(a: Sequence[Sequence], tol: float = 0) -> Tuple[int, int, int]:

@@ -284,6 +284,8 @@ def kernel_index(d: DaggerSymbol, mode: str = "hat",
     2^(m n) |W(Psi)| for the plain one.  When the value is at most
     verify_cap the order is re-derived by generator closure.
     """
+    if mode not in ("plain", "hat"):
+        raise DaggerError(f"unknown mode {mode!r}")
     cap = DEFAULT_VERIFY_CAP if verify_cap is None else verify_cap
     n = d.psi.rank
     value = (2 ** (d.m * n + (d.ell if mode == "hat" else 0))) * d.psi.order

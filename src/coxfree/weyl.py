@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .symbols import CoxeterSymbol, classify_finite_type, component_shape
+from .symbols import CoxeterSymbol, classify_finite_type, component_shape, root_gram
 
 Matrix = Tuple[Tuple[int, ...], ...]
 RationalMatrix = Tuple[Tuple[Fraction, ...], ...]
@@ -77,28 +77,28 @@ class WeylData:
         return rational_inverse(self.gram2)
 
 
-def _family_symbol(family: str, rank: int) -> Tuple[CoxeterSymbol, frozenset]:
+def _family_symbol(family: str, rank: int) -> Tuple[CoxeterSymbol, Mapping[int, int]]:
+    """The family's symbol and the norm of each basis root x_i: 1, except
+    2 or 3 at the scaled nodes.  gram2 is root_gram at twice these norms."""
     nodes = list(range(1, rank + 1))
+    scaled = {}
     if family == "A":
         edges = [(i, i + 1, 3) for i in range(1, rank)]
-        scaled = frozenset()
     elif family == "B":
         edges = [(i, i + 1, 3) for i in range(1, rank - 1)] + [(rank - 1, rank, 4)]
-        scaled = frozenset({rank})
+        scaled = {rank: 2}
     elif family == "D":
         edges = [(i, i + 1, 3) for i in range(1, rank - 2)]
         edges += [(rank - 2, rank - 1, 3), (rank - 2, rank, 3)]
-        scaled = frozenset()
     elif family == "G2":
         edges = [(1, 2, 6)]
-        scaled = frozenset({2})
+        scaled = {2: 3}
     elif family == "F4":
         edges = [(1, 2, 3), (2, 3, 4), (3, 4, 3)]
-        scaled = frozenset({3, 4})
+        scaled = {3: 2, 4: 2}
     else:  # E6, E7, E8
         edges = [(i, i + 1, 3) for i in range(1, rank - 1)] + [(3, rank, 3)]
-        scaled = frozenset()
-    return CoxeterSymbol(nodes, edges), scaled
+    return CoxeterSymbol(nodes, edges), {v: scaled.get(v, 1) for v in nodes}
 
 
 def _exponents(family: str, rank: int) -> Tuple[int, ...]:
@@ -144,29 +144,8 @@ def weyl_data(family: str, rank: Optional[int] = None) -> WeylData:
 @lru_cache(maxsize=None)
 def _build_weyl(family: str, rank: int) -> WeylData:
     """The one WeylData of a validated, normalized (family, rank)."""
-    symbol, scaled = _family_symbol(family, rank)
-    norm2 = {v: (2 if family in ("B", "F4") and v in scaled else 3 if v in scaled else 1)
-             for v in symbol.nodes}
-    gram2 = []
-    for i in symbol.nodes:
-        row = []
-        for j in symbol.nodes:
-            if i == j:
-                row.append(2 * norm2[i])
-            else:
-                m = symbol.order(i, j)
-                if m == 2:
-                    row.append(0)
-                elif m == 3:
-                    row.append(-norm2[i] if norm2[i] == norm2[j] else None)
-                elif m == 4:
-                    row.append(-2)
-                else:  # m == 6
-                    row.append(-3)
-        gram2.append(tuple(row))
-    if any(v is None for row in gram2 for v in row):
-        raise WeylError("inconsistent scaling")  # pragma: no cover
-    gram2 = tuple(gram2)
+    symbol, norms = _family_symbol(family, rank)
+    gram2 = root_gram(symbol, {v: 2 * norm for v, norm in norms.items()})
     cartan = tuple(
         tuple(2 * gram2[i][j] // gram2[i][i] for j in range(rank)) for i in range(rank)
     )
@@ -175,7 +154,8 @@ def _build_weyl(family: str, rank: int) -> WeylData:
     index_conn = {"A": rank + 1, "B": 2, "D": 4, "G2": 1, "F4": 1,
                   "E6": 3, "E7": 2, "E8": 1}[family]
     return WeylData(family, rank, symbol, cartan, gram2, exponents, h,
-                    index_conn, classify_finite_type(symbol)[0].antipodal, scaled)
+                    index_conn, classify_finite_type(symbol)[0].antipodal,
+                    frozenset(v for v, norm in norms.items() if norm > 1))
 
 
 # ---------------------------------------------------------------------------

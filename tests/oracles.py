@@ -10,6 +10,7 @@ into the tests do not depend on the code paths they are checking.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -140,6 +141,14 @@ def verify_exponents(xi: Sequence[Sequence[int]], h: int, exponents: Sequence[in
 def eigenvalues(a: Sequence[Sequence]) -> List[float]:
     """Float eigenvalues of a symmetric matrix, ascending."""
     return [float(x) for x in np.linalg.eigvalsh(np.array(a, dtype=float))]
+
+
+def cosine_form(gram: Sequence[Sequence[int]]) -> List[List[float]]:
+    """G[a][b] / sqrt(N_a N_b), with N the diagonal of the root Gram matrix
+    G: the cosine form of the roots, whatever their norms."""
+    n = len(gram)
+    return [[gram[a][b] / math.sqrt(gram[a][a] * gram[b][b]) for b in range(n)]
+            for a in range(n)]
 
 
 def eigen_signs(a: Sequence[Sequence], tol: float = 1e-9) -> Tuple[int, int, int]:

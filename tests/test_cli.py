@@ -36,8 +36,10 @@ class TestExitCodesForEveryVerb:
         ("symbol euler --file {bad}", 2),
         ("weyl info E8", 0),
         ("weyl info B 1", 2),
+        ("weyl info E6 0", 2),  # rank 0 is a rank, not an absent one
         ("modtwo admissible E8", 0),
         ("modtwo weight E8 --node 9", 2),
+        ("modtwo dpsi G2 0", 2),
         ("involutions classes --file {a3}", 0),
         ("involutions classes --file {bad}", 2),
         ("tf build --psi E6 --nodes 1", 0),
@@ -105,12 +107,51 @@ GOLDEN_TF = {
 }
 
 
+GOLDEN_GEOMETRY = {
+    "geometry volume 4": "1d365a50ddb3beed83b189aabb7715041c835b25df12f51d942f7f4c3d6f8f6c",
+    "geometry volume 6": "b644632a8c78f22e9728b4b8e5dffb7a9f5fa5cb93f33bf655d43c7c921c2685",
+    "geometry volume 8": "02af1dbf415c2f1a09e9c2f463d296257b6317c48096047ff16291d4622f152c",
+    "geometry covol 4 --route gb":
+        "1dad1a5e86139bb00891735cfc445d4d842144cd4f6c5f6450f52079703903dc",
+    "geometry covol 6 --route gb":
+        "fe2d10490409639e41d446bd6e7bc289a1c67641d93dea622e0bb8e22c0da7a9",
+    "geometry covol 8 --route gb":
+        "901bd1bb9b011f6f6967215094b0e6413dff40e599ece15ce9f49cf6971519d1",
+}
+
+# Per Weyl type, in this order: `weyl info`, `modtwo admissible`, then
+# `modtwo weight` at every node.  gram2 feeds the Cartan matrix and every
+# weight vector, so this pins the root Gram matrix of each type.
+WEYL_TYPES = [("A", 1), ("A", 5), ("A", 12), ("B", 2), ("B", 7), ("B", 12), ("D", 4),
+              ("D", 9), ("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]
+GOLDEN_WEYL = "8fc5794c96d562264c89b00471ff724cf04c57ee6daccfe9b743f5d339329e56"
+
+
+def _quiet_stdout(capsys, command):
+    assert cli.run(["--quiet", *command.split()]) == 0
+    return capsys.readouterr().out
+
+
 class TestGoldenStdout:
     @pytest.mark.parametrize("command", sorted(GOLDEN_TF))
     def test_tf_certificates(self, capsys, command):
-        assert cli.run(["--quiet", *command.split()]) == 0
-        out = capsys.readouterr().out
+        out = _quiet_stdout(capsys, command)
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TF[command]
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_GEOMETRY))
+    def test_geometry(self, capsys, command):
+        out = _quiet_stdout(capsys, command)
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GEOMETRY[command]
+
+    def test_weyl_and_modtwo(self, capsys):
+        out = ""
+        for family, rank in WEYL_TYPES:
+            psi = f"{family} {rank}" if family in "ABD" else family
+            out += _quiet_stdout(capsys, f"weyl info {psi}")
+            out += _quiet_stdout(capsys, f"modtwo admissible {psi}")
+            out += "".join(_quiet_stdout(capsys, f"modtwo weight {psi} --node {k}")
+                           for k in range(1, rank + 1))
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_WEYL
 
 
 # coxfree has no runtime dependency: every verb runs with numpy blocked.

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coxfree import (
@@ -20,8 +21,8 @@ from coxfree import (
     signature,
     weyl_data,
 )
-from coxfree.symbols import component_shape, spherical_subsets
-from oracles import closure, eigen_signs, eigenvalues, signed_generators
+from coxfree.symbols import component_shape, root_gram, spherical_subsets
+from oracles import closure, cosine_form, eigen_signs, eigenvalues, signed_generators
 
 
 def path_symbol(labels):
@@ -292,6 +293,28 @@ class TestBilinearForm:
             n_plus, n_minus, n_zero = signature(g)
             assert (n_plus == n and n_minus == n_zero == 0) == finite
             assert n_plus + n_minus + n_zero == n
+
+
+WEYL_TYPES = [("A", 1), ("A", 5), ("A", 12), ("B", 2), ("B", 7), ("B", 12), ("D", 4),
+              ("D", 9), ("E6",), ("E7",), ("E8",), ("F4",), ("G2",)]
+
+
+class TestRootGram:
+    @pytest.mark.parametrize("args", WEYL_TYPES, ids=lambda a: "".join(map(str, a)))
+    def test_weyl_gram2_is_a_scaled_cosine_form(self, args):
+        w = weyl_data(*args)
+        assert np.allclose(cosine_form(w.gram2), bilinear_gram(w.symbol), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m,norms", [
+        (5, (2, 2)),    # order 5: no crystallographic pairing
+        (INF, (2, 2)),  # INF edge
+        (4, (2, 2)),    # order 4 between equal norms
+        (6, (1, 3)),    # odd larger norm
+    ])
+    def test_rejections(self, m, norms):
+        g = CoxeterSymbol(["a", "b"], [("a", "b", m)])
+        with pytest.raises(SymbolError, match="'a'-'b'"):
+            root_gram(g, dict(zip("ab", norms)))
 
 
 def random_symbol(rng):

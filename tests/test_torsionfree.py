@@ -522,6 +522,13 @@ class TestKernelIndexClosure:
             assert tf.kernel_index(d, "plain", verify_cap=plain) == plain
         assert closures == [hat, plain]
 
+    @pytest.mark.parametrize("args", [["E8"], ["A", 2]])
+    def test_unknown_mode_is_rejected(self, args):
+        # E8 [1] is past the closure cap, A2 [1] within it: both reject first.
+        d = build_dagger(weyl_data(*args), [1])
+        with pytest.raises(DaggerError, match="unknown mode 'bogus'"):
+            tf.kernel_index(d, "bogus")
+
     def test_closure_cap(self):
         d = build_dagger(weyl_data("A", 2), [1])
         with pytest.raises(DaggerError, match="closure exceeds cap 47"):
