@@ -177,6 +177,8 @@ def parse_symbol(text) -> CoxeterSymbol:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise SymbolError(f"bad edge entry {entry!r}")
         a, b, m = entry
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise SymbolError(f"edge endpoints must be strings: {entry!r}")
         if m == "inf":
             m = INF
         edges.append((a, b, m))

@@ -119,9 +119,6 @@ def build_dagger(psi: WeylData, nodes: Sequence[int]) -> DaggerSymbol:
 # ---------------------------------------------------------------------------
 # Image-group elements
 
-_mod2_cols = lru_cache(maxsize=1 << 14)(m2.mat_mod2)
-
-
 @dataclass(frozen=True)
 class SemidirectElement:
     """Element (x, v, g) of Z/2^ell x (prod_i L/2 >< W(Psi)).
@@ -136,7 +133,7 @@ class SemidirectElement:
     g: Matrix
 
     def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
-        cols = _mod2_cols(self.g)
+        cols = m2.mat_mod2(self.g)
         return SemidirectElement(
             self.x ^ other.x,
             tuple(a ^ m2.f2_mat_vec(cols, b) for a, b in zip(self.v, other.v)),
@@ -159,38 +156,40 @@ def identity_element(slots: int, n: int) -> SemidirectElement:
     return SemidirectElement(0, tuple(0 for _ in range(slots)), wy.identity_matrix(n))
 
 
-def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement:
-    """Image of a word in the generators of the pendant symbol.
-
-    The word is folded into mutable state (x, v, g) through the symbol's
-    letter table of the augmented map: a Weyl letter s right-multiplies g
-    by s_s in place; a pendant letter enters as its translation by the
-    semidirect law (x, v, g)(x_T, v_T, 1) = (x + x_T, v + (g mod 2) v_T, g),
-    which toggles bit i of x (plain pendants only) and adds g u_i mod 2 to
-    slot i of v.  The plain map is the same fold with x set to 0: x counts
-    the plain-pendant letters mod 2, whatever v and g are.
-    """
-    if len(word) > WORD_CAP:
-        raise DaggerError(f"word longer than the {WORD_CAP} cap")
-    if mode not in ("plain", "hat"):
-        raise DaggerError(f"unknown mode {mode!r}")
+def _fold(d: DaggerSymbol, word: Sequence, x: int, v: List[int], g: List[List[int]]) -> int:
+    """Right-multiply the caller's mutable state (x, v, g) in place by word
+    through the symbol's letter table, and return the new x.  A Weyl letter
+    s right-multiplies g by s_s; a pendant letter is its translation, and
+    (x, v, g)(x_T, v_T, 1) = (x + x_T, v + (g mod 2) v_T, g) toggles bit i
+    of x (plain pendants only) and adds g u_i mod 2 to slot i of v."""
     letters = d._letters
-    try:
-        shifts = [letters[s] for s in word]
-    except KeyError as exc:
-        raise DaggerError(f"unknown generator {exc.args[0]!r}") from None
-    psi = d.psi
-    x, v = 0, [0] * d.m
-    g = [list(r) for r in wy.identity_matrix(psi.rank)]
-    for s, shift in zip(word, shifts):
+    for s in word:
+        shift = letters[s]
         if shift is None:
-            wy.reflect_rows(psi, g, s)
+            wy.reflect_rows(d.psi, g, s)
             continue
         dx, j, cols = shift
         x ^= dx
         for r, row in enumerate(g):
             if sum([row[c] for c in cols]) & 1:
                 v[j] ^= 1 << r
+    return x
+
+
+def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement:
+    """Image of a word in the generators of the pendant symbol: the word
+    folded into the identity state (_fold).  The plain map is the same fold
+    with x set to 0: x counts the plain-pendant letters mod 2, whatever v
+    and g are."""
+    if len(word) > WORD_CAP:
+        raise DaggerError(f"word longer than the {WORD_CAP} cap")
+    if mode not in ("plain", "hat"):
+        raise DaggerError(f"unknown mode {mode!r}")
+    v, g = [0] * d.m, [list(r) for r in wy.identity_matrix(d.psi.rank)]
+    try:
+        x = _fold(d, word, 0, v, g)
+    except KeyError as exc:
+        raise DaggerError(f"unknown generator {exc.args[0]!r}") from None
     return SemidirectElement(x if mode == "hat" else 0, tuple(v), tuple(map(tuple, g)))
 
 
@@ -267,10 +266,15 @@ def verify_relations(d: DaggerSymbol, mode: str = "hat") -> CertStep:
 
 
 def enumerate_image(d: DaggerSymbol, mode: str, cap: int) -> int:
-    """Order of the image subgroup by breadth-first closure of the
-    generator images.  Raises when the closure exceeds cap."""
-    gens = [phi(d, [s], mode) for s in d.gamma.nodes]
-    seen = m2.bfs_closure(identity_element(d.m, d.psi.rank), gens, operator.mul, cap)
+    """Order of the image subgroup by breadth-first closure of the identity
+    under the generators, each applied by folding its letter onto a copy of
+    the element (_fold).  Raises when the closure exceeds cap."""
+    def step(e: SemidirectElement, s) -> SemidirectElement:
+        v, g = list(e.v), [list(r) for r in e.g]
+        x = _fold(d, (s,), e.x, v, g)
+        return SemidirectElement(x if mode == "hat" else 0, tuple(v), tuple(map(tuple, g)))
+
+    seen = m2.bfs_closure(phi(d, (), mode), d.gamma.nodes, step, cap)
     if len(seen) > cap:
         raise DaggerError(f"closure exceeds cap {cap}")
     return len(seen)

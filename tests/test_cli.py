@@ -24,6 +24,16 @@ class TestMalformedInputExitsTwo:
         assert cli.run(["--quiet", "symbol", "signature", "--file", str(path), "--inf", "nan"]) == 2
         assert cli.run(["--quiet", "symbol", "signature", "--file", str(path), "--inf", "-2"]) == 0
 
+    @pytest.mark.parametrize("edge", [["a", ["b"], 3], [{"x": 1}, "b", 3]])
+    @pytest.mark.parametrize("verb", ["symbol classify", "symbol euler", "symbol signature",
+                                      "involutions classes"])
+    def test_unhashable_edge_endpoint(self, tmp_path, capsys, edge, verb):
+        path = tmp_path / "symbol.json"
+        path.write_text(json.dumps({"nodes": ["a", "b"], "edges": [edge]}))
+        assert cli.run(["--quiet", *verb.split(), "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: edge endpoints must be strings")
+
 
 A3_SYMBOL = {"nodes": ["a", "b", "c"], "edges": [["a", "b", 3], ["b", "c", 3]]}
 DANGLING_EDGE = {"nodes": ["a", "b"], "edges": [["a", "z", 3]]}
@@ -50,6 +60,10 @@ class TestExitCodesForEveryVerb:
         ("tf certify --psi E6 --nodes 1 --mode plain", 2),
         ("tf extend --psi E6 --nodes 1", 0),
         ("tf extend --psi A 4", 2),
+        # With no pendant the kernel is trivial, so the extension is <zeta>
+        # itself, which has torsion; the trivial kernel is torsion free.
+        ("tf extend --psi E6", 1),
+        ("tf certify --psi E6", 0),
         ("geometry volume 4", 0),
         ("geometry volume 5", 2),
     ])
@@ -59,10 +73,12 @@ class TestExitCodesForEveryVerb:
         bad.write_text(json.dumps(DANGLING_EDGE))
         assert cli.run(["--quiet", *command.format(a3=a3, bad=bad).split()]) == code
         out, err = capsys.readouterr()
-        if code == 0:
-            json.loads(out)
-        else:
+        if code == 2:
             assert out == "" and err.startswith("error: ")
+        else:
+            payload = json.loads(out)
+            if code == 1:  # a failed check still prints its certificate
+                assert payload["ok"] is False and err == ""
 
 
 class TestRemovedFlags:

@@ -49,6 +49,14 @@ def _fold(d, word, mode):
     return acc
 
 
+def _product_closure(d, mode):
+    """The image group as the breadth-first closure of the identity under
+    the group product with the generator images: the reference for the
+    closure enumerate_image runs by folding letters."""
+    images = list(_generator_images(d, mode).values())
+    return m2.bfs_closure(tf.identity_element(d.m, d.psi.rank), images, operator.mul)
+
+
 class TestPhi:
     @pytest.mark.parametrize("args,nodes", [(["E6"], [1, 6]), (["E8"], [1, 8]),
                                             (["D", 8], [2, 6])])
@@ -422,6 +430,17 @@ class TestWorkCounters:
             assert len(_free_masks(d) - seen) == count
             seen |= _free_masks(d)
 
+    def test_closure_multiplies_nothing(self, monkeypatch):
+        # The closure folds letters onto copies: it neither multiplies image
+        # elements nor Weyl matrices, and no mod-2 memo serves it.
+        muls = _count(monkeypatch, tf.SemidirectElement, "__mul__")
+        mat_muls = _count(monkeypatch, wy, "mat_mul")
+        closures = _count(monkeypatch, tf, "enumerate_image")
+        d = build_dagger(weyl_data("D", 4), [2])
+        assert tf.kernel_index(d, "hat") == tf.kernel_index(d, "plain") == 2 ** 4 * 192
+        assert len(closures) == 2 and muls == [] and mat_muls == []
+        assert not hasattr(tf, "_mod2_cols")
+
     def test_move_table_once_per_weyl_type(self):
         # certify, its replay, extend and maximal_rank_class all read the
         # one move table of each Weyl type; the pendant symbol needs none.
@@ -498,6 +517,20 @@ class TestExtensionIndex:
         assert ext.index == 2 ** 16 * 696729600
 
 
+class TestExtensionWithoutPendants:
+    # With no pendant there is no slot, so no slot avoids the image and
+    # target-avoidance fails: the kernel is trivial, the extension is
+    # <zeta> itself, and <zeta> has torsion.  The trivial kernel is
+    # torsion free.
+    @pytest.mark.parametrize("args", [("E6",), ("E8",), ("D", 8), ("A", 5), ("B", 4)],
+                             ids=lambda args: "".join(map(str, args)))
+    def test_only_target_avoidance_fails(self, args):
+        d = build_dagger(weyl_data(*args), [])
+        steps = cyclic_extension(d).certificate.steps
+        assert [s.name for s in steps if not s.ok] == ["target-avoidance"]
+        assert certify_torsion_free(d).ok
+
+
 class TestKernelIndexClosure:
     # 2^(m n + ell) |W| (hat) and 2^(m n) |W| (plain); only A2's node 1 is
     # not specially admissible, so ell = 1 there and 0 elsewhere.
@@ -521,6 +554,31 @@ class TestKernelIndexClosure:
             assert tf.kernel_index(d, "hat", verify_cap=hat) == hat
             assert tf.kernel_index(d, "plain", verify_cap=plain) == plain
         assert closures == [hat, plain]
+
+    @pytest.mark.parametrize("args,nodes,modes", [
+        (["A", 2], [1], ("hat", "plain")),
+        (["G2"], [1], ("hat", "plain")),
+        (["D", 4], [2], ("hat",)),
+    ])
+    def test_fold_closure_reaches_the_product_closure(self, monkeypatch, args, nodes, modes):
+        d = build_dagger(weyl_data(*args), nodes)
+        references = [_product_closure(d, mode) for mode in modes]
+        reached = []
+        original = m2.bfs_closure
+
+        def spy(*a):
+            reached.append(original(*a))
+            return reached[-1]
+
+        monkeypatch.setattr(m2, "bfs_closure", spy)
+        for mode, reference in zip(modes, references):
+            assert tf.enumerate_image(d, mode, cap=len(reference)) == len(reference)
+        assert reached == references
+
+    def test_enumerate_image_rejects_an_unknown_mode(self):
+        d = build_dagger(weyl_data("A", 2), [1])
+        with pytest.raises(DaggerError, match="unknown mode 'bogus'"):
+            tf.enumerate_image(d, "bogus", cap=48)
 
     @pytest.mark.parametrize("args", [["E8"], ["A", 2]])
     def test_unknown_mode_is_rejected(self, args):
