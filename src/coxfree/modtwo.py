@@ -264,10 +264,21 @@ def admissible_nodes(w: WeylData) -> List[Tuple[int, bool]]:
     return out
 
 
+@lru_cache(maxsize=256)
+def orbit_dim(w: WeylData, u: int, parity: int) -> int:
+    """Dimension of the span of the reflection-group orbit of (parity, u) in
+    F2 x L/2, the parity bit sitting above the n coordinates of u; every
+    reflection fixes it.  Memoized per (Weyl type, vector, parity): every
+    kernel_index slot and lambda_dim read it."""
+    n = w.rank
+    gens = [cols + (1 << n,) for cols in f2_generators(w).values()]
+    _, sp = orbit_span(gens, u | parity << n, n + 1)
+    return sp.dim
+
+
 def lambda_dim(w: WeylData, s: int) -> int:
     """Dimension of the span of the full reflection-group orbit of u_s mod 2."""
-    _, sp = orbit_span(list(f2_generators(w).values()), weight_vector(w, s).mod2(), w.rank)
-    return sp.dim
+    return orbit_dim(w, weight_vector(w, s).mod2(), 0)
 
 
 # ---------------------------------------------------------------------------

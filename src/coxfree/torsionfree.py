@@ -23,9 +23,11 @@ Its caches are derived from their arguments alone, never from a
 certificate, and every value a caller reads is immutable.  Per Weyl
 type: the Weyl relation verdicts (_weyl_relations), the extension's
 half-turn data (_half_turn) and, per free mask, the free classes with
-their w0 (_build_free_classes).  Per symbol: the class table
-(_class_table, the last two symbols) and the letter table of the
-augmented map (DaggerSymbol._letters).
+their w0 (_build_free_classes); kernel_index reads one more, in
+modtwo: per (Weyl type, vector, parity), the dimension of the orbit span
+that proves each slot of the index (modtwo.orbit_dim).  Per symbol: the
+class table (_class_table, the last two symbols) and the letter table of
+the augmented map (DaggerSymbol._letters).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .symbols import CoxeterSymbol, mask_nodes, mask_sort_key, spherical_subsets
 from .weyl import Matrix, WeylData
 
 WORD_CAP = 10_000
-DEFAULT_VERIFY_CAP = 20_000
 
 
 class DaggerError(ValueError):
@@ -282,21 +283,39 @@ def enumerate_image(d: DaggerSymbol, mode: str, cap: int) -> int:
 
 def kernel_index(d: DaggerSymbol, mode: str = "hat",
                  verify_cap: Optional[int] = None) -> int:
-    """Index of the kernel, i.e. the order of the image group.
+    """Index of the kernel, i.e. the order of the image group: the formula
+    2^(m n + ell) |W(Psi)| for the augmented map and 2^(m n) |W(Psi)| for
+    the plain one, proved for every symbol as follows.
 
-    The formula is 2^(m n + ell) |W(Psi)| for the augmented map and
-    2^(m n) |W(Psi)| for the plain one.  When the value is at most
-    verify_cap the order is re-derived by generator closure.
+    The Weyl letters generate W(Psi) inside the image, and W(Psi)
+    normalizes the translations, so the image is N >< W(Psi), with N
+    spanned by the W-conjugates of the pendant translations.  Conjugating
+    t_i's translation (_letters) by w gives (eps_i, w u_i mod 2): parity
+    bit i and slot i, where eps_i is 1 only for a plain pendant in hat
+    mode.  Bits and slots are separate per pendant, so |N| is the product
+    of 2^d_i, with d_i the dimension of the orbit span of (eps_i, u_i)
+    (modtwo.orbit_dim), and the formula holds iff d_i = n + eps_i for
+    every slot.  A slot that falls short raises DaggerError.
+
+    verify_cap is a cross-check only: when the formula is at most
+    verify_cap, the order is also re-derived by the image closure
+    (enumerate_image), which must agree.
     """
     if mode not in ("plain", "hat"):
         raise DaggerError(f"unknown mode {mode!r}")
-    cap = DEFAULT_VERIFY_CAP if verify_cap is None else verify_cap
     n = d.psi.rank
-    value = (2 ** (d.m * n + (d.ell if mode == "hat" else 0))) * d.psi.order
     if mode == "plain" and not all(d.special):
         warnings.warn("plain-mode kernel is not torsion free: "
                       "some attachment is not specially admissible")
-    if value <= cap:
+    for t in d.pendants:
+        dx, i, cols = d._letters[t]
+        eps = int(mode == "hat" and dx != 0)
+        dim = m2.orbit_dim(d.psi, sum(1 << c for c in cols), eps)
+        if dim != n + eps:
+            raise DaggerError(f"slot {i} ({t} at node {d.attachments[i]}): orbit span "
+                              f"has dimension {dim}, not {n + eps}")
+    value = (2 ** (d.m * n + (d.ell if mode == "hat" else 0))) * d.psi.order
+    if verify_cap is not None and value <= verify_cap:
         actual = enumerate_image(d, mode, cap=value + 1)
         if actual != value:
             raise DaggerError(f"image order {actual} != formula {value}")
@@ -618,7 +637,7 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
                            "trusted": ["2-torsion in the preimage of a cyclic 2-group "
                                        "maps onto its unique involution"]}, ok_ex))
 
-    image_order = 2 ** (d.m * n + d.ell) * psi.order
+    image_order = kernel_index(d, "hat")
     if image_order % 2 ** p:
         raise DaggerError(f"2^{p} does not divide the image order {image_order}")
     index = image_order // 2 ** p

@@ -120,6 +120,10 @@ GOLDEN_TF = {
         "b124f34911a7847133114ef8fe2efee48c23d8c0e95eb8e1e648e8d73abedda8",
     "tf certify --psi D 8 --nodes 2 6 --mode plain":
         "4adef723f9e9a3d09980f41eab11ec49d69fec495684422453d317963d97194f",
+    "tf certify --psi A 4 --nodes 1":
+        "9c752f466511bff17ac220ebaf4bc1643c2b57b18af86b3fdf5404ebd5dff4b2",
+    "tf certify --psi D 4 --nodes 2 --mode plain":
+        "32787215d79ac7fcef98b34787217a7cf2acb2ce1eb878c93f07819ce9d69d9c",
 }
 
 

@@ -14,6 +14,7 @@ from coxfree import (
     build_dagger,
     certify_torsion_free,
     cyclic_extension,
+    manifold_volume,
     phi,
     replay_certificate,
     weyl_data,
@@ -437,9 +438,23 @@ class TestWorkCounters:
         mat_muls = _count(monkeypatch, wy, "mat_mul")
         closures = _count(monkeypatch, tf, "enumerate_image")
         d = build_dagger(weyl_data("D", 4), [2])
-        assert tf.kernel_index(d, "hat") == tf.kernel_index(d, "plain") == 2 ** 4 * 192
+        assert (tf.kernel_index(d, "hat", verify_cap=3072)
+                == tf.kernel_index(d, "plain", verify_cap=3072) == 2 ** 4 * 192)
         assert len(closures) == 2 and muls == [] and mat_muls == []
         assert not hasattr(tf, "_mod2_cols")
+
+    def test_certify_closes_no_image(self, monkeypatch):
+        # The index is proved by orbit spans alone: certify, its replay and
+        # the dimension-4 volume run no closure, and the orbit memo misses
+        # once per (Weyl type, vector, parity).  Here that is (A4, u_1, 1),
+        # (B4, u_2, 0), (D4, u_2, 0) and, for the volume, (A4, u_2, 1).
+        closures = _count(monkeypatch, tf, "enumerate_image")
+        m2.orbit_dim.cache_clear()
+        for args, nodes in ((("A", 4), [1]), (("B", 4), [2]), (("D", 4), [2])):
+            d = build_dagger(weyl_data(*args), nodes)
+            assert replay_certificate(d, certify_torsion_free(d))
+        assert manifold_volume(4)[2] == 2 ** 5 * 120
+        assert closures == [] and m2.orbit_dim.cache_info().misses == 4
 
     def test_move_table_once_per_weyl_type(self):
         # certify, its replay, extend and maximal_rank_class all read the
@@ -532,14 +547,26 @@ class TestExtensionWithoutPendants:
 
 
 class TestKernelIndexClosure:
-    # 2^(m n + ell) |W| (hat) and 2^(m n) |W| (plain); only A2's node 1 is
-    # not specially admissible, so ell = 1 there and 0 elsewhere.
+    # Every (symbol, mode) with one or two pendants over A2-A5, B3, B4, D4,
+    # G2 and F4 whose formula is at most 6,144: 2^(m n + ell) |W| (hat) and
+    # 2^(m n) |W| (plain), ell counting the plain attachments.  Every
+    # admissible node of A2 and A4 is plain; A3 and A5 have no admissible
+    # node, and every F4 formula passes 6,144.
     @pytest.mark.parametrize("args,nodes,hat,plain", [
         (["A", 2], [1], 2 ** 3 * 6, 2 ** 2 * 6),
         (["G2"], [1], 2 ** 2 * 12, 2 ** 2 * 12),
         (["D", 4], [2], 2 ** 4 * 192, 2 ** 4 * 192),
+        (["A", 2], [2], 2 ** 3 * 6, 2 ** 2 * 6),
+        (["A", 2], [1, 2], 2 ** 6 * 6, 2 ** 4 * 6),
+        (["A", 4], [1], 2 ** 5 * 120, 2 ** 4 * 120),
+        (["A", 4], [2], 2 ** 5 * 120, 2 ** 4 * 120),
+        (["A", 4], [3], 2 ** 5 * 120, 2 ** 4 * 120),
+        (["A", 4], [4], 2 ** 5 * 120, 2 ** 4 * 120),
+        (["B", 3], [2], 2 ** 3 * 48, 2 ** 3 * 48),
+        (["B", 4], [2], 2 ** 4 * 384, 2 ** 4 * 384),
     ])
     def test_closure_matches_formula(self, monkeypatch, args, nodes, hat, plain):
+        # The orbit spans (no cap) and the closure (verify_cap) agree.
         d = build_dagger(weyl_data(*args), nodes)
         closures = []
 
@@ -551,9 +578,20 @@ class TestKernelIndexClosure:
         monkeypatch.setattr(tf, "enumerate_image", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert tf.kernel_index(d, "hat", verify_cap=hat) == hat
-            assert tf.kernel_index(d, "plain", verify_cap=plain) == plain
+            assert tf.kernel_index(d, "hat") == tf.kernel_index(d, "hat", verify_cap=hat) == hat
+            assert (tf.kernel_index(d, "plain")
+                    == tf.kernel_index(d, "plain", verify_cap=plain) == plain)
         assert closures == [hat, plain]
+
+    def test_a_slot_short_of_its_span_is_rejected(self):
+        # u_1 of D4 spans one dimension under W, not four: put in the slot
+        # of the pendant at node 2, it must fail the proof, and the closure
+        # finds the smaller image, 2^1 |W(D4)|.
+        d = build_dagger(weyl_data("D", 4), [2])
+        bad = dataclasses.replace(d, weights=(m2.weight_vector(d.psi, 1).coords,))
+        with pytest.raises(DaggerError, match=r"slot 0 \(t1 at node 2\).* dimension 1, not 4"):
+            tf.kernel_index(bad, "hat")
+        assert tf.enumerate_image(bad, "hat", cap=3072) == 2 * 192
 
     @pytest.mark.parametrize("args,nodes,modes", [
         (["A", 2], [1], ("hat", "plain")),
@@ -582,7 +620,7 @@ class TestKernelIndexClosure:
 
     @pytest.mark.parametrize("args", [["E8"], ["A", 2]])
     def test_unknown_mode_is_rejected(self, args):
-        # E8 [1] is past the closure cap, A2 [1] within it: both reject first.
+        # Both reject the mode before any orbit span is read.
         d = build_dagger(weyl_data(*args), [1])
         with pytest.raises(DaggerError, match="unknown mode 'bogus'"):
             tf.kernel_index(d, "bogus")
