@@ -14,7 +14,9 @@ a connected component: its path, or its branch node and arms; the finite
 classification reads its edge labels along that walk, and the diagram
 symmetry (involutions) and the type-B paths through a pendant
 (torsionfree) read the same walk.  spherical_subsets is the one walk over
-the spherical node subsets, and the only place the MAX_NODES cap lives.
+the spherical node subsets, capped at MAX_NODES; classify_component
+names the type of each connected set it meets, and of each set that
+torsionfree grows from a pendant.
 One symmetric elimination (inertia) counts every signature: exactly on
 the root_gram matrices of the volume path (geometry.vinberg_symbol),
 and up to SIGNATURE_TOL on the float cosine form of the general `symbol
@@ -34,12 +36,11 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 INF = math.inf
 
 # Cap on the nodes of a symbol given to the spherical-subset walk (Euler
-# characteristics, involution classes, finite-visible structure).  The walk
-# does bitmask work per spherical subset and classifies each component
-# mask once, so its cost follows the number of spherical subsets, not 2^|S|.
-# That number is still close to 2^|S| on pendant symbols (976 of 1024 for
-# E8 with pendants at 1 and 8), since every subset of a Weyl symbol is
-# spherical.
+# characteristics, involution classes) and of a pendant symbol given to
+# torsionfree.certify_torsion_free.  The walk does bitmask work per
+# spherical subset, so its cost follows their number, which is 2^|S| on a
+# Weyl symbol.  Certify walks no pendant symbol, but its class table grows
+# with the class count: A12 with its 12 admissible pendants has 3,246,625.
 MAX_NODES = 12
 
 SIGNATURE_TOL = 1e-8
@@ -172,6 +173,8 @@ def parse_symbol(text) -> CoxeterSymbol:
     nodes = data["nodes"]
     if not isinstance(nodes, list) or not all(isinstance(v, str) for v in nodes):
         raise SymbolError("nodes must be a list of strings")
+    if not isinstance(data.get("edges", []), list):
+        raise SymbolError("edges must be a list")
     edges = []
     for entry in data.get("edges", []):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
@@ -259,7 +262,9 @@ def component_shape(g: CoxeterSymbol, comp: Sequence) -> Optional[Tuple[object, 
     return branch, arms
 
 
-def _classify_component(g: CoxeterSymbol, comp: Sequence) -> Optional[FiniteType]:
+def classify_component(g: CoxeterSymbol, comp: Sequence) -> Optional[FiniteType]:
+    """Finite type of the subsymbol on the connected node set comp, or
+    None when that subsymbol is infinite (or comp is not connected)."""
     n = len(comp)
     shape = component_shape(g, comp)
     if shape is None:
@@ -317,7 +322,7 @@ def classify_finite_type(g: CoxeterSymbol) -> Optional[List[FiniteType]]:
     """Per-component finite types, or None if some component is infinite."""
     out = []
     for comp in connected_components(g):
-        t = _classify_component(g, comp)
+        t = classify_component(g, comp)
         if t is None:
             return None
         out.append(t)
@@ -387,7 +392,7 @@ def spherical_subsets(g: CoxeterSymbol) -> SphericalWalk:
                     else:
                         kept.append(comp)
                 if merged not in types:
-                    types[merged] = _classify_component(g, mask_nodes(g, merged))
+                    types[merged] = classify_component(g, mask_nodes(g, merged))
                 t = types[merged]
                 if t is None:
                     continue

@@ -13,11 +13,16 @@ kernel of the augmented map is torsion free; this module verifies the
 defining relations, certifies torsion-freeness class by class, and
 extends the kernel by a cyclic 2-group built from a Coxeter element.
 
-The involution classes of a pendant symbol form a product: pendant
-configurations times the classes of the Weyl nodes each leaves free
-(_class_table).  Two facts make it one: a finite component through a
-pendant is A1 or B_k, so no exchange move touches it or a neighbour of
-it; and adding a fixed disjoint set keeps the order of sets of one size.
+The connected finite visibles through the pendants are grown from each
+pendant one neighbour at a time (_pendant_growth); no stage walks the
+spherical subsets of a pendant symbol.  The A1 and B_k sets among them
+are the pendant components, and every other one fails certify's
+structure step.  The involution classes of a pendant symbol form a
+product: pendant configurations times the classes of the Weyl nodes each
+leaves free (_class_table).  Two facts make it one: a finite component
+through a pendant is A1 or B_k, so no exchange move touches it or a
+neighbour of it; and adding a fixed disjoint set keeps the order of sets
+of one size.
 
 Its caches are derived from their arguments alone, never from a
 certificate, and every value a caller reads is immutable.  Per Weyl
@@ -25,9 +30,10 @@ type: the Weyl relation verdicts (_weyl_relations), the extension's
 half-turn data (_half_turn) and, per free mask, the free classes with
 their w0 (_build_free_classes); kernel_index reads one more, in
 modtwo: per (Weyl type, vector, parity), the dimension of the orbit span
-that proves each slot of the index (modtwo.orbit_dim).  Per symbol: the
-class table (_class_table, the last two symbols) and the letter table of
-the augmented map (DaggerSymbol._letters).
+that proves each slot of the index (modtwo.orbit_dim).  Per symbol, each
+for the last two symbols: the growth from the pendants (_pendant_growth),
+the class table built on its components (_class_table); and the letter
+table of the augmented map (DaggerSymbol._letters).
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from . import involutions as inv
 from . import modtwo as m2
 from . import weyl as wy
-from .symbols import CoxeterSymbol, mask_nodes, mask_sort_key, spherical_subsets
+from .symbols import (MAX_NODES, CoxeterSymbol, SymbolError, classify_component, mask_nodes,
+                      mask_sort_key, spherical_subsets)
 from .weyl import Matrix, WeylData
 
 WORD_CAP = 10_000
@@ -325,18 +332,13 @@ def kernel_index(d: DaggerSymbol, mode: str = "hat",
 # ---------------------------------------------------------------------------
 # Torsion-free certification
 
-def _b_longest_word(pendant, path: Sequence[int]) -> List:
+def _b_longest_word(pendant, path: Sequence[int]) -> Tuple:
     """Reduced word for the longest element of the visible type-B subgroup
     {pendant} + path, the pendant sitting at the order-4 end.  Built from
     nested palindromes around the pendant; each palindrome cancels to the
     identity once the pendant is erased."""
-    local = list(reversed(path)) + [pendant]
-    k = len(local)
-    word: List = []
-    for j in range(1, k):
-        word += local[j - 1:k] + local[j - 1:k - 1][::-1]
-    word.append(pendant)
-    return word
+    local = tuple(reversed(path)) + (pendant,)
+    return sum((local[j:] + local[j:-1][::-1] for j in range(len(path))), ()) + (pendant,)
 
 
 @lru_cache(maxsize=512)
@@ -360,27 +362,55 @@ def _build_free_classes(psi: WeylData, free: int) -> Tuple[Tuple, ...]:
     return tuple(out)
 
 
-def _pendant_components(d: DaggerSymbol, i: int) -> List[Tuple]:
-    """The finite components through pendant t_i: t_i alone (A1), and t_i
-    with each type-A path from s_i (B_k).  Each is (mask, mask with its
-    neighbours, (sort key, longest word), x, v_i), where (x, v, 1) is the
-    word's image under the augmented map and v_i its slot i, the only one
-    it moves.  The image must fix the Weyl part, since the word cancels
-    once the pendant is erased."""
+@lru_cache(maxsize=2)
+def _pendant_growth(d: DaggerSymbol) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tuple[Tuple, ...]]:
+    """The connected finite visibles through the pendants, grown from each
+    pendant one neighbour at a time and named by classify_component.
+    Growth through finite sets reaches every one, since dropping a leaf
+    other than the pendant keeps a set connected and finite.
+
+    Returns (components, violations).  components[i] holds the sets through
+    t_i and no other pendant that are A1 or B_k: t_i and a type-A path
+    from s_i, grown in path order.  Each is (mask, mask with its
+    neighbours, (sort key, longest word), x, v_i, path), where (x, v, 1)
+    is the word's image under the augmented map and v_i its slot i, the
+    only one it moves.  The image must fix the Weyl part, since the word
+    cancels once the pendant is erased.  Every other set is a violation,
+    (mask, type, pendant count), listed as spherical_subsets lists sets:
+    by size, then by position.  Memoized per symbol, like _class_table.
+    """
     gamma = d.gamma
     bit = {v: 1 << k for k, v in enumerate(gamma.nodes)}
-    t = d.pendants[i]
-    out = []
-    for path in [()] + [path for path, _ in m2.type_a_paths(d.psi, d.attachments[i])]:
-        nodes = (t,) + path
-        mask = sum(bit[v] for v in nodes)
-        around = mask | sum(bit[w] for w in {w for v in nodes for w in gamma.neighbors(v)})
-        word = tuple(_b_longest_word(t, path))
-        image = phi(d, word, "hat")
-        if image.g != wy.identity_matrix(d.psi.rank):
-            raise DaggerError("pendant component image moves the Weyl part")
-        out.append((mask, around, (mask_sort_key(gamma, mask), word), image.x, image.v[i]))
-    return out
+    slot = {bit[t]: i for i, t in enumerate(d.pendants)}
+    pend = sum(slot)
+    components: Tuple[List[Tuple], ...] = tuple([] for _ in d.pendants)
+    violations = []
+    # (mask, its nodes in growth order), read while it grows: by size, as
+    # each set is one node larger than the set it grew from.
+    queue = [(bit[t], (t,)) for t in d.pendants]
+    seen = {mask for mask, _ in queue}
+    for mask, nodes in queue:
+        ftype = classify_component(gamma, mask_nodes(gamma, mask))
+        if ftype is None:
+            continue
+        around = mask | sum({bit[w] for v in nodes for w in gamma.neighbors(v)})
+        i = slot.get(mask & pend)  # the slot of the set's pendant, if it has just one
+        if i is not None and (ftype.family == "B" or ftype.rank == 1):
+            word = _b_longest_word(nodes[0], nodes[1:])
+            image = phi(d, word, "hat")
+            if image.g != wy.identity_matrix(d.psi.rank):
+                raise DaggerError("pendant component image moves the Weyl part")
+            components[i].append((mask, around, (mask_sort_key(gamma, mask), word),
+                                  image.x, image.v[i], nodes[1:]))
+        else:
+            violations.append((mask, ftype, (mask & pend).bit_count()))
+        for w in gamma.nodes:
+            if bit[w] & around and mask | bit[w] not in seen:
+                seen.add(mask | bit[w])
+                queue.append((mask | bit[w], nodes + (w,)))
+    violations.sort(key=lambda f: (f[0].bit_count(),
+                                   [k for k in range(gamma.rank) if f[0] >> k & 1]))
+    return tuple(map(tuple, components)), tuple(violations)
 
 
 @lru_cache(maxsize=2)
@@ -426,12 +456,11 @@ def _class_table(d: DaggerSymbol
     # (pendant mask, closed mask, x, pick per pendant so far), extended one
     # pendant at a time by the picks disjoint from and not next to the rest.
     configs = [(0, 0, 0, ())]
-    for i in range(d.m):
-        options = [None] + _pendant_components(d, i)
+    for comps in _pendant_growth(d)[0]:
         configs = [(pend | c[0], closed | c[1], x ^ c[3], picks + (c,)) if c
                    else (pend, closed, x, picks + (None,))
                    for pend, closed, x, picks in configs
-                   for c in options if not (c and c[0] & closed)]
+                   for c in (None,) + comps if not (c and c[0] & closed)]
     for pend, closed, x, picks in configs:
         parts = [c[2] for c in picks if c]
         v = tuple(c[4] if c else 0 for c in picks)
@@ -444,24 +473,6 @@ def _class_table(d: DaggerSymbol
     return tuple((inv.EquivalenceClass(tuple(mask_nodes(gamma, m) for m in members), rank),
                   word, image)
                  for (rank, _), members, word, image in rows)
-
-
-def _structure_violations(d: DaggerSymbol) -> List[dict]:
-    """Connected finite visibles through a pendant that are not type B with
-    exactly one pendant, in the walk's order: by size, then by position."""
-    gamma = d.gamma
-    pendants = set(d.pendants)
-    pend = sum(1 << i for i, v in enumerate(gamma.nodes) if v in pendants)
-    violations = []
-    for mask, comps in spherical_subsets(gamma).items():
-        if not mask & pend or len(comps) != 1:
-            continue
-        t = comps[0][1]
-        n_pend = (mask & pend).bit_count()
-        if not (n_pend == 1 and (t.family == "B" or (t.family == "A" and t.rank == 1))):
-            violations.append({"nodes": [str(v) for v in mask_nodes(gamma, mask)],
-                               "type": t.label(), "pendants": n_pend})
-    return violations
 
 
 _TRUSTED_REDUCTIONS = (
@@ -483,21 +494,28 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     Steps: (1) every defining relation holds in the image (verify_relations);
     (2) every involution class of the pendant-symbol group has nontrivial
     image; (3) every connected finite visible subgroup not inside the Weyl
-    part is type B through exactly one pendant, which discharges odd
-    torsion through the named trusted reductions; (4) for each type-A path
-    from each attachment, whether the map is faithful on the visible
-    type-B subgroup of its pendant and that path, the flag
-    modtwo.type_a_paths gives it (the check admissibility ran); one that
-    is not faithful must be parity compensated: hat mode, a non-special
-    attachment, odd rank, and a longest element that survives the map.
-    Steps (1) and (2) read the module's caches (_weyl_relations,
-    _class_table).
+    part is A1 or type B through exactly one pendant, which discharges odd
+    torsion through the named trusted reductions; the growth from the
+    pendants lists every other one; (4) for each type-A path from each
+    attachment, whether the map is faithful on the visible type-B subgroup
+    of its pendant and that path, the flag modtwo.type_a_paths gives it
+    (the check admissibility ran); one that is not faithful must be parity
+    compensated: hat mode, a non-special attachment, odd rank, and a
+    longest element that survives the map, read off the image of the
+    path's component in the growth.  A path with no component (its set is
+    not B_k, which step 3 reports) is not compensated.  Steps (1)-(4) read
+    the module's caches (_weyl_relations, _class_table, _pendant_growth).
+
+    Certify takes pendant symbols of at most symbols.MAX_NODES nodes and
+    raises SymbolError past that, before it builds the class table.
     """
     if mode == "plain" and not all(d.special):
         raise DaggerError("plain-mode certification needs specially admissible attachments")
     steps: List[CertStep] = []
 
     steps.append(verify_relations(d, mode))
+    if d.gamma.rank > MAX_NODES:
+        raise SymbolError(f"certify is capped at {MAX_NODES} nodes, not {d.gamma.rank}")
 
     for cls, word, image in _class_table(d):
         nontrivial = not image.is_identity()
@@ -508,28 +526,27 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
                                "nontrivial": nontrivial},
                               nontrivial))
 
-    violations = _structure_violations(d)
-    steps.append(CertStep("finite-visible-structure",
-                          {"violations": violations}, not violations))
+    components, violations = _pendant_growth(d)
+    found = [{"nodes": [str(v) for v in mask_nodes(d.gamma, mask)],
+              "type": t.label(), "pendants": n} for mask, t, n in violations]
+    steps.append(CertStep("finite-visible-structure", {"violations": found}, not found))
     steps.append(CertStep("odd-torsion-reduction",
                           {"trusted": list(_TRUSTED_REDUCTIONS)}, True))
 
     entries = []
-    ok4 = True
     for i in range(d.m):
+        images = {c[5]: c[3:5] for c in components[i]}  # path -> (x, v_i)
         for path, faithful in m2.type_a_paths(d.psi, d.attachments[i]):
             k = len(path) + 1
             entry = {"pendant": d.pendants[i], "k": k,
                      "path": [str(v) for v in path], "faithful": faithful}
             if not faithful:
-                word = _b_longest_word(d.pendants[i], path)
-                compensated = (mode == "hat" and i < d.ell and k % 2 == 1
-                               and not phi(d, word, mode).is_identity())
-                entry["parity_compensated"] = compensated
-                if not compensated:
-                    ok4 = False
+                # A path whose set is not B_k in gamma (step 3 lists it) has no image.
+                entry["parity_compensated"] = (mode == "hat" and i < d.ell and k % 2 == 1
+                                               and any(images.get(path, ())))
             entries.append(entry)
-    steps.append(CertStep("type-B-faithfulness", {"subgroups": entries}, ok4))
+    steps.append(CertStep("type-B-faithfulness", {"subgroups": entries},
+                          all(e.get("parity_compensated", True) for e in entries)))
 
     return Certificate("torsion-free", mode, tuple(steps), index=kernel_index(d, mode))
 

@@ -34,6 +34,16 @@ class TestMalformedInputExitsTwo:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: edge endpoints must be strings")
 
+    @pytest.mark.parametrize("edges", [5, None], ids=["number", "null"])
+    @pytest.mark.parametrize("verb", ["symbol classify", "symbol euler", "symbol signature",
+                                      "involutions classes"])
+    def test_edges_not_a_list(self, tmp_path, capsys, edges, verb):
+        path = tmp_path / "symbol.json"
+        path.write_text(json.dumps({"nodes": ["a"], "edges": edges}))
+        assert cli.run(["--quiet", *verb.split(), "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: edges must be a list")
+
 
 A3_SYMBOL = {"nodes": ["a", "b", "c"], "edges": [["a", "b", 3], ["b", "c", 3]]}
 DANGLING_EDGE = {"nodes": ["a", "b"], "edges": [["a", "z", 3]]}
@@ -59,6 +69,9 @@ class TestExitCodesForEveryVerb:
         ("tf certify --psi E6 --nodes 1", 0),
         ("tf certify --psi E6 --nodes 1 --mode plain", 2),
         ("tf extend --psi E6 --nodes 1", 0),
+        # 13 nodes: past certify's node limit, which extend does not share.
+        ("tf certify --psi E8 --nodes 1 2 3 4 5", 2),
+        ("tf extend --psi E8 --nodes 1 2 3 4 5", 0),
         ("tf extend --psi A 4", 2),
         # With no pendant the kernel is trivial, so the extension is <zeta>
         # itself, which has torsion; the trivial kernel is torsion free.
@@ -124,6 +137,9 @@ GOLDEN_TF = {
         "9c752f466511bff17ac220ebaf4bc1643c2b57b18af86b3fdf5404ebd5dff4b2",
     "tf certify --psi D 4 --nodes 2 --mode plain":
         "32787215d79ac7fcef98b34787217a7cf2acb2ce1eb878c93f07819ce9d69d9c",
+    # 12 nodes, the largest pendant symbol certify accepts.
+    "tf certify --psi E6 --nodes 1 2 3 4 5 6":
+        "738d5728ba3cbbdb0a23dc8e649ccab43102d9e5771791ae9c3a57d93877c460",
 }
 
 

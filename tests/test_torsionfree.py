@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import functools
@@ -22,8 +23,9 @@ from coxfree import (
 from coxfree import involutions as inv
 from coxfree import modtwo as m2
 from coxfree import torsionfree as tf
+from coxfree import symbols as sym
 from coxfree import weyl as wy
-from coxfree.symbols import spherical_subsets
+from coxfree.symbols import CoxeterSymbol, mask_nodes, spherical_subsets
 
 
 def _generator_images(d, mode):
@@ -150,6 +152,49 @@ class TestCertificates:
         structure = next(s for s in cert.steps if s.name == "finite-visible-structure")
         assert structure.objects == {"violations": []}
 
+    @pytest.mark.parametrize("orders", [(3, 6), (3, 3)], ids=["3-6", "3-3"])
+    def test_a_failing_structure_step(self, orders):
+        # E6 [1 5] with t1 joined to node 1 by an order-3 edge and t2 to
+        # node 5 by an order orders[1] edge.  With (3, 6), {1, t1} is A2 and
+        # {5, t2} is G2, and t1 grows into seven more finite sets, up to E7;
+        # with (3, 3) the two pendants grow into sets whose growth order
+        # is not the walk's.  The relations through them fail too.
+        d = build_dagger(weyl_data("E6"), [1, 5])
+        edges = [e for e in d.gamma.edges() if e[1] not in d.pendants]
+        edges += [(s, t, m) for s, t, m in zip(d.attachments, d.pendants, orders)]
+        bad = dataclasses.replace(d, gamma=CoxeterSymbol(d.gamma.nodes, edges))
+        cert = certify_torsion_free(bad)
+        structure = next(s for s in cert.steps if s.name == "finite-visible-structure")
+        assert structure.objects == {"violations": _walk_violations(bad)}
+        if orders == (3, 6):
+            assert [(v["type"], len(v["nodes"])) for v in structure.objects["violations"]] == [
+                ("A2", 2), ("G2", 2), ("A3", 3), ("A4", 4), ("A5", 5), ("A5", 5), ("A6", 6),
+                ("D6", 6), ("E7", 7)]
+        # Neither pendant has a B_k set, so no unfaithful path is compensated.
+        faithfulness = next(s for s in cert.steps if s.name == "type-B-faithfulness")
+        assert [e["parity_compensated"] for e in faithfulness.objects["subgroups"]
+                if not e["faithful"]] == [False, False]
+        assert [s.name for s in cert.steps if not s.ok] == \
+            ["relations", "finite-visible-structure", "type-B-faithfulness"]
+        assert replay_certificate(bad, cert)
+
+
+def _walk_violations(d):
+    """The structure step's violations read off the spherical-subset walk
+    of the whole pendant symbol: every connected finite set through a
+    pendant that is not A1 or B_k through exactly one pendant, in the walk's
+    order."""
+    gamma = d.gamma
+    pend = sum(1 << k for k, v in enumerate(gamma.nodes) if v in d.pendants)
+    out = []
+    for mask, comps in spherical_subsets(gamma).items():
+        if mask & pend and len(comps) == 1:
+            t, n_pend = comps[0][1], (mask & pend).bit_count()
+            if not (n_pend == 1 and (t.family == "B" or t.label() == "A1")):
+                out.append({"nodes": [str(v) for v in mask_nodes(gamma, mask)],
+                            "type": t.label(), "pendants": n_pend})
+    return out
+
 
 class TestTypeBRecords:
     """Each type-B record states its own path.  The oracle: the map is
@@ -271,10 +316,11 @@ def _count(monkeypatch, owner, name):
 
 
 class TestClassTable:
-    def test_words_are_built_once_per_class(self, monkeypatch):
-        # The table, with each class's word, is built once per symbol, and
-        # the walk of the pendant symbol runs once, in the structure check.
-        built = _count(monkeypatch, tf, "_pendant_components")
+    def test_words_are_built_once_per_class(self):
+        # The table, with each class's word, is built once per symbol, from
+        # the one growth from the pendants, which the structure check reads
+        # too; no stage walks the pendant symbol.
+        tf._pendant_growth.cache_clear()
         tf._class_table.cache_clear()
         inv._move_table.cache_clear()
         tf._build_free_classes.cache_clear()
@@ -284,20 +330,23 @@ class TestClassTable:
         # An equal symbol built afresh, as each pipeline stage may do, shares the table.
         assert replay_certificate(build_dagger(weyl_data("E6"), [1]), cert)
         assert cyclic_extension(d).certificate.ok
-        assert built == [(d, 0)] and tf._class_table.cache_info().misses == 1
-        # Two walks: the pendant symbol's and E6's own, from which the free
-        # classes and maximal_rank_class read.
-        assert spherical_subsets.cache_info().misses == 2
-        assert spherical_subsets.cache_info().currsize == 2
+        assert tf._pendant_growth.cache_info().misses == 1
+        assert tf._class_table.cache_info().misses == 1
+        # One walk: E6's own, from which the free classes and
+        # maximal_rank_class read.
+        assert spherical_subsets.cache_info().misses == 1
+        assert spherical_subsets.cache_info().currsize == 1
 
-    def test_both_modes_share_the_words(self, monkeypatch):
-        built = _count(monkeypatch, tf, "_pendant_components")
+    def test_both_modes_share_the_words(self):
+        tf._pendant_growth.cache_clear()
         tf._class_table.cache_clear()
         d = build_dagger(weyl_data("D", 8), [2, 6])
         hat = certify_torsion_free(d, "hat")
         plain = certify_torsion_free(d, "plain")
         assert hat.ok and plain.ok
-        assert built == [(d, 0), (d, 1)]  # one call per pendant, for the one table
+        # One growth, with the components of both pendants, for the one table.
+        assert tf._pendant_growth.cache_info().misses == 1
+        assert len(tf._pendant_growth(d)[0]) == 2
         assert len(tf._class_table(d)) == len(inv.equivalence_classes(d.gamma)) == 199
 
     def test_one_weight_vector_per_attachment(self, monkeypatch):
@@ -333,6 +382,9 @@ class TestClassTable:
                 image.x = 1
             with pytest.raises(dataclasses.FrozenInstanceError):
                 cls.rank = 0
+        growth = tf._pendant_growth(d)
+        assert type(growth) is tuple and all(type(part) is tuple for part in growth)
+        hash(growth)  # components and violations are immutable values all the way down
 
 
 class TestClassFold:
@@ -456,6 +508,34 @@ class TestWorkCounters:
         assert manifold_volume(4)[2] == 2 ** 5 * 120
         assert closures == [] and m2.orbit_dim.cache_info().misses == 4
 
+    def test_no_stage_walks_the_pendant_symbol(self, monkeypatch):
+        # Certify, its replay and extend grow the finite visibles from the
+        # pendants once per symbol and walk no pendant symbol; the growth
+        # folds each pendant component's word once, and step 4 reads the
+        # images of the unfaithful paths off it, folding no word again.
+        walks = []
+        for owner in (sym, inv, tf):
+            walks.append(_count(monkeypatch, owner, "spherical_subsets"))
+        folds = _count(monkeypatch, tf, "phi")
+        tf._pendant_growth.cache_clear()
+        tf._class_table.cache_clear()
+        symbols = [build_dagger(weyl_data("E8"), [1, 8]), build_dagger(weyl_data("D", 8), [2, 6])]
+        unfaithful = 0
+        for d in symbols:
+            cert = certify_torsion_free(d)
+            assert cert.ok and replay_certificate(d, cert)
+            assert replay_certificate(d, cyclic_extension(d).certificate)
+            step = next(s for s in cert.steps if s.name == "type-B-faithfulness")
+            unfaithful += sum(not e["faithful"] for e in step.objects["subgroups"])
+        assert unfaithful > 0
+        assert not any(args[0] == d.gamma for calls in walks for args in calls for d in symbols)
+        assert tf._pendant_growth.cache_info().misses == len(symbols)
+        b_words = [(d, tf._b_longest_word(t, path)) for d in symbols
+                   for t, s in zip(d.pendants, d.attachments)
+                   for path in [()] + [p for p, _ in m2.type_a_paths(d.psi, s)]]
+        folded = collections.Counter((d, tuple(word)) for d, word, *_ in folds)
+        assert {key: folded[key] for key in b_words} == dict.fromkeys(b_words, 1)
+
     def test_move_table_once_per_weyl_type(self):
         # certify, its replay, extend and maximal_rank_class all read the
         # one move table of each Weyl type; the pendant symbol needs none.
@@ -493,7 +573,9 @@ def _free_masks(d):
 class TestProductTable:
     """The class table built from pendant configurations against the
     generic closure: the same classes in the same order, each image phi of
-    its word, and no pendant component that is not A1 or B_k."""
+    its word, and no pendant component that is not A1 or B_k.  The growth
+    from the pendants reaches exactly the connected spherical subsets
+    through a pendant that the walk of the whole symbol lists."""
 
     @staticmethod
     def _check(args, nodes):
@@ -502,7 +584,16 @@ class TestProductTable:
         assert tuple(cls for cls, _, _ in table) == inv.equivalence_classes(d.gamma), nodes
         for _, word, image in table:
             assert image == phi(d, word, "hat"), (nodes, word)
-        assert tf._structure_violations(d) == []
+        components, violations = tf._pendant_growth(d)
+        assert violations == () and _walk_violations(d) == []
+        pend = sum(1 << k for k, v in enumerate(d.gamma.nodes) if v in d.pendants)
+        through = [mask for mask, comps in spherical_subsets(d.gamma).items()
+                   if mask & pend and len(comps) == 1]
+        grown = [c[0] for comps in components for c in comps] + [v[0] for v in violations]
+        assert sorted(grown) == sorted(through), nodes
+        for comps, s in zip(components, d.attachments):
+            paths = [()] + [path for path, _ in m2.type_a_paths(d.psi, s)]
+            assert sorted(c[5] for c in comps) == sorted(paths), (nodes, s)
 
     @pytest.mark.parametrize("args", [("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
                              + [("D", r) for r in range(4, 7)] + [("E6",), ("F4",), ("G2",)],
