@@ -11,11 +11,10 @@ dimensions 4, 6 and 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import torsionfree as tf
 from . import weyl as wy
@@ -26,8 +25,7 @@ class GeometryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PiMonomial:
+class PiMonomial(NamedTuple):
     """Exact rational coefficient times an integer power of pi."""
 
     coeff: Fraction

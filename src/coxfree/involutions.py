@@ -23,10 +23,9 @@ each leaves free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .symbols import (
     CoxeterSymbol,
@@ -133,8 +132,7 @@ def elementary_moves(g: CoxeterSymbol, t_nodes) -> List[Tuple]:
     return [mask_nodes(g, m) for m in table[mask]]
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(NamedTuple):
     """One involution class: all mutually reachable antipodal node sets."""
 
     members: Tuple[Tuple, ...]

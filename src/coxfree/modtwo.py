@@ -13,11 +13,11 @@ half-turn, and the geometric-series operator used to hit its targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from . import weyl as wy
 from .weyl import Matrix, WeylData
@@ -97,8 +97,7 @@ def echelon_basis(vectors: Iterable[int]) -> Tuple[int, ...]:
     return tuple(sorted(basis, key=lambda x: x & -x))
 
 
-@dataclass(frozen=True)
-class F2Subspace:
+class F2Subspace(NamedTuple):
     """Subspace of F2^ambient held as a reduced echelon basis."""
 
     basis: Tuple[int, ...]
@@ -115,7 +114,11 @@ class F2Subspace:
         return v == 0
 
     def __le__(self, other: "F2Subspace") -> bool:
+        """Inclusion.  >= is its mirror; < and > are tuple order."""
         return all(other.contains(b) for b in self.basis)
+
+    def __ge__(self, other: "F2Subspace") -> bool:
+        return other <= self
 
 
 def span(vectors: Iterable[int], ambient: int) -> F2Subspace:
@@ -141,8 +144,7 @@ def f2_nullspace(cols: F2Matrix, n: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Weight vectors
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(NamedTuple):
     """Primitive lattice vector orthogonal to every simple root but x_s."""
 
     coords: Tuple[int, ...]

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 INF = math.inf
 
@@ -131,8 +130,7 @@ class CoxeterSymbol:
         return f"CoxeterSymbol(nodes={list(self.nodes)!r}, edges={self.edges()!r})"
 
 
-@dataclass(frozen=True)
-class FiniteType:
+class FiniteType(NamedTuple):
     """One irreducible finite factor, e.g. B with rank 5 (order 2^5 * 5!)."""
 
     family: str

@@ -15,14 +15,14 @@ extends the kernel by a cyclic 2-group built from a Coxeter element.
 
 The connected finite visibles through the pendants are grown from each
 pendant one neighbour at a time (_pendant_growth); no stage walks the
-spherical subsets of a pendant symbol.  The A1 and B_k sets among them
-are the pendant components, and every other one fails certify's
-structure step.  The involution classes of a pendant symbol form a
-product: pendant configurations times the classes of the Weyl nodes each
-leaves free (_class_table).  Two facts make it one: a finite component
-through a pendant is A1 or B_k, so no exchange move touches it or a
-neighbour of it; and adding a fixed disjoint set keeps the order of sets
-of one size.
+spherical subsets of a pendant symbol.  The A1 sets among them, and the
+B_k sets whose pendant sits at the order-4 end, are the pendant
+components; every other one fails certify's structure step.  The
+involution classes of a pendant symbol form a product: pendant
+configurations times the classes of the Weyl nodes each leaves free
+(_class_table).  Two facts make it one: a finite component through a
+pendant is A1 or B_k, so no exchange move touches it or a neighbour of
+it; and adding a fixed disjoint set keeps the order of sets of one size.
 
 Its caches are derived from their arguments alone, never from a
 certificate, and every value a caller reads is immutable.  Per Weyl
@@ -31,9 +31,11 @@ half-turn data (_half_turn) and, per free mask, the free classes with
 their w0 (_build_free_classes); kernel_index reads one more, in
 modtwo: per (Weyl type, vector, parity), the dimension of the orbit span
 that proves each slot of the index (modtwo.orbit_dim).  Per symbol, each
-for the last two symbols: the growth from the pendants (_pendant_growth),
-the class table built on its components (_class_table); and the letter
-table of the augmented map (DaggerSymbol._letters).
+for the last two symbols: the letter table of the augmented map
+(_letters), the growth from the pendants (_pendant_growth) and the class
+table built on its components (_class_table).  The records are
+NamedTuples; a DaggerSymbol is a value, so those three are keyed by its
+fields.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ from __future__ import annotations
 import itertools
 import operator
 import warnings
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import involutions as inv
 from . import modtwo as m2
@@ -63,15 +64,14 @@ class DaggerError(ValueError):
 # ---------------------------------------------------------------------------
 # The symbol
 
-@dataclass(frozen=True)
-class DaggerSymbol:
+class DaggerSymbol(NamedTuple):
     """Weyl symbol with pendant nodes on admissible attachment points.
 
     Attachments are reordered so the plain (admissible but not specially
     admissible) ones come first; ell counts them.  Pendant t_i is joined
     to attachment node i by an order-4 edge and commutes with everything
-    else.  The letter table of the augmented map (_letters) is memoized
-    on it.
+    else.  Its letter table (_letters) is memoized per symbol, like
+    _pendant_growth and _class_table.
     """
 
     psi: WeylData
@@ -86,18 +86,19 @@ class DaggerSymbol:
     def m(self) -> int:
         return len(self.attachments)
 
-    @cached_property
-    def _letters(self) -> Mapping[object, Optional[Tuple[int, int, Tuple[int, ...]]]]:
-        """Each generator's action under the augmented map.  A Weyl node
-        maps to None: reflect by it.  Pendant t_i maps to its translation
-        (x_T, i, cols): x_T is bit i for a plain attachment and 0 for a
-        special one, and the one nonzero slot i holds u_i mod 2, whose odd
-        coordinates are cols."""
-        letters = dict.fromkeys(self.psi.symbol.nodes)
-        for i, t in enumerate(self.pendants):
-            letters[t] = (1 << i if i < self.ell else 0, i,
-                          tuple(j for j, c in enumerate(self.weights[i]) if c & 1))
-        return MappingProxyType(letters)
+
+@lru_cache(maxsize=2)
+def _letters(d: DaggerSymbol) -> Mapping[object, Optional[Tuple[int, int, Tuple[int, ...]]]]:
+    """Each generator's action under the augmented map.  A Weyl node maps
+    to None: reflect by it.  Pendant t_i maps to its translation (x_T, i,
+    cols): x_T is bit i for a plain attachment and 0 for a special one, and
+    the one nonzero slot i holds u_i mod 2, whose odd coordinates are cols.
+    Memoized per symbol, like _pendant_growth."""
+    letters = dict.fromkeys(d.psi.symbol.nodes)
+    for i, t in enumerate(d.pendants):
+        letters[t] = (1 << i if i < d.ell else 0, i,
+                      tuple(j for j, c in enumerate(d.weights[i]) if c & 1))
+    return MappingProxyType(letters)
 
 
 def build_dagger(psi: WeylData, nodes: Sequence[int]) -> DaggerSymbol:
@@ -127,8 +128,7 @@ def build_dagger(psi: WeylData, nodes: Sequence[int]) -> DaggerSymbol:
 # ---------------------------------------------------------------------------
 # Image-group elements
 
-@dataclass(frozen=True)
-class SemidirectElement:
+class SemidirectElement(NamedTuple):
     """Element (x, v, g) of Z/2^ell x (prod_i L/2 >< W(Psi)).
 
     x is a parity bitset, v holds one L/2 vector per pendant slot, and g
@@ -170,7 +170,7 @@ def _fold(d: DaggerSymbol, word: Sequence, x: int, v: List[int], g: List[List[in
     s right-multiplies g by s_s; a pendant letter is its translation, and
     (x, v, g)(x_T, v_T, 1) = (x + x_T, v + (g mod 2) v_T, g) toggles bit i
     of x (plain pendants only) and adds g u_i mod 2 to slot i of v."""
-    letters = d._letters
+    letters = _letters(d)
     for s in word:
         shift = letters[s]
         if shift is None:
@@ -204,15 +204,13 @@ def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement
 # ---------------------------------------------------------------------------
 # Certificates
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(NamedTuple):
     name: str
     objects: dict
     ok: bool
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     kind: str
     mode: str
     steps: Tuple[CertStep, ...]
@@ -315,7 +313,7 @@ def kernel_index(d: DaggerSymbol, mode: str = "hat",
         warnings.warn("plain-mode kernel is not torsion free: "
                       "some attachment is not specially admissible")
     for t in d.pendants:
-        dx, i, cols = d._letters[t]
+        dx, i, cols = _letters(d)[t]
         eps = int(mode == "hat" and dx != 0)
         dim = m2.orbit_dim(d.psi, sum(1 << c for c in cols), eps)
         if dim != n + eps:
@@ -370,14 +368,15 @@ def _pendant_growth(d: DaggerSymbol) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tup
     other than the pendant keeps a set connected and finite.
 
     Returns (components, violations).  components[i] holds the sets through
-    t_i and no other pendant that are A1 or B_k: t_i and a type-A path
-    from s_i, grown in path order.  Each is (mask, mask with its
-    neighbours, (sort key, longest word), x, v_i, path), where (x, v, 1)
-    is the word's image under the augmented map and v_i its slot i, the
-    only one it moves.  The image must fix the Weyl part, since the word
-    cancels once the pendant is erased.  Every other set is a violation,
-    (mask, type, pendant count), listed as spherical_subsets lists sets:
-    by size, then by position.  Memoized per symbol, like _class_table.
+    t_i and no other pendant that are A1, or B_k with t_i's own edge (to
+    s_i) of order 4: t_i and a type-A path from s_i, grown in path order.
+    Each is (mask, mask with its neighbours, (sort key, longest word), x,
+    v_i, path), where (x, v, 1) is the word's image under the augmented
+    map and v_i its slot i, the only one it moves.  The image must fix the
+    Weyl part, since the word cancels once the pendant is erased.  Every
+    other set is a violation, (mask, type, pendant count), listed as
+    spherical_subsets lists sets: by size, then by position.  Memoized per
+    symbol, like _class_table.
     """
     gamma = d.gamma
     bit = {v: 1 << k for k, v in enumerate(gamma.nodes)}
@@ -395,7 +394,8 @@ def _pendant_growth(d: DaggerSymbol) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tup
             continue
         around = mask | sum({bit[w] for v in nodes for w in gamma.neighbors(v)})
         i = slot.get(mask & pend)  # the slot of the set's pendant, if it has just one
-        if i is not None and (ftype.family == "B" or ftype.rank == 1):
+        if i is not None and (ftype.rank == 1 or ftype.family == "B"
+                              and gamma.order(nodes[0], d.attachments[i]) == 4):
             word = _b_longest_word(nodes[0], nodes[1:])
             image = phi(d, word, "hat")
             if image.g != wy.identity_matrix(d.psi.rank):
@@ -554,8 +554,7 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
 # ---------------------------------------------------------------------------
 # Cyclic extensions
 
-@dataclass(frozen=True)
-class CyclicExtension:
+class CyclicExtension(NamedTuple):
     zeta: SemidirectElement
     p: int
     index: int
@@ -675,8 +674,9 @@ def replay_certificate(d: DaggerSymbol, cert: Certificate) -> bool:
     run, so a certificate replays only when it equals the fresh one field
     for field.  Any other kind, or one that cannot be re-derived for d (a
     DaggerError, such as plain mode on a non-special attachment or an
-    unknown mode), does not replay.  The module's caches it reads hold
-    nothing taken from cert.
+    unknown mode, or a SymbolError, such as a torsion-free certificate for
+    a pendant symbol past symbols.MAX_NODES), does not replay.  The
+    module's caches it reads hold nothing taken from cert.
     """
     derive = {
         "torsion-free": lambda: certify_torsion_free(d, cert.mode),
@@ -686,6 +686,6 @@ def replay_certificate(d: DaggerSymbol, cert: Certificate) -> bool:
         return False
     try:
         fresh = derive()
-    except DaggerError:
+    except (DaggerError, SymbolError):
         return False
     return fresh.to_json() == cert.to_json()

@@ -14,7 +14,6 @@ between 2 and 3; G2 is 1-2 with a 6-edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -32,12 +31,14 @@ class WeylError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class WeylData:
     """Static data of one irreducible Weyl group in the scaled root basis.
 
     weyl_data builds one instance per (family, rank), so identity is
-    equality: a memo keyed by a WeylData hashes its id."""
+    equality: a memo keyed by a WeylData hashes its id.  It is immutable:
+    the constructor takes the annotated fields in order and nothing can be
+    set after it; the two cached_property memos are filled on first read.
+    """
 
     family: str
     rank: int
@@ -49,6 +50,19 @@ class WeylData:
     index_of_connection: int
     minus_one_type: bool
     scaled_nodes: frozenset
+
+    def __init__(self, *fields) -> None:
+        names = WeylData.__annotations__
+        if len(fields) != len(names):
+            raise TypeError(f"WeylData takes {len(names)} fields, not {len(fields)}")
+        self.__dict__.update(zip(names, fields))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"WeylData is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in WeylData.__annotations__)
+        return f"WeylData({fields})"
 
     @property
     def order(self) -> int:

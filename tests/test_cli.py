@@ -236,6 +236,19 @@ def test_every_verb_runs_without_numpy(tmp_path):
     assert proc.stdout == '0 {"n_minus":1,"n_plus":1,"n_zero":0}\n'
 
 
+def test_import_stays_off_dataclasses_inspect_and_numpy():
+    # A cold `python -m coxfree` pays for every module the import loads;
+    # dataclasses alone would bring inspect, ast, dis and tokenize.  -S
+    # keeps site's own imports out of the probe.
+    src = str(Path(coxfree.__file__).resolve().parent.parent)
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import coxfree.cli; "
+             "print([m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_signature_with_a_huge_infinite_edge_value(tmp_path, capsys):
     # a-b at -1e300, b-c order 3: the cosine form has eigenvalues near
     # +-1e300 and one near 1, so the inertia is (2, 1, 0).
