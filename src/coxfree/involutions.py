@@ -12,20 +12,19 @@ equal arms at the branch node swapped for D_odd and E6.  This module
 enumerates the subsymbols from the spherical-subset walk, closes them
 under the moves, and picks out the unique class of maximal rank of an
 irreducible Weyl group.  The moves are built once per symbol, in
-_move_table; move_classes closes the masks inside a node mask under
-them, and elementary_moves reads them.  equivalence_classes formats
-move_classes of a whole symbol: the `involutions classes` verb,
-maximal_rank_class and the tests' oracle call it.  The class table of a
-pendant symbol (torsionfree._class_table) is built instead from its
-pendant configurations and move_classes of its Weyl type on the nodes
-each leaves free.
+_move_table; move_classes closes the masks under them, and
+elementary_moves reads them.  equivalence_classes formats move_classes:
+the `involutions classes` verb, maximal_rank_class and the tests'
+oracles call it.  Certify and extend list no class: torsionfree judges
+the classes of a pendant symbol through its pendant components, and
+reads the largest antipodal size off symbols.FiniteType.antipodal_size.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .symbols import (
     CoxeterSymbol,
@@ -143,17 +142,12 @@ class EquivalenceClass(NamedTuple):
         return self.members[0]
 
 
-def move_classes(g: CoxeterSymbol, free: Optional[int] = None) -> List[List[int]]:
-    """The move-closures of g's antipodal masks inside the node mask free
-    (all of g when None), under the moves of g's move table that stay
-    inside free.  These are the classes of the subdiagram on free: a move
-    adds s and removes a node of the component through s.  Each closure's
-    masks are sorted by mask_sort_key, and the closures by (rank, least
-    member)."""
+def move_classes(g: CoxeterSymbol) -> List[List[int]]:
+    """The move-closures of g's antipodal masks under g's move table.  Each
+    closure's masks are sorted by mask_sort_key, and the closures by (rank,
+    least member)."""
     table = _move_table(g)
-    outside = 0 if free is None else ~free
-    subsets = [mask for mask in table if not mask & outside]
-    parent = {m: m for m in subsets}
+    parent = {m: m for m in table}
 
     def find(x):
         while parent[x] != x:
@@ -161,15 +155,13 @@ def move_classes(g: CoxeterSymbol, free: Optional[int] = None) -> List[List[int]
             x = parent[x]
         return x
 
-    for sub in subsets:
+    for sub in table:
         for moved in table[sub]:
-            if moved & outside:
-                continue
             ra, rb = find(sub), find(moved)
             if ra != rb:
                 parent[ra] = rb
     groups: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
-    for sub in subsets:
+    for sub in table:
         groups.setdefault(find(sub), []).append((mask_sort_key(g, sub), sub))
     classes = sorted((sorted(members) for members in groups.values()),
                      key=lambda c: (len(c[0][0]), c[0][0]))

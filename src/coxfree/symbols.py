@@ -38,8 +38,8 @@ INF = math.inf
 # characteristics, involution classes) and of a pendant symbol given to
 # torsionfree.certify_torsion_free.  The walk does bitmask work per
 # spherical subset, so its cost follows their number, which is 2^|S| on a
-# Weyl symbol.  Certify walks no pendant symbol, but its class table grows
-# with the class count: A12 with its 12 admissible pendants has 3,246,625.
+# Weyl symbol.  Certify walks no pendant symbol and holds nothing per
+# involution class; its cap stays as one explicit check.
 MAX_NODES = 12
 
 SIGNATURE_TOL = 1e-8
@@ -140,7 +140,7 @@ class FiniteType(NamedTuple):
     @property
     def antipodal(self) -> bool:
         """Whether the longest element is central and acts as minus one:
-        A1, B_n, D_even, I2(m) for m = 0 mod 4, F4, H3, H4, E7, E8."""
+        A1, B_n, D_even, G2, I2(m) for even m, F4, H3, H4, E7, E8."""
         if self.family == "A":
             return self.rank == 1
         if self.family == "D":
@@ -148,6 +148,20 @@ class FiniteType(NamedTuple):
         if self.family == "I2":
             return (self.order // 2) % 2 == 0
         return self.family in ("B", "G2", "F4", "E7", "E8", "H3", "H4")
+
+    @property
+    def antipodal_size(self) -> int:
+        """The largest size of an antipodal node subset: the rank of an
+        antipodal type; otherwise ceil(k/2) for A_k (alternate nodes), k - 1
+        for D_k with k odd (a D_{k-1}), 4 for E6 (its D4) and 1 for I2(m)
+        with m odd.  Over the components of a finite symbol it adds up."""
+        if self.antipodal:
+            return self.rank
+        if self.family == "A":
+            return (self.rank + 1) // 2
+        if self.family == "D":
+            return self.rank - 1
+        return 4 if self.family == "E6" else 1
 
     def label(self) -> str:
         if self.family == "I2":

@@ -10,31 +10,31 @@ by sending s in Psi to itself, t_i to the translation by the weight
 vector u_i (its slot of the product), and, in the parity-augmented map,
 t_i for a non-special attachment also to the i-th standard bit.  The
 kernel of the augmented map is torsion free; this module verifies the
-defining relations, certifies torsion-freeness class by class, and
-extends the kernel by a cyclic 2-group built from a Coxeter element.
+defining relations, certifies torsion-freeness one pendant component at
+a time, and extends the kernel by a cyclic 2-group built from a Coxeter
+element.
 
 The connected finite visibles through the pendants are grown from each
 pendant one neighbour at a time (_pendant_growth); no stage walks the
 spherical subsets of a pendant symbol.  The A1 sets among them, and the
 B_k sets whose pendant sits at the order-4 end, are the pendant
-components; every other one fails certify's structure step.  The
-involution classes of a pendant symbol form a product: pendant
-configurations times the classes of the Weyl nodes each leaves free
-(_class_table).  Two facts make it one: a finite component through a
-pendant is A1 or B_k, so no exchange move touches it or a neighbour of
-it; and adding a fixed disjoint set keeps the order of sets of one size.
+components; every other one fails certify's structure step.  When none
+does, an involution class picks a set U of pendant components, disjoint
+and not adjacent, and a class C of the Weyl nodes U leaves free: a
+component is A1 or B_k, both antipodal, so no exchange move touches it
+or a neighbour of it.  Certify and extend judge the classes through the
+components alone and never list them (_involution_classes,
+_class_exclusion); the tests keep the class product as their reference.
 
 Its caches are derived from their arguments alone, never from a
 certificate, and every value a caller reads is immutable.  Per Weyl
-type: the Weyl relation verdicts (_weyl_relations), the extension's
-half-turn data (_half_turn) and, per free mask, the free classes with
-their w0 (_build_free_classes); kernel_index reads one more, in
-modtwo: per (Weyl type, vector, parity), the dimension of the orbit span
-that proves each slot of the index (modtwo.orbit_dim).  Per symbol, each
-for the last two symbols: the letter table of the augmented map
-(_letters), the growth from the pendants (_pendant_growth) and the class
-table built on its components (_class_table).  The records are
-NamedTuples; a DaggerSymbol is a value, so those three are keyed by its
+type: the Weyl relation verdicts (_weyl_relations) and the extension's
+half-turn data (_half_turn); kernel_index reads one more, in modtwo: per
+(Weyl type, vector, parity), the dimension of the orbit span that proves
+each slot of the index (modtwo.orbit_dim).  Per symbol, each for the
+last two symbols: the letter table of the augmented map (_letters) and
+the growth from the pendants (_pendant_growth).  The records are
+NamedTuples; a DaggerSymbol is a value, so those two are keyed by its
 fields.
 """
 
@@ -47,11 +47,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from . import involutions as inv
 from . import modtwo as m2
 from . import weyl as wy
-from .symbols import (MAX_NODES, CoxeterSymbol, SymbolError, classify_component, mask_nodes,
-                      mask_sort_key, spherical_subsets)
+from .symbols import MAX_NODES, CoxeterSymbol, SymbolError, classify_component, mask_nodes
 from .weyl import Matrix, WeylData
 
 WORD_CAP = 10_000
@@ -71,7 +69,7 @@ class DaggerSymbol(NamedTuple):
     admissible) ones come first; ell counts them.  Pendant t_i is joined
     to attachment node i by an order-4 edge and commutes with everything
     else.  Its letter table (_letters) is memoized per symbol, like
-    _pendant_growth and _class_table.
+    _pendant_growth.
     """
 
     psi: WeylData
@@ -339,27 +337,6 @@ def _b_longest_word(pendant, path: Sequence[int]) -> Tuple:
     return sum((local[j:] + local[j:-1][::-1] for j in range(len(path))), ()) + (pendant,)
 
 
-@lru_cache(maxsize=512)
-def _build_free_classes(psi: WeylData, free: int) -> Tuple[Tuple, ...]:
-    """The classes of the subdiagram of psi on the node mask free
-    (inv.move_classes).  Each is (member masks, (sort key, longest word)
-    of each component of the least member, w0 of the least member).
-
-    Memoized per (Weyl type, free mask).  One pipeline pass (seed 104729)
-    meets 138 such keys, and every set of 1-4 pendants of at most 12
-    nodes over E6, E7, E8 and D8 meets 373, so the bound of 512 evicts
-    nothing in either."""
-    g = psi.symbol
-    walk = spherical_subsets(g)
-    out = []
-    for members in inv.move_classes(g, free):
-        parts = tuple((mask_sort_key(g, comp), wy.longest_word(psi, mask_nodes(g, comp)))
-                      for comp, _ in walk[members[0]])
-        w0 = wy.word_to_matrix(psi, [s for _, word in parts for s in word])
-        out.append((tuple(members), parts, w0))
-    return tuple(out)
-
-
 @lru_cache(maxsize=2)
 def _pendant_growth(d: DaggerSymbol) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tuple[Tuple, ...]]:
     """The connected finite visibles through the pendants, grown from each
@@ -370,13 +347,13 @@ def _pendant_growth(d: DaggerSymbol) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tup
     Returns (components, violations).  components[i] holds the sets through
     t_i and no other pendant that are A1, or B_k with t_i's own edge (to
     s_i) of order 4: t_i and a type-A path from s_i, grown in path order.
-    Each is (mask, mask with its neighbours, (sort key, longest word), x,
-    v_i, path), where (x, v, 1) is the word's image under the augmented
-    map and v_i its slot i, the only one it moves.  The image must fix the
-    Weyl part, since the word cancels once the pendant is erased.  Every
+    Each is (mask, mask with its neighbours, longest word, x, v_i, path),
+    where (x, v, 1) is the word's image under the augmented map and v_i
+    its slot i, the only one it moves.  The image must fix the Weyl part,
+    since the word cancels once the pendant is erased.  Every
     other set is a violation, (mask, type, pendant count), listed as
     spherical_subsets lists sets: by size, then by position.  Memoized per
-    symbol, like _class_table.
+    symbol, like _letters.
     """
     gamma = d.gamma
     bit = {v: 1 << k for k, v in enumerate(gamma.nodes)}
@@ -400,8 +377,7 @@ def _pendant_growth(d: DaggerSymbol) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tup
             image = phi(d, word, "hat")
             if image.g != wy.identity_matrix(d.psi.rank):
                 raise DaggerError("pendant component image moves the Weyl part")
-            components[i].append((mask, around, (mask_sort_key(gamma, mask), word),
-                                  image.x, image.v[i], nodes[1:]))
+            components[i].append((mask, around, word, image.x, image.v[i], nodes[1:]))
         else:
             violations.append((mask, ftype, (mask & pend).bit_count()))
         for w in gamma.nodes:
@@ -411,68 +387,6 @@ def _pendant_growth(d: DaggerSymbol) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tup
     violations.sort(key=lambda f: (f[0].bit_count(),
                                    [k for k in range(gamma.rank) if f[0] >> k & 1]))
     return tuple(map(tuple, components)), tuple(violations)
-
-
-@lru_cache(maxsize=2)
-def _class_table(d: DaggerSymbol
-                 ) -> Tuple[Tuple[inv.EquivalenceClass, Tuple, SemidirectElement], ...]:
-    """(class, word, image) for every involution class of the pendant
-    symbol: the longest word of its canonical antipodal subsymbol and that
-    word's image under the augmented map.
-
-    The table is a product, by two facts.  (a) A finite component through
-    a pendant t_i is t_i alone (A1) or t_i with a type-A path from s_i
-    (B_k); both are antipodal, so no exchange move adds or removes a node
-    of a pendant component, or a neighbour of one.  A configuration U
-    picks, for each pendant, none or one of these, its picks disjoint and
-    not adjacent.  With F the Weyl nodes neither in U nor next to it, the
-    classes through U are {U + A : A in C} for each class C of F, and {U}
-    when U is not empty.  (b) Adding a fixed disjoint set keeps the
-    mask_sort_key order of sets of one size: the least node where two
-    such sets differ stays the same.  So each class keeps the member
-    order of C, and U + (least member of C) is its canonical member.
-    Classes are ordered by (rank, least member), as equivalence_classes
-    orders them; the tests take that generic closure as the reference.
-
-    The word lists the components' longest words in least-node order.  The
-    components commute and phi is a homomorphism (certify's step 1), so
-    the image is (x_U, v_U, w0): the product of U's pendant translations,
-    with the w0 of the least member of C.  One table serves both modes:
-    plain mode is certified only when every attachment is special, and
-    then the two maps agree on every generator.
-    """
-    gamma = d.gamma
-    weyl = (1 << d.psi.rank) - 1
-    one = wy.identity_matrix(d.psi.rank)
-    rows = []
-
-    def add(members, parts, image):
-        word = tuple(s for _, part in sorted(parts) for s in part)
-        if len(word) > WORD_CAP:
-            raise DaggerError(f"word longer than the {WORD_CAP} cap")
-        key = mask_sort_key(gamma, members[0])
-        rows.append(((len(key), key), members, word, image))
-
-    # (pendant mask, closed mask, x, pick per pendant so far), extended one
-    # pendant at a time by the picks disjoint from and not next to the rest.
-    configs = [(0, 0, 0, ())]
-    for comps in _pendant_growth(d)[0]:
-        configs = [(pend | c[0], closed | c[1], x ^ c[3], picks + (c,)) if c
-                   else (pend, closed, x, picks + (None,))
-                   for pend, closed, x, picks in configs
-                   for c in (None,) + comps if not (c and c[0] & closed)]
-    for pend, closed, x, picks in configs:
-        parts = [c[2] for c in picks if c]
-        v = tuple(c[4] if c else 0 for c in picks)
-        if pend:
-            add((pend,), parts, SemidirectElement(x, v, one))
-        for members, free_parts, w0 in _build_free_classes(d.psi, weyl & ~closed):
-            add(tuple(pend | m for m in members), parts + list(free_parts),
-                SemidirectElement(x, v, w0))
-    rows.sort(key=operator.itemgetter(0))
-    return tuple((inv.EquivalenceClass(tuple(mask_nodes(gamma, m) for m in members), rank),
-                  word, image)
-                 for (rank, _), members, word, image in rows)
 
 
 _TRUSTED_REDUCTIONS = (
@@ -488,13 +402,35 @@ _TRUSTED_REDUCTIONS = (
 )
 
 
+def _involution_classes(d: DaggerSymbol) -> CertStep:
+    """Certify's step 2: every involution class has nontrivial image,
+    judged one pendant component at a time.  A class (U, C) (see the
+    module docstring) has image (x_U, v_U, w0_C): the components commute
+    and phi is a homomorphism (step 1).  A pick through t_i sets only bit i
+    of x and only slot i of v, and w0_C = 1 only when C's member is empty,
+    the reflection representation being faithful.  So a class image is
+    trivial iff the class is {U} and each pick's (x, v_i) is zero, and
+    some class is trivial iff some component is.  One entry per component
+    records its nodes, its longest word and that word's image.  The images
+    are the augmented map's: plain mode is certified only when every
+    attachment is special, and then the two maps agree."""
+    entries = [{"nodes": [str(v) for v in mask_nodes(d.gamma, c[0])],
+                "word": [str(v) for v in c[2]], "x": c[3], "v": c[4],
+                "nontrivial": bool(c[3] or c[4])}
+               for comps in _pendant_growth(d)[0] for c in comps]
+    return CertStep("involution-classes",
+                    {"components": entries, "trusted": [_TRUSTED_REDUCTIONS[3]]},
+                    all(e["nontrivial"] for e in entries))
+
+
 def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     """Torsion-freeness certificate for the kernel.
 
     Steps: (1) every defining relation holds in the image (verify_relations);
     (2) every involution class of the pendant-symbol group has nontrivial
-    image; (3) every connected finite visible subgroup not inside the Weyl
-    part is A1 or type B through exactly one pendant, which discharges odd
+    image, judged on the pendant components (_involution_classes); (3)
+    every connected finite visible subgroup not inside the Weyl part is
+    A1 or type B through exactly one pendant, which discharges odd
     torsion through the named trusted reductions; the growth from the
     pendants lists every other one; (4) for each type-A path from each
     attachment, whether the map is faithful on the visible type-B subgroup
@@ -504,10 +440,10 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     longest element that survives the map, read off the image of the
     path's component in the growth.  A path with no component (its set is
     not B_k, which step 3 reports) is not compensated.  Steps (1)-(4) read
-    the module's caches (_weyl_relations, _class_table, _pendant_growth).
+    the module's caches (_weyl_relations, _pendant_growth).
 
     Certify takes pendant symbols of at most symbols.MAX_NODES nodes and
-    raises SymbolError past that, before it builds the class table.
+    raises SymbolError past that.
     """
     if mode == "plain" and not all(d.special):
         raise DaggerError("plain-mode certification needs specially admissible attachments")
@@ -517,15 +453,7 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     if d.gamma.rank > MAX_NODES:
         raise SymbolError(f"certify is capped at {MAX_NODES} nodes, not {d.gamma.rank}")
 
-    for cls, word, image in _class_table(d):
-        nontrivial = not image.is_identity()
-        steps.append(CertStep("involution-class",
-                              {"members": [[str(v) for v in mm] for mm in cls.members],
-                               "rank": cls.rank,
-                               "word": [str(v) for v in word],
-                               "nontrivial": nontrivial},
-                              nontrivial))
-
+    steps.append(_involution_classes(d))
     components, violations = _pendant_growth(d)
     found = [{"nodes": [str(v) for v in mask_nodes(d.gamma, mask)],
               "type": t.label(), "pendants": n} for mask, t, n in violations]
@@ -595,6 +523,46 @@ def _half_turn(psi: WeylData) -> Tuple[str, int, Matrix, int, m2.F2Subspace, m2.
     return route, p, xi_q, u, ker, im
 
 
+def _antipodal_size(g: CoxeterSymbol, nodes: Sequence) -> int:
+    """Largest size of an antipodal subset of the finite node set nodes
+    of g: FiniteType.antipodal_size summed over its connected components,
+    each named by classify_component on g itself, with no induced
+    subsymbol built."""
+    left, size = set(nodes), 0
+    while left:
+        comp = [left.pop()]
+        for v in comp:
+            near = left.intersection(g.neighbors(v))
+            left -= near
+            comp += near
+        size += classify_component(g, comp).antipodal_size
+    return size
+
+
+def _class_exclusion(d: DaggerSymbol, max_rank: int) -> CertStep:
+    """Extend's class-exclusion step: no involution class outside the Weyl
+    part maps onto the involution of <zeta>, whose minus-one rank is
+    max_rank.  A class (U, C) (see the module docstring) is excluded when
+    x_U != 0 (zeta has x = 0), when U is empty (inside the Weyl part), or
+    when the minus-one rank of w0_C, the size of C's member, is not
+    max_rank.  x_U = 0 iff every pick has x = 0, the bits being distinct
+    per pendant; more picks only leave fewer free nodes, and the antipodal
+    subsets of a node set take every size up to the largest.  So some class
+    is unresolved iff a component with x = 0 leaves free Weyl nodes (those
+    outside it and its neighbours) with an antipodal subset of max_rank
+    nodes.  One entry per such component records the largest size."""
+    weyl = (1 << d.psi.rank) - 1
+    entries = [{"nodes": [str(v) for v in mask_nodes(d.gamma, c[0])],
+                "free_antipodal_size": _antipodal_size(d.psi.symbol,
+                                                       mask_nodes(d.gamma, weyl & ~c[1]))}
+               for comps in _pendant_growth(d)[0] for c in comps if c[3] == 0]
+    return CertStep("class-exclusion",
+                    {"max_class_rank": max_rank, "components": entries,
+                     "trusted": ["2-torsion in the preimage of a cyclic 2-group "
+                                 "maps onto its unique involution"]},
+                    all(e["free_antipodal_size"] < max_rank for e in entries))
+
+
 def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
     """Extend the kernel by a cyclic 2-group inside the image.
 
@@ -604,8 +572,10 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
     group.  Odd-rank type A uses the Coxeter half-turn directly (p = 1);
     E6 does better through a Coxeter element of its visible D5, giving
     p = 3 instead of the generic p = 2.  It reads _half_turn and
-    _class_table; everything that depends on the pendants (zeta, its
-    powers, the slot checks, the class exclusions) is computed afresh.
+    _pendant_growth; everything else that depends on the pendants (zeta,
+    its powers, the slot checks, the class exclusions) is computed afresh.
+    max_rank, the minus-one rank the half-turn must reach, is the largest
+    antipodal size of Psi, the rank of its unique maximal involution class.
     """
     psi = d.psi
     n = psi.rank
@@ -621,7 +591,7 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
 
     g = half.g
     eig_dim = wy.minus_one_rank(g)
-    max_rank = inv.maximal_rank_class(psi).rank
+    max_rank = _antipodal_size(psi.symbol, psi.symbol.nodes)
     steps.append(CertStep("half-power-involution",
                           {"eigen_dim": eig_dim, "max_class_rank": max_rank,
                            "g": [list(r) for r in g]},
@@ -634,24 +604,7 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
         any(not c["in_image"] for c in slot_checks)
     steps.append(CertStep("target-avoidance", {"slots": slot_checks}, avoid_ok))
 
-    exclusions = []
-    ok_ex = True
-    psi_nodes = set(psi.symbol.nodes)
-    for cls, _, image in _class_table(d):
-        if image.x != 0:
-            reason = "x-parity"
-        elif all(v in psi_nodes for v in cls.canonical):
-            reason = "inside-weyl-part"
-        elif wy.minus_one_rank(image.g) != max_rank:
-            reason = "rank-mismatch"
-        else:
-            reason = "unresolved"
-            ok_ex = False
-        exclusions.append({"members": [str(v) for v in cls.canonical], "reason": reason})
-    steps.append(CertStep("class-exclusion",
-                          {"classes": exclusions,
-                           "trusted": ["2-torsion in the preimage of a cyclic 2-group "
-                                       "maps onto its unique involution"]}, ok_ex))
+    steps.append(_class_exclusion(d, max_rank))
 
     image_order = kernel_index(d, "hat")
     if image_order % 2 ** p:

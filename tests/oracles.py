@@ -5,17 +5,29 @@ tuples, breadth-first closures, conjugacy by exhaustive multiplication,
 Leibniz determinants, minor searches, floating-point eigenvalues, integer
 reflections along breadth-first tree paths) so that the values frozen
 into the tests do not depend on the code paths they are checking.
+
+class_table lists every involution class of a pendant symbol with its
+word and image, as the product of pendant configurations and the generic
+closure (equivalence_classes) of the Weyl nodes each leaves free.  It is
+the reference for the verdicts certify and extend read off the pendant
+components alone (class_scan).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from coxfree.involutions import EquivalenceClass, equivalence_classes
 from coxfree.modtwo import weight_vector
+from coxfree.symbols import connected_components, induced_subsymbol, mask_nodes, mask_sort_key
+from coxfree.torsionfree import SemidirectElement, _pendant_growth
+from coxfree.weyl import identity_matrix, longest_word, minus_one_rank, word_to_matrix
 
 Perm = Tuple[int, ...]  # entry i-1 is the signed image of +i
 
@@ -254,3 +266,85 @@ def is_independent_for(w, s, t_set) -> bool:
         vectors += x_set(w, s, t)
         nodes.update(tree_path(w.symbol, s, t))
     return f2_rank(vectors) == len(nodes) + 1
+
+
+@functools.lru_cache(maxsize=None)
+def free_classes(psi, free: int) -> Tuple[Tuple, ...]:
+    """The involution classes of the subdiagram of psi on the node mask
+    free, by the generic closure of that subdiagram.  Each is (member
+    masks of psi, (sort key, longest word) of each component of the least
+    member, w0 of the least member)."""
+    g = psi.symbol
+    bit = {v: 1 << i for i, v in enumerate(g.nodes)}
+    out = []
+    for cls in equivalence_classes(induced_subsymbol(g, mask_nodes(g, free))):
+        least = induced_subsymbol(g, cls.canonical)
+        parts = tuple((mask_sort_key(g, sum(bit[v] for v in comp)), longest_word(psi, comp))
+                      for comp in connected_components(least))
+        w0 = word_to_matrix(psi, [s for _, word in parts for s in word])
+        out.append((tuple(sum(bit[v] for v in m) for m in cls.members), parts, w0))
+    return tuple(out)
+
+
+def class_table(d) -> Tuple[Tuple[EquivalenceClass, Tuple, SemidirectElement], ...]:
+    """(class, word, image) for every involution class of the pendant
+    symbol d.gamma: the longest word of its canonical antipodal subsymbol
+    and that word's image under the augmented map, built as a product.
+
+    (a) A finite component through a pendant t_i is t_i alone (A1) or t_i
+    with a type-A path from s_i (B_k); both are antipodal, so no exchange
+    move adds or removes a node of a pendant component, or a neighbour of
+    one.  A configuration U picks, for each pendant, none or one of these
+    (torsionfree._pendant_growth), its picks disjoint and not adjacent.
+    With F the Weyl nodes neither in U nor next to it, the classes through
+    U are {U + A : A in C} for each class C of F (free_classes), and {U}
+    when U is not empty.  (b) Adding a fixed disjoint set keeps the
+    mask_sort_key order of sets of one size, so U + (least member of C) is
+    the canonical member.  Classes are ordered by (rank, least member), as
+    equivalence_classes orders them.  The word lists the components'
+    longest words in least-node order, and the image is (x_U, v_U, w0):
+    the product of U's pendant translations, with the w0 of C's least
+    member."""
+    gamma = d.gamma
+    weyl = (1 << d.psi.rank) - 1
+    one = identity_matrix(d.psi.rank)
+    rows = []
+
+    def add(members, parts, image):
+        word = tuple(s for _, part in sorted(parts) for s in part)
+        key = mask_sort_key(gamma, members[0])
+        rows.append(((len(key), key), members, word, image))
+
+    # (pendant mask, closed mask, x, pick per pendant so far), extended one
+    # pendant at a time by the picks disjoint from and not next to the rest.
+    configs = [(0, 0, 0, ())]
+    for comps in _pendant_growth(d)[0]:
+        configs = [(pend | c[0], closed | c[1], x ^ c[3], picks + (c,)) if c
+                   else (pend, closed, x, picks + (None,))
+                   for pend, closed, x, picks in configs
+                   for c in (None,) + comps if not (c and c[0] & closed)]
+    for pend, closed, x, picks in configs:
+        parts = [(mask_sort_key(gamma, c[0]), c[2]) for c in picks if c]
+        v = tuple(c[4] if c else 0 for c in picks)
+        if pend:
+            add((pend,), parts, SemidirectElement(x, v, one))
+        for members, free_parts, w0 in free_classes(d.psi, weyl & ~closed):
+            add(tuple(pend | m for m in members), parts + list(free_parts),
+                SemidirectElement(x, v, w0))
+    rows.sort(key=operator.itemgetter(0))
+    return tuple((EquivalenceClass(tuple(mask_nodes(gamma, m) for m in members), rank),
+                  word, image)
+                 for (rank, _), members, word, image in rows)
+
+
+def class_scan(d, target: int) -> Tuple[bool, bool]:
+    """Certify's step 2 and extend's class exclusion, class by class over
+    class_table: (every class image is nontrivial, no class outside the
+    Weyl part with x = 0 has an image of minus-one rank target).  The
+    extension passes target = its maximal involution class rank."""
+    weyl_nodes = set(d.psi.symbol.nodes)
+    table = class_table(d)
+    nontrivial = all(not image.is_identity() for _, _, image in table)
+    excluded = all(image.x != 0 or set(cls.canonical) <= weyl_nodes
+                   or minus_one_rank(image.g) != target for cls, _, image in table)
+    return nontrivial, excluded

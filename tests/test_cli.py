@@ -116,30 +116,33 @@ class TestRemovedFlags:
             '{"covol":{"den":777600,"num":1,"pi_power":3},"dim":6,"route":"siegel"}\n')
 
 
-# sha256 of the quiet stdout of coxfree 0.1.0: the certificates are pinned
-# byte for byte, so any change to a verdict or a recorded object shows here.
+# sha256 of the quiet stdout: the certificates are pinned byte for byte, so
+# any change to a verdict or a recorded object shows here.  Certify's
+# involution-class step and extend's class exclusion record one entry per
+# pendant component, not one per involution class as coxfree 0.1.0 did;
+# every verdict and index is 0.1.0's.
 GOLDEN_TF = {
     "tf certify --psi E6 --nodes 1 5":
-        "fce577000bd5b490f9b0e3376feec4220d811e11d7ee2a8574d20f613b93fa44",
+        "fd36af6c87dafa11d50cee1aa84964a914a9274e36ffabf96221630101050702",
     "tf extend --psi E6 --nodes 1 5":
-        "039066e0de43f90c2ce96cbe7d8c5772684b56aca317854cad55643ab85e3dcc",
+        "4c8cd703fcb1a1fa070a394f5d59cef48f806a2091595a5227b3dc91a8b3482c",
     "tf certify --psi E8 --nodes 1 7 8":
-        "e5f5c9e88bebb2c32e409367ca88b0da55d76a1f769329248d8ab56ce807b981",
+        "b1f405cf9fcc803226d80a039c7c46ea73dca272b50b188b46c92f1cc9a3c61c",
     "tf extend --psi E8 --nodes 1 7 8":
-        "8d7e17d453c93525773007326c5ed0dc977481bb376d3b2c331152bc8fe0a4cc",
+        "61f4ade6b47a959dec01eaebb42c5534b83ca5c19341d16f9878b82b583f460c",
     "tf certify --psi D 8 --nodes 2 6":
-        "02971f3c0981f9af1db2a238da9f0c5d61e82f3879ed62e47cee28e6489ccd85",
+        "27716720b56d19e71f71172a0d86235c8056b22815c29f7f3209b1264bdabb34",
     "tf extend --psi D 8 --nodes 2 6":
-        "b124f34911a7847133114ef8fe2efee48c23d8c0e95eb8e1e648e8d73abedda8",
+        "e4f80ef401ef9878ecd829f98380e853b612cab54ff302f1141e31d2650561ec",
     "tf certify --psi D 8 --nodes 2 6 --mode plain":
-        "4adef723f9e9a3d09980f41eab11ec49d69fec495684422453d317963d97194f",
+        "6c75736cb11aa8ef94d8779f4e4600f35d80cb003385d8939564b392ca975746",
     "tf certify --psi A 4 --nodes 1":
-        "9c752f466511bff17ac220ebaf4bc1643c2b57b18af86b3fdf5404ebd5dff4b2",
+        "583041c3c7566342eee17443d4be53760e0060c5052d745e5f86c82676496cb9",
     "tf certify --psi D 4 --nodes 2 --mode plain":
-        "32787215d79ac7fcef98b34787217a7cf2acb2ce1eb878c93f07819ce9d69d9c",
+        "98c0b67b670108691038aa9852373d5c854c0be386ce71a70a761d6ab1519650",
     # 12 nodes, the largest pendant symbol certify accepts.
     "tf certify --psi E6 --nodes 1 2 3 4 5 6":
-        "738d5728ba3cbbdb0a23dc8e649ccab43102d9e5771791ae9c3a57d93877c460",
+        "bb610a983d4ff0ab2831838c067f45d3a2cd579db9aee91857b43adc300e6e2b",
 }
 
 

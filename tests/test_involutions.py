@@ -12,7 +12,6 @@ from coxfree import (
     elementary_moves,
     equivalence_classes,
     euler_characteristic,
-    induced_subsymbol,
     is_minus_one_type,
     longest_word,
     maximal_rank_class,
@@ -20,8 +19,9 @@ from coxfree import (
     weyl_data,
     word_to_matrix,
 )
-from coxfree.involutions import _opposition, move_classes
-from coxfree.symbols import mask_nodes, node_sort_key
+from coxfree.involutions import _opposition
+from coxfree.symbols import mask_nodes, node_sort_key, spherical_subsets
+from coxfree.torsionfree import _antipodal_size
 from coxfree.weyl import identity_matrix, mat_mul, mat_pow, minus_one_rank
 from oracles import closure, involution_class_count, signed_generators, symmetric_generators
 
@@ -92,23 +92,6 @@ class TestMoves:
         g = CoxeterSymbol([1, 2, 3], [(1, 2, 3), (2, 3, 3), (1, 3, 3)])
         with pytest.raises(InvolutionError):
             elementary_moves(g, [1, 2, 3])
-
-
-class TestMoveClassesInsideAFreeMask:
-    @pytest.mark.parametrize("fam,rank", [("A", 5), ("B", 4), ("D", 5), ("E6", None),
-                                          ("F4", None)])
-    def test_equal_the_closure_of_the_subdiagram(self, fam, rank):
-        # Moves of g that stay inside free are the moves of the subdiagram
-        # on free, so the restricted closure is that subdiagram's generic
-        # closure, its members mapped back to masks of g.
-        g = weyl_data(fam, rank).symbol
-        bit = {v: 1 << i for i, v in enumerate(g.nodes)}
-        for free in range(1, 1 << g.rank):
-            sub = induced_subsymbol(g, mask_nodes(g, free))
-            expected = [[sum(bit[v] for v in m) for m in c.members]
-                        for c in equivalence_classes(sub)]
-            assert move_classes(g, free) == expected
-        assert move_classes(g) == move_classes(g, (1 << g.rank) - 1)
 
 
 def _relabelled(g, seed):
@@ -183,6 +166,33 @@ class TestHalfTurn:
 
     def test_e8_maximal_class_has_full_rank(self):
         assert maximal_rank_class(weyl_data("E8")).rank == 8
+
+
+WEYL_TYPES = ([("A", r) for r in range(1, 13)] + [("B", r) for r in range(2, 13)]
+              + [("D", r) for r in range(4, 13)]
+              + [(t, None) for t in ("E6", "E7", "E8", "F4", "G2")])
+
+
+class TestAntipodalSize:
+    """FiniteType.antipodal_size, the largest antipodal subset in closed
+    form, against the classes and the subset walk."""
+
+    @pytest.mark.parametrize("fam,rank", WEYL_TYPES)
+    def test_is_the_maximal_class_rank(self, fam, rank):
+        w = weyl_data(fam, rank)
+        (t,) = classify_finite_type(w.symbol)
+        assert t.antipodal_size == maximal_rank_class(w).rank
+
+    @pytest.mark.parametrize("fam,rank", [("E6", None), ("E7", None), ("E8", None), ("D", 8)])
+    def test_every_node_mask_against_the_walk(self, fam, rank):
+        # Summed over the components of each node mask, it is the largest
+        # antipodal set of the walk inside that mask.
+        g = weyl_data(fam, rank).symbol
+        antipodal = [m for m, comps in spherical_subsets(g).items()
+                     if all(t.antipodal for _, t in comps)]
+        for free in range(1 << g.rank):
+            expected = max(m.bit_count() for m in antipodal if not m & ~free)
+            assert _antipodal_size(g, mask_nodes(g, free)) == expected, free
 
 
 class TestUnsortedNodeOrder:

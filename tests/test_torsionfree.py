@@ -25,6 +25,7 @@ from coxfree import torsionfree as tf
 from coxfree import symbols as sym
 from coxfree import weyl as wy
 from coxfree.symbols import CoxeterSymbol, mask_nodes, spherical_subsets
+from oracles import class_scan, class_table
 
 
 def _generator_images(d, mode):
@@ -285,7 +286,7 @@ class TestReplay:
         cert = cyclic_extension(d).certificate
         tampers = [_tampered(cert, i, path) for i, step in enumerate(cert.steps)
                    for path in [None] + _leaf_paths(step.objects)]
-        assert len(tampers) == 194
+        assert len(tampers) == 103
         assert not any(replay_certificate(d, bad) for bad in tampers)
 
     def test_certify_tampers_are_rejected(self):
@@ -342,37 +343,31 @@ def _count(monkeypatch, owner, name):
 
 class TestClassTable:
     def test_words_are_built_once_per_class(self):
-        # The table, with each class's word, is built once per symbol, from
-        # the one growth from the pendants, which the structure check reads
-        # too; no stage walks the pendant symbol.
+        # Certify, its replay and extend read one growth from the pendants,
+        # which folds each component's word once; no stage walks a symbol.
+        # The reference table builds one word per class.
         tf._pendant_growth.cache_clear()
-        tf._class_table.cache_clear()
-        inv._move_table.cache_clear()
-        tf._build_free_classes.cache_clear()
         spherical_subsets.cache_clear()
         d = build_dagger(weyl_data("E6"), [1])
         cert = certify_torsion_free(d, "hat")
-        # An equal symbol built afresh, as each pipeline stage may do, shares the table.
+        # An equal symbol built afresh, as each pipeline stage may do, shares the growth.
         assert replay_certificate(build_dagger(weyl_data("E6"), [1]), cert)
         assert cyclic_extension(d).certificate.ok
         assert tf._pendant_growth.cache_info().misses == 1
-        assert tf._class_table.cache_info().misses == 1
-        # One walk: E6's own, from which the free classes and
-        # maximal_rank_class read.
-        assert spherical_subsets.cache_info().misses == 1
-        assert spherical_subsets.cache_info().currsize == 1
+        assert spherical_subsets.cache_info().misses == 0
+        assert len(class_table(d)) == len(inv.equivalence_classes(d.gamma))
 
     def test_both_modes_share_the_words(self):
         tf._pendant_growth.cache_clear()
-        tf._class_table.cache_clear()
         d = build_dagger(weyl_data("D", 8), [2, 6])
         hat = certify_torsion_free(d, "hat")
         plain = certify_torsion_free(d, "plain")
         assert hat.ok and plain.ok
-        # One growth, with the components of both pendants, for the one table.
+        # One growth, with the components of both pendants, for both modes.
         assert tf._pendant_growth.cache_info().misses == 1
         assert len(tf._pendant_growth(d)[0]) == 2
-        assert len(tf._class_table(d)) == len(inv.equivalence_classes(d.gamma)) == 199
+        assert hat.steps[1] == plain.steps[1] == tf._involution_classes(d)
+        assert len(class_table(d)) == len(inv.equivalence_classes(d.gamma)) == 199
 
     def test_one_weight_vector_per_attachment(self, monkeypatch):
         # build_dagger walked the type-A paths from each attachment; certify
@@ -388,42 +383,32 @@ class TestClassTable:
         d = build_dagger(weyl_data("E6"), [1])
         cold = []
         for derive in (certify_torsion_free, lambda d: cyclic_extension(d).certificate):
-            tf._class_table.cache_clear()
+            tf._pendant_growth.cache_clear()
             cold.append(derive(d).to_json())
-        hits = tf._class_table.cache_info().hits
+        hits = tf._pendant_growth.cache_info().hits
         cert = cyclic_extension(d).certificate
         assert [certify_torsion_free(d).to_json(), cert.to_json()] == cold
-        assert tf._class_table.cache_info().hits == hits + 2
+        # Extend reads the growth once; certify once for step 2, once for steps 3-4.
+        assert tf._pendant_growth.cache_info().hits == hits + 3
         tampers = [_tampered(cert, i, path) for i, step in enumerate(cert.steps)
                    for path in [None] + _leaf_paths(step.objects)]
         assert not any(replay_certificate(d, bad) for bad in tampers)
-        table = tf._class_table(d)
-        assert type(table) is tuple and len(table) == len(inv.equivalence_classes(d.gamma))
-        for entry in table:
-            cls, word, image = entry
-            assert type(entry) is tuple and type(word) is tuple
-            hash(entry)  # every part is an immutable value
-            with pytest.raises(AttributeError):
-                image.x = 1
-            with pytest.raises(AttributeError):
-                cls.rank = 0
         growth = tf._pendant_growth(d)
         assert type(growth) is tuple and all(type(part) is tuple for part in growth)
         hash(growth)  # components and violations are immutable values all the way down
 
 
 class TestClassFold:
-    """The table builds each class image from its pendant configuration
-    and the w0 of its free part; phi evaluates the class word letter by
-    letter, and _fold multiplies generator images."""
+    """The reference table builds each class image from its pendant
+    configuration and the w0 of its free part; phi evaluates the class
+    word letter by letter, and _fold multiplies generator images."""
 
     @pytest.mark.parametrize("args,nodes", [(("A", 5), (2, 4)), (("B", 4), (2,)),
                                             (("D", 8), (2, 6)), (("E6",), (1, 3, 5)),
                                             (("E8",), (1, 8))])
     def test_images_match_phi(self, args, nodes):
         d = build_dagger(weyl_data(*args), nodes)
-        tf._class_table.cache_clear()
-        table = tf._class_table(d)
+        table = class_table(d)
         for _, word, image in table:
             assert image == phi(d, word, "hat")
         for _, word, image in table[::8]:
@@ -433,13 +418,10 @@ class TestClassFold:
 
     def test_word_cap(self, monkeypatch):
         d = build_dagger(weyl_data("E8"), [1, 8])
-        longest = max((word for _, word, _ in tf._class_table(d)), key=len)
+        longest = max((word for _, word, _ in class_table(d)), key=len)
         monkeypatch.setattr(tf, "WORD_CAP", len(longest) - 1)
         with pytest.raises(DaggerError, match="cap"):
             phi(d, longest)
-        tf._class_table.cache_clear()
-        with pytest.raises(DaggerError, match="cap"):
-            tf._class_table(build_dagger(weyl_data("E8"), [1, 8]))
 
 
 class TestMinusOneRank:
@@ -450,7 +432,7 @@ class TestMinusOneRank:
                                             (["D", 8], [2, 6]), (["E7"], [1, 2]),
                                             (["E8"], [1, 7, 8])])
     def test_class_images_against_elimination(self, args, nodes):
-        table = tf._class_table(build_dagger(weyl_data(*args), nodes))
+        table = class_table(build_dagger(weyl_data(*args), nodes))
         ranks = set()
         for _, _, image in table:
             g = image.g
@@ -493,21 +475,6 @@ class TestWorkCounters:
         assert cyclic_extension(build_dagger(weyl_data("E8"), [8])).certificate.ok
         assert calls == []
 
-    def test_free_classes_once_per_free_mask(self):
-        # Each (Weyl type, free mask) misses the memo once; masks met by an
-        # earlier symbol are not rebuilt.
-        tf._class_table.cache_clear()
-        tf._build_free_classes.cache_clear()
-        e6 = weyl_data("E6")
-        seen = set()
-        for nodes, count in (((1, 3, 5), 22), ((1, 3, 6), 6)):
-            before = tf._build_free_classes.cache_info().misses
-            d = build_dagger(e6, nodes)
-            assert certify_torsion_free(d).ok
-            assert tf._build_free_classes.cache_info().misses - before == count
-            assert len(_free_masks(d) - seen) == count
-            seen |= _free_masks(d)
-
     def test_closure_multiplies_nothing(self, monkeypatch):
         # The closure folds letters onto copies: it neither multiplies image
         # elements nor Weyl matrices, and no mod-2 memo serves it.
@@ -535,15 +502,15 @@ class TestWorkCounters:
 
     def test_no_stage_walks_the_pendant_symbol(self, monkeypatch):
         # Certify, its replay and extend grow the finite visibles from the
-        # pendants once per symbol and walk no pendant symbol; the growth
-        # folds each pendant component's word once, and step 4 reads the
-        # images of the unfaithful paths off it, folding no word again.
-        walks = []
-        for owner in (sym, inv, tf):
-            walks.append(_count(monkeypatch, owner, "spherical_subsets"))
+        # pendants once per symbol and walk no symbol, neither the pendant
+        # symbol nor Psi: no subset walk, no move table and no class list.
+        # The growth folds each pendant component's word once, and step 4
+        # reads the images of the unfaithful paths off it, folding no word
+        # again.
+        walks = [_count(monkeypatch, owner, "spherical_subsets") for owner in (sym, inv)]
+        walks += [_count(monkeypatch, inv, name) for name in ("_move_table", "maximal_rank_class")]
         folds = _count(monkeypatch, tf, "phi")
         tf._pendant_growth.cache_clear()
-        tf._class_table.cache_clear()
         symbols = [build_dagger(weyl_data("E8"), [1, 8]), build_dagger(weyl_data("D", 8), [2, 6])]
         unfaithful = 0
         for d in symbols:
@@ -553,7 +520,7 @@ class TestWorkCounters:
             step = next(s for s in cert.steps if s.name == "type-B-faithfulness")
             unfaithful += sum(not e["faithful"] for e in step.objects["subgroups"])
         assert unfaithful > 0
-        assert not any(args[0] == d.gamma for calls in walks for args in calls for d in symbols)
+        assert walks == [[]] * 4
         assert tf._pendant_growth.cache_info().misses == len(symbols)
         b_words = [(d, tf._b_longest_word(t, path)) for d in symbols
                    for t, s in zip(d.pendants, d.attachments)
@@ -562,53 +529,55 @@ class TestWorkCounters:
         assert {key: folded[key] for key in b_words} == dict.fromkeys(b_words, 1)
 
     def test_move_table_once_per_weyl_type(self):
-        # certify, its replay, extend and maximal_rank_class all read the
-        # one move table of each Weyl type; the pendant symbol needs none.
-        for cache in (inv._move_table, inv.maximal_rank_class, tf._build_free_classes,
-                      tf._class_table):
+        # Certify, its replay and extend build no move table; the class list
+        # of a Weyl type (maximal_rank_class) builds it once per type.
+        for cache in (inv._move_table, inv.maximal_rank_class):
             cache.cache_clear()
         for args, nodes in ((("E6",), (1,)), (("E8",), (1, 8)), (("E6",), (1, 5))):
             d = build_dagger(weyl_data(*args), nodes)
             assert replay_certificate(d, certify_torsion_free(d))
             assert replay_certificate(d, cyclic_extension(d).certificate)
+        assert inv._move_table.cache_info().misses == 0
+        for _ in range(2):
+            for args in (("E6",), ("E8",)):
+                inv.maximal_rank_class(weyl_data(*args))
         assert inv._move_table.cache_info().misses == 2
 
-
-def _free_masks(d):
-    """The Weyl nodes each pendant configuration of d leaves free, read off
-    the generic walk: for each antipodal subset, the Weyl nodes neither in
-    nor next to its components through a pendant."""
-    gamma = d.gamma
-    index = {v: i for i, v in enumerate(gamma.nodes)}
-    weyl = (1 << d.psi.rank) - 1
-    out = set()
-    for mask, comps in spherical_subsets(gamma).items():
-        if not all(t.antipodal for _, t in comps):
-            continue
-        closed = 0
-        for comp, _ in comps:
-            if comp & ~weyl:
-                nodes = [v for v in gamma.nodes if comp >> index[v] & 1]
-                closed |= comp | sum(1 << index[w] for w in
-                                     {w for v in nodes for w in gamma.neighbors(v)})
-        out.add(weyl & ~closed)
-    return out
+    @pytest.mark.parametrize("args,nodes", [(("E8",), (1, 7, 8)), (("D", 8), (2, 6)),
+                                            (("A", 5), (2, 4)), (("E6",), (1, 2, 3, 4, 5, 6))])
+    def test_one_entry_per_component(self, args, nodes):
+        # Step 2 has one entry per pendant component and the class exclusion
+        # one per component with x = 0, so no per-class work comes back
+        # unseen: the reference table has many more classes.
+        d = build_dagger(weyl_data(*args), nodes)
+        comps = [c for cs in tf._pendant_growth(d)[0] for c in cs]
+        classes = certify_torsion_free(d).steps[1].objects["components"]
+        steps = {s.name: s for s in cyclic_extension(d).certificate.steps}
+        exclusions = steps["class-exclusion"].objects["components"]
+        assert len(classes) == len(comps)
+        assert len(exclusions) == sum(c[3] == 0 for c in comps) > 0
+        assert len(class_table(d)) > 2 * len(comps)
 
 
 class TestProductTable:
-    """The class table built from pendant configurations against the
-    generic closure: the same classes in the same order, each image phi of
-    its word, and no pendant component that is not A1 or B_k.  The growth
-    from the pendants reaches exactly the connected spherical subsets
-    through a pendant that the walk of the whole symbol lists."""
+    """The reference class table, built from pendant configurations,
+    against the generic closure: the same classes in the same order, each
+    image phi of its word, and no pendant component that is not A1 or B_k.
+    The verdicts certify and extend read off the pendant components equal
+    the class-by-class scan of that table.  The growth from the pendants
+    reaches exactly the connected spherical subsets through a pendant that
+    the walk of the whole symbol lists."""
 
     @staticmethod
     def _check(args, nodes):
         d = build_dagger(weyl_data(*args), nodes)
-        table = tf._class_table(d)
+        table = class_table(d)
         assert tuple(cls for cls, _, _ in table) == inv.equivalence_classes(d.gamma), nodes
         for _, word, image in table:
             assert image == phi(d, word, "hat"), (nodes, word)
+        max_rank = inv.maximal_rank_class(d.psi).rank
+        assert (tf._involution_classes(d).ok, tf._class_exclusion(d, max_rank).ok) \
+            == class_scan(d, max_rank), nodes
         components, violations = tf._pendant_growth(d)
         assert violations == () and _walk_violations(d) == []
         pend = sum(1 << k for k, v in enumerate(d.gamma.nodes) if v in d.pendants)
@@ -633,6 +602,30 @@ class TestProductTable:
                                             (("D", 8), (2, 6)), (("E6",), (1, 2, 3, 4, 5, 6))])
     def test_larger_symbols(self, args, nodes):
         self._check(args, nodes)
+
+    @pytest.mark.parametrize("args,nodes", [(("E8",), (1, 8)), (("D", 8), (2, 6)),
+                                            (("E6",), (1, 5)), (("A", 5), (2, 4)),
+                                            (("B", 4), (2,))])
+    def test_every_target_rank(self, args, nodes):
+        # Every symbol here passes the class exclusion, so the verdict is
+        # also checked with the target rank set to each of 1..n in place of
+        # the maximal class rank: the one-pick rule must still equal the scan.
+        d = build_dagger(weyl_data(*args), nodes)
+        verdicts = [tf._class_exclusion(d, r).ok for r in range(1, d.psi.rank + 1)]
+        assert verdicts == [class_scan(d, r)[1] for r in range(1, d.psi.rank + 1)]
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("args,nodes", [(("D", 4), (2,)), (("E8",), (8,)), (("A", 5), (2,))])
+    def test_zeroed_weights_fail_step_2(self, args, nodes):
+        # With u_i = 0 some pendant component maps to the identity (t_i alone
+        # for a special attachment, an even-k B_k for a plain one), so a class
+        # dies.  Certify raises at kernel_index here, so the step is read alone.
+        d = build_dagger(weyl_data(*args), nodes)
+        bad = d._replace(weights=tuple((0,) * d.psi.rank for _ in d.weights))
+        assert not tf._involution_classes(bad).ok
+        assert class_scan(bad, inv.maximal_rank_class(d.psi).rank)[0] is False
+        with pytest.raises(DaggerError, match="orbit span"):
+            certify_torsion_free(bad)
 
 
 class TestExtensionIndex:
