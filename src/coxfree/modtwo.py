@@ -203,7 +203,10 @@ def bfs_closure(start: Hashable, gens: Sequence, act: Callable, cap: Optional[in
 
 
 def orbit_span(gens: Sequence[F2Matrix], start: int, ambient: int) -> Tuple[frozenset, F2Subspace]:
-    """Orbit of start under the generators, with the span of the orbit."""
+    """Orbit of start under the generators, with the span of the orbit.
+    Nothing in the package calls it: orbit_dim closes a basis instead.
+    The tests keep it as orbit_dim's reference, and perfbench's tracer
+    looks it up by name."""
     orbit = bfs_closure(start, gens, lambda v, g: f2_mat_vec(g, v))
     return frozenset(orbit), span(sorted(orbit), ambient)
 
@@ -270,12 +273,27 @@ def admissible_nodes(w: WeylData) -> List[Tuple[int, bool]]:
 def orbit_dim(w: WeylData, u: int, parity: int) -> int:
     """Dimension of the span of the reflection-group orbit of (parity, u) in
     F2 x L/2, the parity bit sitting above the n coordinates of u; every
-    reflection fixes it.  Memoized per (Weyl type, vector, parity): every
-    kernel_index slot and lambda_dim read it."""
+    reflection fixes it.  The span is the least subspace that holds the
+    vector and is mapped into itself by every generator, so it is closed
+    from the vector one basis element at a time: each new element's images
+    under the generators join the basis unless they reduce to zero.  That
+    is at most n + 1 elements times the rank in products, with no orbit
+    listed.  Memoized per (Weyl type, vector, parity): every kernel_index
+    slot and lambda_dim read it."""
     n = w.rank
     gens = [cols + (1 << n,) for cols in f2_generators(w).values()]
-    _, sp = orbit_span(gens, u | parity << n, n + 1)
-    return sp.dim
+    start = u | parity << n
+    basis = {start & -start: start} if start else {}  # lowest set bit -> basis vector
+    queue = list(basis.values())
+    for v in queue:
+        for g in gens:
+            y = f2_mat_vec(g, v)
+            while y and y & -y in basis:
+                y ^= basis[y & -y]
+            if y:
+                basis[y & -y] = y
+                queue.append(y)
+    return len(basis)
 
 
 def lambda_dim(w: WeylData, s: int) -> int:

@@ -14,9 +14,11 @@ defining relations, certifies torsion-freeness one pendant component at
 a time, and extends the kernel by a cyclic 2-group built from a Coxeter
 element.
 
-The connected finite visibles through the pendants are grown from each
-pendant one neighbour at a time (_pendant_growth); no stage walks the
-spherical subsets of a pendant symbol.  The A1 sets among them, and the
+The connected finite visibles through the pendants are grown one
+neighbour at a time (_grow): those through one pendant once per Weyl
+type and pendant edges (_local_growth), those through several from them
+on the pendant symbol (_pendant_growth); no stage walks the spherical
+subsets of a pendant symbol.  The A1 sets among them, and the
 B_k sets whose pendant sits at the order-4 end, are the pendant
 components; every other one fails certify's structure step.  When none
 does, an involution class picks a set U of pendant components, disjoint
@@ -27,15 +29,21 @@ components alone and never list them (_involution_classes,
 _class_exclusion); the tests keep the class product as their reference.
 
 Its caches are derived from their arguments alone, never from a
-certificate, and every value a caller reads is immutable.  Per Weyl
-type: the Weyl relation verdicts (_weyl_relations) and the extension's
-half-turn data (_half_turn); kernel_index reads one more, in modtwo: per
-(Weyl type, vector, parity), the dimension of the orbit span that proves
-each slot of the index (modtwo.orbit_dim).  Per symbol, each for the
-last two symbols: the letter table of the augmented map (_letters) and
-the growth from the pendants (_pendant_growth).  The records are
-NamedTuples; a DaggerSymbol is a value, so those two are keyed by its
-fields.
+certificate, and every value a caller reads is immutable.  What depends
+on one pendant, or on none, is keyed by what it depends on, so symbols
+over one Weyl type share it.  Per Weyl type and: a word's localized
+letter actions, its image, read by every relation verdict and pendant
+component (_image); a pendant's edges into Psi, the finite sets through
+it alone (_local_growth, keyed by gamma's Weyl part, which is Psi's
+symbol on every built symbol); a free node mask, its largest antipodal
+size (_free_antipodal_size); nothing more, the half-turn data
+(_half_turn); a slot count, zeta and its half power (_zeta); in modtwo,
+a vector and a parity, the orbit span dimension that proves a slot of
+kernel_index (modtwo.orbit_dim).  Per symbol, each for the last two
+symbols: the letter table of the augmented map (_letters) and the
+growth from the pendants (_pendant_growth), which itself grows only the
+sets through two or more pendants.  The records are NamedTuples; a DaggerSymbol is a value,
+so those two are keyed by its fields.
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import modtwo as m2
 from . import weyl as wy
-from .symbols import MAX_NODES, CoxeterSymbol, SymbolError, classify_component, mask_nodes
+from .symbols import (MAX_NODES, CoxeterSymbol, SymbolError, classify_component,
+                      induced_subsymbol, mask_nodes)
 from .weyl import Matrix, WeylData
 
 WORD_CAP = 10_000
@@ -86,13 +95,13 @@ class DaggerSymbol(NamedTuple):
 
 
 @lru_cache(maxsize=2)
-def _letters(d: DaggerSymbol) -> Mapping[object, Optional[Tuple[int, int, Tuple[int, ...]]]]:
-    """Each generator's action under the augmented map.  A Weyl node maps
-    to None: reflect by it.  Pendant t_i maps to its translation (x_T, i,
+def _letters(d: DaggerSymbol) -> Mapping[object, object]:
+    """Each generator's action under the augmented map.  A Weyl node acts
+    as itself: reflect by it.  Pendant t_i acts as its translation (x_T, i,
     cols): x_T is bit i for a plain attachment and 0 for a special one, and
     the one nonzero slot i holds u_i mod 2, whose odd coordinates are cols.
     Memoized per symbol, like _pendant_growth."""
-    letters = dict.fromkeys(d.psi.symbol.nodes)
+    letters = {s: s for s in d.psi.symbol.nodes}
     for i, t in enumerate(d.pendants):
         letters[t] = (1 << i if i < d.ell else 0, i,
                       tuple(j for j, c in enumerate(d.weights[i]) if c & 1))
@@ -162,19 +171,17 @@ def identity_element(slots: int, n: int) -> SemidirectElement:
     return SemidirectElement(0, tuple(0 for _ in range(slots)), wy.identity_matrix(n))
 
 
-def _fold(d: DaggerSymbol, word: Sequence, x: int, v: List[int], g: List[List[int]]) -> int:
-    """Right-multiply the caller's mutable state (x, v, g) in place by word
-    through the symbol's letter table, and return the new x.  A Weyl letter
-    s right-multiplies g by s_s; a pendant letter is its translation, and
-    (x, v, g)(x_T, v_T, 1) = (x + x_T, v + (g mod 2) v_T, g) toggles bit i
-    of x (plain pendants only) and adds g u_i mod 2 to slot i of v."""
-    letters = _letters(d)
-    for s in word:
-        shift = letters[s]
-        if shift is None:
-            wy.reflect_rows(d.psi, g, s)
+def _fold(psi: WeylData, actions: Sequence, x: int, v: List[int], g: List[List[int]]) -> int:
+    """Right-multiply the caller's mutable state (x, v, g) in place by the
+    word whose letter actions (_letters) are given, and return the new x.
+    A Weyl letter s right-multiplies g by s_s; a pendant letter is its
+    translation, and (x, v, g)(x_T, v_T, 1) = (x + x_T, v + (g mod 2) v_T, g)
+    toggles x_T in x and adds g u_i mod 2 to slot i of v."""
+    for a in actions:
+        if type(a) is not tuple:
+            wy.reflect_rows(psi, g, a)
             continue
-        dx, j, cols = shift
+        dx, j, cols = a
         x ^= dx
         for r, row in enumerate(g):
             if sum([row[c] for c in cols]) & 1:
@@ -191,12 +198,45 @@ def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement
         raise DaggerError(f"word longer than the {WORD_CAP} cap")
     if mode not in ("plain", "hat"):
         raise DaggerError(f"unknown mode {mode!r}")
-    v, g = [0] * d.m, [list(r) for r in wy.identity_matrix(d.psi.rank)]
     try:
-        x = _fold(d, word, 0, v, g)
+        actions = [_letters(d)[s] for s in word]
     except KeyError as exc:
         raise DaggerError(f"unknown generator {exc.args[0]!r}") from None
+    v, g = [0] * d.m, [list(r) for r in wy.identity_matrix(d.psi.rank)]
+    x = _fold(d.psi, actions, 0, v, g)
     return SemidirectElement(x if mode == "hat" else 0, tuple(v), tuple(map(tuple, g)))
+
+
+def _localized(letters: Mapping, word: Sequence) -> Tuple:
+    """The word's letter actions (letters, from _letters) with its pendant
+    slots renumbered 0, 1, ... in order of first appearance, and a plain
+    pendant's parity bit with its slot: what the word's image depends on
+    besides psi."""
+    slots: List[int] = []
+    actions = []
+    for s in word:
+        a = letters[s]
+        if type(a) is tuple:
+            dx, i, cols = a
+            if i not in slots:
+                slots.append(i)
+            k = slots.index(i)
+            a = (dx and 1 << k, k, cols)
+        actions.append(a)
+    return tuple(actions)
+
+
+@lru_cache(maxsize=1024)
+def _image(psi: WeylData, actions: Tuple) -> Tuple[int, Tuple[int, ...], bool]:
+    """Image of a word under the augmented map, given by its localized
+    letter actions (_localized): (x, v, whether it fixes the Weyl part),
+    x and v over the renumbered slots.  A relation's verdict and a pendant
+    component's image depend on psi and these actions alone, so each is
+    folded (_fold) once per Weyl type, whichever symbol asks."""
+    slots = 1 + max((a[1] for a in actions if type(a) is tuple), default=-1)
+    v, g = [0] * slots, [list(r) for r in wy.identity_matrix(psi.rank)]
+    x = _fold(psi, actions, 0, v, g)
+    return x, tuple(v), tuple(map(tuple, g)) == wy.identity_matrix(psi.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -232,37 +272,23 @@ class Certificate(NamedTuple):
         }
 
 
-@lru_cache(maxsize=16)
-def _weyl_relations(psi: WeylData) -> Mapping[Tuple[int, int], bool]:
-    """Whether each relation between two Weyl letters holds: its word's
-    product of reflections is the identity.  The verdict depends on psi
-    alone, so it is computed once per Weyl type."""
-    g = psi.symbol
-    one = wy.identity_matrix(psi.rank)
-    pairs = [(a, a) for a in g.nodes] + list(itertools.combinations(g.nodes, 2))
-    return MappingProxyType({(a, b): wy.word_to_matrix(psi, [a, b] * g.order(a, b)) == one
-                             for a, b in pairs})
-
-
 def verify_relations(d: DaggerSymbol, mode: str = "hat") -> CertStep:
     """Certify's relations step: every defining relation (a b)^m of the
-    pendant symbol holds in the image of the mode's map.  A relation
-    between two Weyl letters is judged by its per-type verdict
-    (_weyl_relations), every other by folding its word through phi.  The
-    step records how many relations were checked and, for each that
-    fails, its generators, order and relation word."""
+    pendant symbol, m its order in gamma, holds in the image of the mode's
+    map.  Each verdict is read off the image of the relation word's
+    localized letter actions (_image), so it is folded once per Weyl type
+    and pair of actions.  The step records how many relations were checked
+    and, for each that fails, its generators, order and relation word."""
     if mode not in ("plain", "hat"):
         raise DaggerError(f"unknown mode {mode!r}")
-    weyl = _weyl_relations(d.psi)
+    letters = _letters(d)
     gens = d.gamma.nodes
     pairs = [(a, a) for a in gens] + list(itertools.combinations(gens, 2))
     failed = []
     for a, b in pairs:
         m = d.gamma.order(a, b)
-        ok = weyl.get((a, b))
-        if ok is None:
-            ok = phi(d, [a, b] * m, mode).is_identity()
-        if not ok:
+        x, v, fixed = _image(d.psi, _localized(letters, (a, b)) * m)
+        if not fixed or any(v) or x and mode == "hat":
             failed.append({"generators": [str(a)] if a == b else [str(a), str(b)],
                            "order": m,
                            "relation_word": [str(a), str(b)] * m})
@@ -273,9 +299,11 @@ def enumerate_image(d: DaggerSymbol, mode: str, cap: int) -> int:
     """Order of the image subgroup by breadth-first closure of the identity
     under the generators, each applied by folding its letter onto a copy of
     the element (_fold).  Raises when the closure exceeds cap."""
+    letters = _letters(d)
+
     def step(e: SemidirectElement, s) -> SemidirectElement:
         v, g = list(e.v), [list(r) for r in e.g]
-        x = _fold(d, (s,), e.x, v, g)
+        x = _fold(d.psi, (letters[s],), e.x, v, g)
         return SemidirectElement(x if mode == "hat" else 0, tuple(v), tuple(map(tuple, g)))
 
     seen = m2.bfs_closure(phi(d, (), mode), d.gamma.nodes, step, cap)
@@ -337,53 +365,108 @@ def _b_longest_word(pendant, path: Sequence[int]) -> Tuple:
     return sum((local[j:] + local[j:-1][::-1] for j in range(len(path))), ()) + (pendant,)
 
 
+def _neighbour_masks(g: CoxeterSymbol) -> Mapping[object, int]:
+    """Each node's neighbours in g as a mask (bit k is g.nodes[k])."""
+    bit = {v: 1 << k for k, v in enumerate(g.nodes)}
+    return {v: sum(bit[w] for w in g.neighbors(v)) for v in g.nodes}
+
+
+def _grow(g: CoxeterSymbol, near: Mapping[object, int], queue: List[Tuple[int, Tuple]]):
+    """Grow connected node sets of g from the queued (mask, its nodes in
+    growth order) one neighbour at a time, breadth first, and yield each
+    finite one as (mask, nodes, type named by classify_component, mask
+    with its neighbours), by size: each set is one node larger than the
+    set it grew from.  Growth through finite sets reaches every connected
+    finite set that holds a queued one, since dropping a leaf keeps a set
+    connected and finite.  near holds the neighbour masks of g."""
+    seen = {mask for mask, _ in queue}
+    for mask, nodes in queue:
+        ftype = classify_component(g, mask_nodes(g, mask))
+        if ftype is None:
+            continue
+        around = mask
+        for v in nodes:
+            around |= near[v]
+        yield mask, nodes, ftype, around
+        for k, w in enumerate(g.nodes):
+            if around >> k & 1 and mask | 1 << k not in seen:
+                seen.add(mask | 1 << k)
+                queue.append((mask | 1 << k, nodes + (w,)))
+
+
+@lru_cache(maxsize=64)
+def _local_growth(weyl: CoxeterSymbol, edges: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple, ...]:
+    """The connected finite sets through one pendant t joined to the nodes
+    of weyl, gamma's Weyl part, by edges ((node, order), ...), grown from t
+    on weyl plus t (_grow): each (its Weyl nodes as a mask of weyl's bits,
+    those nodes in growth order, its type), in growth order.  They depend
+    on weyl and edges alone, so they are grown once per Weyl type and
+    pendant edges."""
+    g = CoxeterSymbol(weyl.nodes + ("t",), weyl.edges() + [(s, "t", m) for s, m in edges])
+    grown = _grow(g, _neighbour_masks(g), [(1 << weyl.rank, ("t",))])
+    return tuple((mask & ~(1 << weyl.rank), nodes[1:], ftype) for mask, nodes, ftype, _ in grown)
+
+
 @lru_cache(maxsize=2)
 def _pendant_growth(d: DaggerSymbol) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tuple[Tuple, ...]]:
-    """The connected finite visibles through the pendants, grown from each
-    pendant one neighbour at a time and named by classify_component.
-    Growth through finite sets reaches every one, since dropping a leaf
-    other than the pendant keeps a set connected and finite.
+    """The connected finite visibles through the pendants, named by
+    classify_component.
 
     Returns (components, violations).  components[i] holds the sets through
     t_i and no other pendant that are A1, or B_k with t_i's own edge (to
     s_i) of order 4: t_i and a type-A path from s_i, grown in path order.
     Each is (mask, mask with its neighbours, longest word, x, v_i, path),
     where (x, v, 1) is the word's image under the augmented map and v_i
-    its slot i, the only one it moves.  The image must fix the Weyl part,
-    since the word cancels once the pendant is erased.  Every
+    its slot i, the only one it moves (_image).  The image must fix the
+    Weyl part, since the word cancels once the pendant is erased.  Every
     other set is a violation, (mask, type, pendant count), listed as
-    spherical_subsets lists sets: by size, then by position.  Memoized per
-    symbol, like _letters.
+    spherical_subsets lists sets: by size, then by position.
+
+    The sets through one pendant are read off its _local_growth on gamma's
+    Weyl part (its first psi.rank nodes, on the same bits), in growth
+    order; from those next to another pendant grow the sets through two or
+    more on gamma (_grow).  Memoized per symbol, like _letters.
     """
     gamma = d.gamma
-    bit = {v: 1 << k for k, v in enumerate(gamma.nodes)}
+    near = _neighbour_masks(gamma)
+    node = {1 << k: v for k, v in enumerate(gamma.nodes)}
+    bit = {v: b for b, v in node.items()}
     slot = {bit[t]: i for i, t in enumerate(d.pendants)}
     pend = sum(slot)
+    letters = _letters(d)
     components: Tuple[List[Tuple], ...] = tuple([] for _ in d.pendants)
     violations = []
-    # (mask, its nodes in growth order), read while it grows: by size, as
-    # each set is one node larger than the set it grew from.
-    queue = [(bit[t], (t,)) for t in d.pendants]
-    seen = {mask for mask, _ in queue}
-    for mask, nodes in queue:
-        ftype = classify_component(gamma, mask_nodes(gamma, mask))
-        if ftype is None:
-            continue
-        around = mask | sum({bit[w] for v in nodes for w in gamma.neighbors(v)})
+
+    def record(mask: int, nodes: Tuple, ftype, around: int) -> None:
         i = slot.get(mask & pend)  # the slot of the set's pendant, if it has just one
         if i is not None and (ftype.rank == 1 or ftype.family == "B"
                               and gamma.order(nodes[0], d.attachments[i]) == 4):
             word = _b_longest_word(nodes[0], nodes[1:])
-            image = phi(d, word, "hat")
-            if image.g != wy.identity_matrix(d.psi.rank):
+            x, v, fixed = _image(d.psi, _localized(letters, word))
+            if not fixed:
                 raise DaggerError("pendant component image moves the Weyl part")
-            components[i].append((mask, around, word, image.x, image.v[i], nodes[1:]))
+            components[i].append((mask, around, word, x << i, v[0], nodes[1:]))
         else:
             violations.append((mask, ftype, (mask & pend).bit_count()))
-        for w in gamma.nodes:
-            if bit[w] & around and mask | bit[w] not in seen:
-                seen.add(mask | bit[w])
-                queue.append((mask | bit[w], nodes + (w,)))
+
+    weyl = induced_subsymbol(gamma, gamma.nodes[:d.psi.rank])
+    inside = set(weyl.nodes)
+    seeds: dict = {}
+    for t in d.pendants:
+        edges = tuple((w, gamma.order(t, w)) for w in gamma.neighbors(t) if w in inside)
+        for wmask, path, ftype in _local_growth(weyl, edges):
+            mask, nodes = wmask | bit[t], (t,) + path
+            around = mask
+            for v in nodes:
+                around |= near[v]
+            record(mask, nodes, ftype, around)
+            others = around & pend & ~bit[t]
+            while others:
+                b = others & -others
+                others ^= b
+                seeds.setdefault(mask | b, nodes + (node[b],))
+    for grown in _grow(gamma, near, list(seeds.items())):
+        record(*grown)
     violations.sort(key=lambda f: (f[0].bit_count(),
                                    [k for k in range(gamma.rank) if f[0] >> k & 1]))
     return tuple(map(tuple, components)), tuple(violations)
@@ -440,7 +523,7 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     longest element that survives the map, read off the image of the
     path's component in the growth.  A path with no component (its set is
     not B_k, which step 3 reports) is not compensated.  Steps (1)-(4) read
-    the module's caches (_weyl_relations, _pendant_growth).
+    the module's caches (_image, _pendant_growth).
 
     Certify takes pendant symbols of at most symbols.MAX_NODES nodes and
     raises SymbolError past that.
@@ -523,12 +606,14 @@ def _half_turn(psi: WeylData) -> Tuple[str, int, Matrix, int, m2.F2Subspace, m2.
     return route, p, xi_q, u, ker, im
 
 
-def _antipodal_size(g: CoxeterSymbol, nodes: Sequence) -> int:
-    """Largest size of an antipodal subset of the finite node set nodes
-    of g: FiniteType.antipodal_size summed over its connected components,
-    each named by classify_component on g itself, with no induced
-    subsymbol built."""
-    left, size = set(nodes), 0
+@lru_cache(maxsize=128)
+def _free_antipodal_size(psi: WeylData, free: int) -> int:
+    """Largest size of an antipodal subset of psi's nodes on the mask free:
+    FiniteType.antipodal_size summed over its connected components, each
+    named by classify_component on psi's symbol, with no induced subsymbol
+    built.  Memoized per (Weyl type, mask)."""
+    g = psi.symbol
+    left, size = set(mask_nodes(g, free)), 0
     while left:
         comp = [left.pop()]
         for v in comp:
@@ -550,17 +635,29 @@ def _class_exclusion(d: DaggerSymbol, max_rank: int) -> CertStep:
     subsets of a node set take every size up to the largest.  So some class
     is unresolved iff a component with x = 0 leaves free Weyl nodes (those
     outside it and its neighbours) with an antipodal subset of max_rank
-    nodes.  One entry per such component records the largest size."""
+    nodes.  One entry per such component records the largest size
+    (_free_antipodal_size)."""
     weyl = (1 << d.psi.rank) - 1
     entries = [{"nodes": [str(v) for v in mask_nodes(d.gamma, c[0])],
-                "free_antipodal_size": _antipodal_size(d.psi.symbol,
-                                                       mask_nodes(d.gamma, weyl & ~c[1]))}
+                "free_antipodal_size": _free_antipodal_size(d.psi, weyl & ~c[1])}
                for comps in _pendant_growth(d)[0] for c in comps if c[3] == 0]
     return CertStep("class-exclusion",
                     {"max_class_rank": max_rank, "components": entries,
                      "trusted": ["2-torsion in the preimage of a cyclic 2-group "
                                  "maps onto its unique involution"]},
                     all(e["free_antipodal_size"] < max_rank for e in entries))
+
+
+@lru_cache(maxsize=64)
+def _zeta(psi: WeylData, slots: int) -> Tuple[SemidirectElement, ...]:
+    """zeta = (0, (u,..,u), xi^q) over the given number of pendant slots
+    (_half_turn's xi^q and u), its half power zeta^(2^(p-1)) and the
+    square of that.  zeta depends on psi and the slot count alone, so the
+    three are computed once per pair."""
+    _, p, xi_q, u, _, _ = _half_turn(psi)
+    zeta = SemidirectElement(0, (u,) * slots, xi_q)
+    half = zeta.power(2 ** (p - 1))
+    return zeta, half, half * half
 
 
 def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
@@ -571,31 +668,30 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
     copy of Z/2^p avoiding every involution class in the image of the
     group.  Odd-rank type A uses the Coxeter half-turn directly (p = 1);
     E6 does better through a Coxeter element of its visible D5, giving
-    p = 3 instead of the generic p = 2.  It reads _half_turn and
-    _pendant_growth; everything else that depends on the pendants (zeta,
-    its powers, the slot checks, the class exclusions) is computed afresh.
+    p = 3 instead of the generic p = 2.  It reads _half_turn, _zeta and
+    _pendant_growth; everything else that depends on the pendants (the
+    slot checks, the class exclusions) is computed afresh.
     max_rank, the minus-one rank the half-turn must reach, is the largest
     antipodal size of Psi, the rank of its unique maximal involution class.
     """
     psi = d.psi
     n = psi.rank
-    route, p, xi_q, u, ker, im = _half_turn(psi)
-    zeta = SemidirectElement(0, tuple(u for _ in range(d.m)), xi_q)
+    route, p, _, _, ker, im = _half_turn(psi)
+    zeta, half, square = _zeta(psi, d.m)
     steps: List[CertStep] = []
 
-    half = zeta.power(2 ** (p - 1))
-    order_ok = (half * half).is_identity() and not half.is_identity()
     steps.append(CertStep("cyclic-order",
                           {"route": route, "p": p, "order": 2 ** p,
-                           "zeta": zeta.to_json()}, order_ok))
+                           "zeta": zeta.to_json()},
+                          square.is_identity() and not half.is_identity()))
 
     g = half.g
     eig_dim = wy.minus_one_rank(g)
-    max_rank = _antipodal_size(psi.symbol, psi.symbol.nodes)
+    max_rank = _free_antipodal_size(psi, (1 << n) - 1)
     steps.append(CertStep("half-power-involution",
                           {"eigen_dim": eig_dim, "max_class_rank": max_rank,
                            "g": [list(r) for r in g]},
-                          wy.mat_mul(g, g) == wy.identity_matrix(n) and half.x == 0
+                          square.g == wy.identity_matrix(n) and half.x == 0
                           and eig_dim == max_rank))
 
     slot_checks = [{"slot": j, "in_kernel": ker.contains(v), "in_image": im.contains(v)}

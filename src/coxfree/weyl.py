@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -206,17 +207,32 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 
 
 def row_reduce(a: Sequence[Sequence]) -> Tuple[RationalMatrix, Tuple[int, ...], Fraction]:
-    """Exact Gauss-Jordan elimination over Q.
+    """Exact Gauss-Jordan elimination over Q, fraction free (Bareiss 1968).
 
     Returns the reduced row echelon rows (zero rows last), the pivot
     columns, and the determinant of the leading square block: the first
     len(a) columns, which are the whole matrix when a is square.  That
     determinant is 0 when the block is singular or a is taller than wide.
+
+    The rows, each scaled to integers, stay integer: every step replaces
+    each other row r by (p r - f top) / prev, p the pivot, f the row's
+    entry in its column and prev the last pivot.  The division is exact
+    (Sylvester's identity), and every pivot entry ends equal to the last
+    pivot, which divides the rows once at the end.
     """
-    rows = [[Fraction(x) for x in row] for row in a]
+    rows: List[List[int]] = []
+    scale = 1
+    for row in a:
+        if all(type(x) is int for x in row):
+            rows.append(list(row))
+        else:
+            row = [Fraction(x) for x in row]
+            m = lcm(*(x.denominator for x in row))
+            rows.append([int(x * m) for x in row])
+            scale *= m
     n_rows = len(rows)
     pivots: List[int] = []
-    num = den = 1  # the determinant as a plain int ratio: cheaper than Fraction products
+    prev, sign = 1, 1
     for col in range(len(rows[0]) if rows else 0):
         top = len(pivots)
         pivot = next((r for r in range(top, n_rows) if rows[r][col]), None)
@@ -224,21 +240,17 @@ def row_reduce(a: Sequence[Sequence]) -> Tuple[RationalMatrix, Tuple[int, ...], 
             continue
         if pivot != top:
             rows[top], rows[pivot] = rows[pivot], rows[top]
-            num = -num
-        pv = rows[top][col]
-        num *= pv.numerator
-        den *= pv.denominator
-        rows[top] = [x / pv for x in rows[top]]
-        for r in range(n_rows):
-            f = rows[r][col]
-            if r != top and f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+            sign = -sign
+        lead = rows[top]
+        p = lead[col]
+        rows = [row if r == top else [(p * x - row[col] * y) // prev for x, y in zip(row, lead)]
+                for r, row in enumerate(rows)]
+        prev = p
         pivots.append(col)
         if len(pivots) == n_rows:
             break
-    if pivots[:n_rows] != list(range(n_rows)):
-        num = 0
-    return tuple(map(tuple, rows)), tuple(pivots), Fraction(num, den)
+    det = Fraction(sign * prev, scale) if pivots[:n_rows] == list(range(n_rows)) else Fraction(0)
+    return tuple(tuple(Fraction(x, prev) for x in row) for row in rows), tuple(pivots), det
 
 
 def rational_inverse(a: Sequence[Sequence[int]]) -> RationalMatrix:

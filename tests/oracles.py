@@ -2,7 +2,7 @@
 
 Everything here is built from first principles (signed permutations as
 tuples, breadth-first closures, conjugacy by exhaustive multiplication,
-Leibniz determinants, minor searches, floating-point eigenvalues, integer
+Leibniz determinants, minor searches, elimination over Fraction, floating-point eigenvalues, integer
 reflections along breadth-first tree paths) so that the values frozen
 into the tests do not depend on the code paths they are checking.
 
@@ -19,6 +19,7 @@ import functools
 import itertools
 import math
 import operator
+from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -127,6 +128,39 @@ def leibniz_det(a: Sequence[Sequence[int]]) -> int:
             term *= a[i][j]
         total += term
     return total
+
+
+def row_reduce_fractions(a: Sequence[Sequence]) -> Tuple[Tuple[Tuple[Fraction, ...], ...],
+                                                          Tuple[int, ...], Fraction]:
+    """Gauss-Jordan elimination over Fraction, row by row: the reference
+    for weyl.row_reduce's fraction-free elimination, with the same three
+    return values (reduced rows, pivot columns, determinant of the leading
+    square block)."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    n_rows = len(rows)
+    pivots: List[int] = []
+    det = Fraction(1)
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, n_rows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            rows[top], rows[pivot] = rows[pivot], rows[top]
+            det = -det
+        pv = rows[top][col]
+        det *= pv
+        rows[top] = [x / pv for x in rows[top]]
+        for r in range(n_rows):
+            f = rows[r][col]
+            if r != top and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(col)
+        if len(pivots) == n_rows:
+            break
+    if pivots[:n_rows] != list(range(n_rows)):
+        det = Fraction(0)
+    return tuple(map(tuple, rows)), tuple(pivots), det
 
 
 def minor_rank(a: Sequence[Sequence[int]]) -> int:

@@ -21,7 +21,7 @@ from coxfree import (
 )
 from coxfree.involutions import _opposition
 from coxfree.symbols import mask_nodes, node_sort_key, spherical_subsets
-from coxfree.torsionfree import _antipodal_size
+from coxfree.torsionfree import _free_antipodal_size
 from coxfree.weyl import identity_matrix, mat_mul, mat_pow, minus_one_rank
 from oracles import closure, involution_class_count, signed_generators, symmetric_generators
 
@@ -187,12 +187,12 @@ class TestAntipodalSize:
     def test_every_node_mask_against_the_walk(self, fam, rank):
         # Summed over the components of each node mask, it is the largest
         # antipodal set of the walk inside that mask.
-        g = weyl_data(fam, rank).symbol
-        antipodal = [m for m, comps in spherical_subsets(g).items()
+        w = weyl_data(fam, rank)
+        antipodal = [m for m, comps in spherical_subsets(w.symbol).items()
                      if all(t.antipodal for _, t in comps)]
-        for free in range(1 << g.rank):
+        for free in range(1 << w.rank):
             expected = max(m.bit_count() for m in antipodal if not m & ~free)
-            assert _antipodal_size(g, mask_nodes(g, free)) == expected, free
+            assert _free_antipodal_size(w, free) == expected, free
 
 
 class TestUnsortedNodeOrder:

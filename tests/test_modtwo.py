@@ -163,6 +163,23 @@ class TestOrbits:
         _, sp = orbit_span(gens, weight_vector(w, 1).mod2(), 6)
         assert sp.dim == 6
 
+    @pytest.mark.parametrize("args", [("A", r) for r in range(2, 10)]
+                             + [("B", r) for r in range(3, 9)] + [("D", r) for r in range(4, 10)]
+                             + [("E6",), ("E7",), ("E8",), ("F4",), ("G2",)],
+                             ids=lambda args: "".join(map(str, args)))
+    def test_orbit_dim_is_the_orbit_span(self, args):
+        # orbit_dim closes a basis; the reference lists the whole orbit of
+        # (parity, u_s) and spans it, on every node and parity.
+        w = weyl_data(*args)
+        n = w.rank
+        gens = [cols + (1 << n,) for cols in m2.f2_generators(w).values()]
+        for s in w.symbol.nodes:
+            u = weight_vector(w, s).mod2()
+            for parity in (0, 1):
+                assert m2.orbit_dim(w, u, parity) == \
+                    orbit_span(gens, u | parity << n, n + 1)[1].dim, (s, parity)
+        assert m2.orbit_dim(w, 0, 0) == 0 and m2.orbit_dim(w, 0, 1) == 1
+
     def test_bfs_closure_cap(self):
         # Z/7 under +1 and +3: the cap stops the closure one element past it.
         step = lambda x, g: (x + g) % 7

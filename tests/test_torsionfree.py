@@ -137,6 +137,30 @@ class TestRelations:
         assert tf.verify_relations(d) == tf.CertStep("relations", {"checked": 28, "failed": []}, True)
 
 
+class TestRelationsFollowGamma:
+    def test_a_weyl_pair_is_judged_by_its_order_in_gamma(self):
+        # E6 [1] with gamma's 1-2 edge set to order 4: (s1 s2)^4 is not the
+        # identity in W(E6), where s1 s2 has order 3, so that relation fails.
+        d = build_dagger(weyl_data("E6"), [1])
+        edges = [(a, b, 4 if (a, b) == (1, 2) else m) for a, b, m in d.gamma.edges()]
+        bad = d._replace(gamma=CoxeterSymbol(d.gamma.nodes, edges))
+        assert not phi(bad, [1, 2] * 4).is_identity()
+        gens = bad.gamma.nodes
+        pairs = [(a, a) for a in gens] + list(itertools.combinations(gens, 2))
+        for mode in ("hat", "plain"):
+            step = tf.verify_relations(bad, mode)
+            assert [f["generators"] for f in step.objects["failed"]] == \
+                [[str(a)] if a == b else [str(a), str(b)] for a, b in pairs
+                 if not _fold(bad, [a, b] * bad.gamma.order(a, b), mode).is_identity()] == [["1", "2"]]
+            assert step.objects["failed"][0]["order"] == 4 and not step.ok
+        # The growth reads gamma, not Psi: {1, 2} is B2 there.
+        cert = certify_torsion_free(bad)
+        structure = next(s for s in cert.steps if s.name == "finite-visible-structure")
+        assert structure.objects == {"violations": _walk_violations(bad)}
+        assert _grown(bad) == _through(bad)
+        assert replay_certificate(bad, cert)
+
+
 class TestBuild:
     def test_unknown_node_rejected(self):
         with pytest.raises(DaggerError):
@@ -166,6 +190,7 @@ class TestCertificates:
         cert = certify_torsion_free(bad)
         structure = next(s for s in cert.steps if s.name == "finite-visible-structure")
         assert structure.objects == {"violations": _walk_violations(bad)}
+        assert _grown(bad) == _through(bad)
         if orders == (3, 6):
             assert [(v["type"], len(v["nodes"])) for v in structure.objects["violations"]] == [
                 ("A2", 2), ("G2", 2), ("A3", 3), ("A4", 4), ("A5", 5), ("A5", 5), ("A6", 6),
@@ -177,6 +202,26 @@ class TestCertificates:
         assert [s.name for s in cert.steps if not s.ok] == \
             ["relations", "finite-visible-structure", "type-B-faithfulness"]
         assert replay_certificate(bad, cert)
+
+    @pytest.mark.parametrize("args,nodes,order", [(("E6",), (1, 5), 3), (("E6",), (1, 3, 6), 3),
+                                                  (("D", 8), (2, 6), 4), (("A", 5), (2, 4), 3)])
+    def test_pendants_joined_to_each_other(self, args, nodes, order):
+        # A t1-t2 edge: sets through both pendants are grown on gamma itself,
+        # from the single-pendant sets next to the other pendant; with an
+        # order-3 edge {t1, t2} is A2 and grows further.
+        d = build_dagger(weyl_data(*args), nodes)
+        bad = d._replace(gamma=CoxeterSymbol(d.gamma.nodes,
+                                             d.gamma.edges() + [("t1", "t2", order)]))
+        cert = certify_torsion_free(bad)
+        structure = next(s for s in cert.steps if s.name == "finite-visible-structure")
+        assert structure.objects == {"violations": _walk_violations(bad)}
+        assert any(v["pendants"] == 2 for v in structure.objects["violations"])
+        assert _grown(bad) == _through(bad)
+        # The components are those of the symbol without the edge, each now
+        # next to the other pendant too.
+        assert [[c[:1] + c[2:] for c in comps] for comps in tf._pendant_growth(bad)[0]] == \
+            [[c[:1] + c[2:] for c in comps] for comps in tf._pendant_growth(d)[0]]
+        assert not cert.ok and replay_certificate(bad, cert)
 
     def test_a_type_b_set_at_the_order_3_end_is_a_violation(self):
         # B4 [2] with t1 joined to node 2 by an order-3 edge: {t1, 2, 3, 4}
@@ -194,6 +239,20 @@ class TestCertificates:
         assert {"nodes": ["2", "3", "4", "t1"], "type": "B4", "pendants": 1} \
             in structure.objects["violations"]
         assert not cert.ok and replay_certificate(bad, cert)
+
+
+def _grown(d):
+    """The masks of every set the growth from the pendants names."""
+    components, violations = tf._pendant_growth(d)
+    return sorted([c[0] for comps in components for c in comps] + [v[0] for v in violations])
+
+
+def _through(d):
+    """The masks of the connected spherical subsets through a pendant, read
+    off the spherical-subset walk of the whole pendant symbol."""
+    pend = sum(1 << k for k, v in enumerate(d.gamma.nodes) if v in d.pendants)
+    return sorted(mask for mask, comps in spherical_subsets(d.gamma).items()
+                  if mask & pend and len(comps) == 1)
 
 
 def _walk_violations(d):
@@ -502,16 +561,19 @@ class TestWorkCounters:
 
     def test_no_stage_walks_the_pendant_symbol(self, monkeypatch):
         # Certify, its replay and extend grow the finite visibles from the
-        # pendants once per symbol and walk no symbol, neither the pendant
-        # symbol nor Psi: no subset walk, no move table and no class list.
-        # The growth folds each pendant component's word once, and step 4
-        # reads the images of the unfaithful paths off it, folding no word
-        # again.
+        # pendants and walk no symbol, neither the pendant symbol nor Psi:
+        # no subset walk, no move table and no class list.  A pendant
+        # component's word is folded once per distinct (Weyl type, pendant
+        # action, path), whichever symbol holds it (E8 [1] shares E8 [1 8]'s
+        # t1), and step 4 reads the images of the unfaithful paths off the
+        # growth, folding no word again.
         walks = [_count(monkeypatch, owner, "spherical_subsets") for owner in (sym, inv)]
         walks += [_count(monkeypatch, inv, name) for name in ("_move_table", "maximal_rank_class")]
-        folds = _count(monkeypatch, tf, "phi")
-        tf._pendant_growth.cache_clear()
-        symbols = [build_dagger(weyl_data("E8"), [1, 8]), build_dagger(weyl_data("D", 8), [2, 6])]
+        folds = _count(monkeypatch, tf, "_fold")
+        for cache in (tf._pendant_growth, tf._local_growth, tf._image):
+            cache.cache_clear()
+        symbols = [build_dagger(weyl_data("E8"), [1, 8]), build_dagger(weyl_data("D", 8), [2, 6]),
+                   build_dagger(weyl_data("E8"), [1])]
         unfaithful = 0
         for d in symbols:
             cert = certify_torsion_free(d)
@@ -522,11 +584,36 @@ class TestWorkCounters:
         assert unfaithful > 0
         assert walks == [[]] * 4
         assert tf._pendant_growth.cache_info().misses == len(symbols)
-        b_words = [(d, tf._b_longest_word(t, path)) for d in symbols
-                   for t, s in zip(d.pendants, d.attachments)
-                   for path in [()] + [p for p, _ in m2.type_a_paths(d.psi, s)]]
-        folded = collections.Counter((d, tuple(word)) for d, word, *_ in folds)
+        b_words = set()
+        for d in symbols:
+            for t, s in zip(d.pendants, d.attachments):
+                dx, _, cols = tf._letters(d)[t]
+                b_words.update((d.psi, tf._b_longest_word((dx and 1, 0, cols), path))
+                               for path in [()] + [p for p, _ in m2.type_a_paths(d.psi, s)])
+        folded = collections.Counter((psi, tuple(actions)) for psi, actions, *_ in folds)
+        assert len(b_words) < sum(len(comps) for d in symbols for comps in tf._pendant_growth(d)[0])
         assert {key: folded[key] for key in b_words} == dict.fromkeys(b_words, 1)
+
+    def test_one_local_growth_per_pendant_edge(self):
+        # E6 [1 3] and E6 [1 5] carry pendants at nodes 1, 3 and 5 of E6:
+        # three distinct pendant edges.  Certify, replay and extend on both
+        # symbols grow from each once.
+        tf._local_growth.cache_clear()
+        for nodes in ([1, 3], [1, 5]):
+            d = build_dagger(weyl_data("E6"), nodes)
+            assert replay_certificate(d, certify_torsion_free(d))
+            assert replay_certificate(d, cyclic_extension(d).certificate)
+        assert tf._local_growth.cache_info().misses == 3
+
+    def test_no_orbit_is_listed(self, monkeypatch):
+        # kernel_index closes a basis per slot (modtwo.orbit_dim): certify
+        # and extend list no orbit, even with the orbit memo cold.
+        spans = _count(monkeypatch, m2, "orbit_span")
+        m2.orbit_dim.cache_clear()
+        for args, nodes in ((("E8",), [1, 7, 8]), (("D", 8), [2, 6]), (("E6",), [1, 5])):
+            d = build_dagger(weyl_data(*args), nodes)
+            assert certify_torsion_free(d).ok and cyclic_extension(d).certificate.ok
+        assert m2.orbit_dim.cache_info().misses > 0 and spans == []
 
     def test_move_table_once_per_weyl_type(self):
         # Certify, its replay and extend build no move table; the class list

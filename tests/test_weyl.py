@@ -15,7 +15,7 @@ from coxfree import weyl as wy
 from coxfree.symbols import SymbolError, inertia
 from coxfree.weyl import identity_matrix, mat_mul
 from oracles import (eigen_signs, element_order, leibniz_det, minor_rank, preserves_gram,
-                     signed_generators, symmetric_generators, verify_exponents, word_perm)
+                     row_reduce_fractions, signed_generators, symmetric_generators, verify_exponents, word_perm)
 
 ALL_RANK_LE_8 = (
     [("A", r) for r in range(1, 9)]
@@ -353,6 +353,22 @@ class TestExactElimination:
             w = weyl_data(fam, rank)
             xi = coxeter_element(w)
             assert wy.rational_inverse(xi) == wy.mat_pow(xi, w.coxeter_number - 1)
+
+    def test_fraction_free_against_fraction_elimination(self):
+        # 3,000 seeded matrices up to 7 x 7, square, wide and tall, half of
+        # them made singular; every fourth holds Fraction entries.
+        rng = random.Random(24)
+        for k in range(3000):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            if k % 2 and rows > 1:
+                i, j = rng.sample(range(rows), 2)
+                a[i] = rng.choice([[0] * cols, list(a[j]),
+                                   [x - 2 * y for x, y in zip(a[j], a[rng.randrange(rows)])]])
+            if k % 4 == 3:
+                a = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in a]
+            assert wy.row_reduce(a) == row_reduce_fractions(a), a
+        assert wy.row_reduce([]) == row_reduce_fractions([]) == ((), (), 1)
 
     def test_singular_inverse_rejected(self):
         with pytest.raises(WeylError, match="singular"):
