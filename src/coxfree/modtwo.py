@@ -2,7 +2,7 @@
 
 Vectors in L/2 are int bitsets (bit i-1 is the coordinate of the basis
 root x_i); operators are tuples of column bitsets.  Everything here is
-exact and dimensions stay at most 12, so a vector fits one machine word.
+exact, and a vector of any dimension is one Python int.
 
 The heart of the module is the weight vector u_s orthogonal to every
 simple root but x_s, its orbit under subsets of reflections, and the
@@ -154,9 +154,12 @@ class WeightVector(NamedTuple):
         return vec_mod2(self.coords)
 
 
+@lru_cache(maxsize=256)
 def weight_vector(w: WeylData, s: int) -> WeightVector:
     """Column s of the cached gram2 inverse, normalized to a primitive
-    integer vector with positive coordinate at s.
+    integer vector with positive coordinate at s.  Memoized per (Weyl
+    type, node): build_dagger, the walks and certify's structure step
+    all read it.
 
     gram2 u = c e_s says exactly that u is orthogonal to every x_t, t != s.
     """
@@ -231,21 +234,25 @@ def _walk_from(w: WeylData, s: int) -> Dict[int, Tuple[Tuple[int, ...], List[int
 
 
 @lru_cache(maxsize=128)
-def type_a_paths(w: WeylData, s: int) -> Tuple[Tuple[Tuple[int, ...], bool], ...]:
-    """(path, faithful) for each minimal path from s whose edges all have
-    order 3, so that it induces a type-A subsymbol, in node order of the far
-    end; the one-node path (s,) is among them.  faithful says whether the
-    x-set of the path spans len(path) + 1 dimensions: for one type-A path,
-    whether the pendant map is faithful on the visible type-B subgroup of
-    a pendant at s and that path.  Memoized per (Weyl type, node), from w
-    alone, so admissibility, certify and the class table share one walk;
-    the result is an immutable tuple."""
+def type_a_paths(w: WeylData, s: int) -> Tuple[Tuple[Tuple[int, ...], bool, int], ...]:
+    """(path, faithful, total) for each minimal path from s whose edges all
+    have order 3, so that it induces a type-A subsymbol, in node order of
+    the far end; the one-node path (s,) is among them.  faithful says
+    whether the x-set of the path spans len(path) + 1 dimensions: for one
+    type-A path, whether the pendant map is faithful on the visible type-B
+    subgroup of a pendant at s and that path.  total is the sum (XOR) of
+    the x-set, the translation of that subgroup's longest element.
+    Memoized per (Weyl type, node), from w alone, so admissibility and
+    certify share one walk; the result is an immutable tuple."""
     walk = _walk_from(w, s)
     out = []
     for t in w.symbol.nodes:
         path, xs = walk[t]
         if all(w.symbol.order(a, b) == 3 for a, b in zip(path, path[1:])):
-            out.append((path, f2_rank(xs) == len(path) + 1))
+            total = 0
+            for x in xs:
+                total ^= x
+            out.append((path, f2_rank(xs) == len(path) + 1, total))
     return tuple(out)
 
 
@@ -255,8 +262,8 @@ def _admissibility(w: WeylData, s: int) -> Tuple[bool, bool]:
     if s in w.scaled_nodes:
         return False, False
     paths = type_a_paths(w, s)
-    return (all(ok for path, ok in paths if len(path) % 2),
-            all(ok for _, ok in paths))
+    return (all(ok for path, ok, _ in paths if len(path) % 2),
+            all(ok for _, ok, _ in paths))
 
 
 def admissible_nodes(w: WeylData) -> List[Tuple[int, bool]]:

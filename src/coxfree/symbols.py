@@ -15,8 +15,7 @@ classification reads its edge labels along that walk, and the diagram
 symmetry (involutions) and the type-B paths through a pendant
 (torsionfree) read the same walk.  spherical_subsets is the one walk over
 the spherical node subsets, capped at MAX_NODES; classify_component
-names the type of each connected set it meets, and of each set that
-torsionfree grows from a pendant.
+names the type of each connected set it meets.
 One symmetric elimination (inertia) counts every signature: exactly on
 the root_gram matrices of the volume path (geometry.vinberg_symbol),
 and up to SIGNATURE_TOL on the float cosine form of the general `symbol
@@ -35,11 +34,9 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optiona
 INF = math.inf
 
 # Cap on the nodes of a symbol given to the spherical-subset walk (Euler
-# characteristics, involution classes) and of a pendant symbol given to
-# torsionfree.certify_torsion_free.  The walk does bitmask work per
+# characteristics, involution classes).  The walk does bitmask work per
 # spherical subset, so its cost follows their number, which is 2^|S| on a
-# Weyl symbol.  Certify walks no pendant symbol and holds nothing per
-# involution class; its cap stays as one explicit check.
+# Weyl symbol.  Certify walks no symbol and has no cap.
 MAX_NODES = 12
 
 SIGNATURE_TOL = 1e-8

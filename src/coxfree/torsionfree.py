@@ -14,17 +14,25 @@ defining relations, certifies torsion-freeness one pendant component at
 a time, and extends the kernel by a cyclic 2-group built from a Coxeter
 element.
 
-The connected finite visibles through the pendants are grown one
-neighbour at a time (_grow): those through one pendant once per Weyl
-type and pendant edges (_local_growth), those through several from them
-on the pendant symbol (_pendant_growth); no stage walks the spherical
-subsets of a pendant symbol.  The A1 sets among them, and the
-B_k sets whose pendant sits at the order-4 end, are the pendant
-components; every other one fails certify's structure step.  When none
-does, an involution class picks a set U of pendant components, disjoint
-and not adjacent, and a class C of the Weyl nodes U leaves free: a
-component is A1 or B_k, both antipodal, so no exchange move touches it
-or a neighbour of it.  Certify and extend judge the classes through the
+The lemma.  On a symbol built by build_dagger, the connected finite
+visibles through pendant t_i are exactly {t_i} and {t_i} + P for each
+type-A path P from s_i (modtwo.type_a_paths): t_i is a leaf on an
+order-4 edge, a connected finite diagram has at most one edge of order
+4 or more, and only B_k has such an edge at a leaf.  So no such set
+holds two pendants.  These are the pendant components (_components),
+read off the one walk admissibility ran, with no set grown or
+classified.  The image of {t_i} + P is (x, v_i, 1): x is |P| + 1 mod 2
+for a plain pendant and 0 for a special one, and v_i is the sum of P's
+x-set, because w0(B_k) is the product of the k commuting conjugates
+w_j t_i w_j^-1, w_j = s_(p_j) ... s_(p_1), each mapping to the
+translation by w_j u_i.  Certify's structure step checks that the
+symbol is the one build_dagger makes, so the lemma holds for whatever
+it certifies.
+
+An involution class picks a set U of pendant components, disjoint and
+not adjacent, and a class C of the Weyl nodes U leaves free: a component
+is A1 or B_k, both antipodal, so no exchange move touches it or a
+neighbour of it.  Certify and extend judge the classes through the
 components alone and never list them (_involution_classes,
 _class_exclusion); the tests keep the class product as their reference.
 
@@ -32,18 +40,17 @@ Its caches are derived from their arguments alone, never from a
 certificate, and every value a caller reads is immutable.  What depends
 on one pendant, or on none, is keyed by what it depends on, so symbols
 over one Weyl type share it.  Per Weyl type and: a word's localized
-letter actions, its image, read by every relation verdict and pendant
-component (_image); a pendant's edges into Psi, the finite sets through
-it alone (_local_growth, keyed by gamma's Weyl part, which is Psi's
-symbol on every built symbol); a free node mask, its largest antipodal
-size (_free_antipodal_size); nothing more, the half-turn data
-(_half_turn); a slot count, zeta and its half power (_zeta); in modtwo,
-a vector and a parity, the orbit span dimension that proves a slot of
-kernel_index (modtwo.orbit_dim).  Per symbol, each for the last two
-symbols: the letter table of the augmented map (_letters) and the
-growth from the pendants (_pendant_growth), which itself grows only the
-sets through two or more pendants.  The records are NamedTuples; a DaggerSymbol is a value,
-so those two are keyed by its fields.
+letter actions, its image, read by every relation verdict (_image); a
+free node mask, its largest antipodal size (_free_antipodal_size);
+nothing more, the half-turn data (_half_turn); a slot count, zeta and
+its half power (_zeta); in modtwo, a node, its weight vector and its
+type-A paths with their x-set sums (modtwo.weight_vector,
+modtwo.type_a_paths), and a vector and a parity, the orbit span
+dimension that proves a slot of kernel_index (modtwo.orbit_dim).  Per
+symbol, each for the last two symbols: the letter table of the augmented
+map (_letters) and the pendant components (_components).  The records
+are NamedTuples; a DaggerSymbol is a value, so those two are keyed by
+its fields.
 """
 
 from __future__ import annotations
@@ -57,8 +64,7 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import modtwo as m2
 from . import weyl as wy
-from .symbols import (MAX_NODES, CoxeterSymbol, SymbolError, classify_component,
-                      induced_subsymbol, mask_nodes)
+from .symbols import CoxeterSymbol, classify_component, mask_nodes
 from .weyl import Matrix, WeylData
 
 WORD_CAP = 10_000
@@ -78,7 +84,7 @@ class DaggerSymbol(NamedTuple):
     admissible) ones come first; ell counts them.  Pendant t_i is joined
     to attachment node i by an order-4 edge and commutes with everything
     else.  Its letter table (_letters) is memoized per symbol, like
-    _pendant_growth.
+    _components.
     """
 
     psi: WeylData
@@ -100,7 +106,7 @@ def _letters(d: DaggerSymbol) -> Mapping[object, object]:
     as itself: reflect by it.  Pendant t_i acts as its translation (x_T, i,
     cols): x_T is bit i for a plain attachment and 0 for a special one, and
     the one nonzero slot i holds u_i mod 2, whose odd coordinates are cols.
-    Memoized per symbol, like _pendant_growth."""
+    Memoized per symbol, like _components."""
     letters = {s: s for s in d.psi.symbol.nodes}
     for i, t in enumerate(d.pendants):
         letters[t] = (1 << i if i < d.ell else 0, i,
@@ -230,9 +236,9 @@ def _localized(letters: Mapping, word: Sequence) -> Tuple:
 def _image(psi: WeylData, actions: Tuple) -> Tuple[int, Tuple[int, ...], bool]:
     """Image of a word under the augmented map, given by its localized
     letter actions (_localized): (x, v, whether it fixes the Weyl part),
-    x and v over the renumbered slots.  A relation's verdict and a pendant
-    component's image depend on psi and these actions alone, so each is
-    folded (_fold) once per Weyl type, whichever symbol asks."""
+    x and v over the renumbered slots.  A relation's verdict depends on
+    psi and these actions alone, so each is folded (_fold) once per Weyl
+    type, whichever symbol asks."""
     slots = 1 + max((a[1] for a in actions if type(a) is tuple), default=-1)
     v, g = [0] * slots, [list(r) for r in wy.identity_matrix(psi.rank)]
     x = _fold(psi, actions, 0, v, g)
@@ -365,111 +371,34 @@ def _b_longest_word(pendant, path: Sequence[int]) -> Tuple:
     return sum((local[j:] + local[j:-1][::-1] for j in range(len(path))), ()) + (pendant,)
 
 
-def _neighbour_masks(g: CoxeterSymbol) -> Mapping[object, int]:
-    """Each node's neighbours in g as a mask (bit k is g.nodes[k])."""
-    bit = {v: 1 << k for k, v in enumerate(g.nodes)}
-    return {v: sum(bit[w] for w in g.neighbors(v)) for v in g.nodes}
-
-
-def _grow(g: CoxeterSymbol, near: Mapping[object, int], queue: List[Tuple[int, Tuple]]):
-    """Grow connected node sets of g from the queued (mask, its nodes in
-    growth order) one neighbour at a time, breadth first, and yield each
-    finite one as (mask, nodes, type named by classify_component, mask
-    with its neighbours), by size: each set is one node larger than the
-    set it grew from.  Growth through finite sets reaches every connected
-    finite set that holds a queued one, since dropping a leaf keeps a set
-    connected and finite.  near holds the neighbour masks of g."""
-    seen = {mask for mask, _ in queue}
-    for mask, nodes in queue:
-        ftype = classify_component(g, mask_nodes(g, mask))
-        if ftype is None:
-            continue
-        around = mask
-        for v in nodes:
-            around |= near[v]
-        yield mask, nodes, ftype, around
-        for k, w in enumerate(g.nodes):
-            if around >> k & 1 and mask | 1 << k not in seen:
-                seen.add(mask | 1 << k)
-                queue.append((mask | 1 << k, nodes + (w,)))
-
-
-@lru_cache(maxsize=64)
-def _local_growth(weyl: CoxeterSymbol, edges: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple, ...]:
-    """The connected finite sets through one pendant t joined to the nodes
-    of weyl, gamma's Weyl part, by edges ((node, order), ...), grown from t
-    on weyl plus t (_grow): each (its Weyl nodes as a mask of weyl's bits,
-    those nodes in growth order, its type), in growth order.  They depend
-    on weyl and edges alone, so they are grown once per Weyl type and
-    pendant edges."""
-    g = CoxeterSymbol(weyl.nodes + ("t",), weyl.edges() + [(s, "t", m) for s, m in edges])
-    grown = _grow(g, _neighbour_masks(g), [(1 << weyl.rank, ("t",))])
-    return tuple((mask & ~(1 << weyl.rank), nodes[1:], ftype) for mask, nodes, ftype, _ in grown)
-
-
 @lru_cache(maxsize=2)
-def _pendant_growth(d: DaggerSymbol) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tuple[Tuple, ...]]:
-    """The connected finite visibles through the pendants, named by
-    classify_component.
-
-    Returns (components, violations).  components[i] holds the sets through
-    t_i and no other pendant that are A1, or B_k with t_i's own edge (to
-    s_i) of order 4: t_i and a type-A path from s_i, grown in path order.
-    Each is (mask, mask with its neighbours, longest word, x, v_i, path),
-    where (x, v, 1) is the word's image under the augmented map and v_i
-    its slot i, the only one it moves (_image).  The image must fix the
-    Weyl part, since the word cancels once the pendant is erased.  Every
-    other set is a violation, (mask, type, pendant count), listed as
-    spherical_subsets lists sets: by size, then by position.
-
-    The sets through one pendant are read off its _local_growth on gamma's
-    Weyl part (its first psi.rank nodes, on the same bits), in growth
-    order; from those next to another pendant grow the sets through two or
-    more on gamma (_grow).  Memoized per symbol, like _letters.
-    """
+def _components(d: DaggerSymbol) -> Tuple[Tuple[Tuple, ...], ...]:
+    """The pendant components of each pendant t_i (the lemma in the module
+    docstring): t_i alone, then t_i with each type-A path from s_i, by
+    path length and then by the positions of the path's nodes in gamma,
+    the order a breadth-first growth from t_i meets them.  Each is (mask,
+    mask with its neighbours in gamma, longest word (_b_longest_word), x,
+    v_i, path): the word's image is (x, v, 1), v_i its one nonzero slot.
+    t_i alone maps to its letter.  Memoized per symbol, like _letters."""
     gamma = d.gamma
-    near = _neighbour_masks(gamma)
-    node = {1 << k: v for k, v in enumerate(gamma.nodes)}
-    bit = {v: b for b, v in node.items()}
-    slot = {bit[t]: i for i, t in enumerate(d.pendants)}
-    pend = sum(slot)
+    pos = {v: k for k, v in enumerate(gamma.nodes)}
+    near = {v: sum(1 << pos[w] for w in gamma.neighbors(v)) for v in gamma.nodes}
     letters = _letters(d)
-    components: Tuple[List[Tuple], ...] = tuple([] for _ in d.pendants)
-    violations = []
-
-    def record(mask: int, nodes: Tuple, ftype, around: int) -> None:
-        i = slot.get(mask & pend)  # the slot of the set's pendant, if it has just one
-        if i is not None and (ftype.rank == 1 or ftype.family == "B"
-                              and gamma.order(nodes[0], d.attachments[i]) == 4):
-            word = _b_longest_word(nodes[0], nodes[1:])
-            x, v, fixed = _image(d.psi, _localized(letters, word))
-            if not fixed:
-                raise DaggerError("pendant component image moves the Weyl part")
-            components[i].append((mask, around, word, x << i, v[0], nodes[1:]))
-        else:
-            violations.append((mask, ftype, (mask & pend).bit_count()))
-
-    weyl = induced_subsymbol(gamma, gamma.nodes[:d.psi.rank])
-    inside = set(weyl.nodes)
-    seeds: dict = {}
-    for t in d.pendants:
-        edges = tuple((w, gamma.order(t, w)) for w in gamma.neighbors(t) if w in inside)
-        for wmask, path, ftype in _local_growth(weyl, edges):
-            mask, nodes = wmask | bit[t], (t,) + path
-            around = mask
+    out = []
+    for t, s in zip(d.pendants, d.attachments):
+        dx, _, cols = letters[t]
+        alone = ((), None, sum(1 << c for c in cols))  # t_i alone: its own letter
+        comps = []
+        for path, _, total in sorted([alone, *m2.type_a_paths(d.psi, s)],
+                                     key=lambda p: (len(p[0]), [pos[v] for v in p[0]])):
+            nodes = (t,) + path
+            mask = around = sum(1 << pos[v] for v in nodes)
             for v in nodes:
                 around |= near[v]
-            record(mask, nodes, ftype, around)
-            others = around & pend & ~bit[t]
-            while others:
-                b = others & -others
-                others ^= b
-                seeds.setdefault(mask | b, nodes + (node[b],))
-    for grown in _grow(gamma, near, list(seeds.items())):
-        record(*grown)
-    violations.sort(key=lambda f: (f[0].bit_count(),
-                                   [k for k in range(gamma.rank) if f[0] >> k & 1]))
-    return tuple(map(tuple, components)), tuple(violations)
+            comps.append((mask, around, _b_longest_word(t, path), 0 if len(path) % 2 else dx,
+                          total, path))
+        out.append(tuple(comps))
+    return tuple(out)
 
 
 _TRUSTED_REDUCTIONS = (
@@ -500,61 +429,66 @@ def _involution_classes(d: DaggerSymbol) -> CertStep:
     entries = [{"nodes": [str(v) for v in mask_nodes(d.gamma, c[0])],
                 "word": [str(v) for v in c[2]], "x": c[3], "v": c[4],
                 "nontrivial": bool(c[3] or c[4])}
-               for comps in _pendant_growth(d)[0] for c in comps]
+               for comps in _components(d) for c in comps]
     return CertStep("involution-classes",
                     {"components": entries, "trusted": [_TRUSTED_REDUCTIONS[3]]},
                     all(e["nontrivial"] for e in entries))
 
 
+def _finite_visible_structure(d: DaggerSymbol) -> CertStep:
+    """Certify's step 3: d is the symbol build_dagger(d.psi, d.attachments)
+    makes, so by the lemma in the module docstring every connected finite
+    visible subgroup not inside the Weyl part is a pendant component.  It
+    lists each pair of gamma's nodes whose order differs (edge, order,
+    expected) and each pendant whose u_i mod 2 differs (pendant, u_mod2,
+    expected)."""
+    built = build_dagger(d.psi, d.attachments)
+    have, want = d.gamma, built.gamma
+    found = [{"edge": [str(a), str(b)], "order": have.order(a, b), "expected": want.order(a, b)}
+             for a, b in itertools.combinations(want.nodes, 2) if have.order(a, b) != want.order(a, b)]
+    found += [{"pendant": t, "u_mod2": m2.vec_mod2(u), "expected": m2.vec_mod2(e)}
+              for t, u, e in zip(built.pendants, d.weights, built.weights)
+              if m2.vec_mod2(u) != m2.vec_mod2(e)]
+    return CertStep("finite-visible-structure", {"violations": found}, not found)
+
+
 def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
-    """Torsion-freeness certificate for the kernel.
+    """Torsion-freeness certificate for the kernel, for a pendant symbol
+    of any size.
 
     Steps: (1) every defining relation holds in the image (verify_relations);
     (2) every involution class of the pendant-symbol group has nontrivial
     image, judged on the pendant components (_involution_classes); (3)
     every connected finite visible subgroup not inside the Weyl part is
     A1 or type B through exactly one pendant, which discharges odd
-    torsion through the named trusted reductions; the growth from the
-    pendants lists every other one; (4) for each type-A path from each
-    attachment, whether the map is faithful on the visible type-B subgroup
-    of its pendant and that path, the flag modtwo.type_a_paths gives it
-    (the check admissibility ran); one that is not faithful must be parity
-    compensated: hat mode, a non-special attachment, odd rank, and a
-    longest element that survives the map, read off the image of the
-    path's component in the growth.  A path with no component (its set is
-    not B_k, which step 3 reports) is not compensated.  Steps (1)-(4) read
-    the module's caches (_image, _pendant_growth).
-
-    Certify takes pendant symbols of at most symbols.MAX_NODES nodes and
-    raises SymbolError past that.
+    torsion through the named trusted reductions: d is the symbol
+    build_dagger makes (_finite_visible_structure); (4) for each type-A
+    path from each attachment, whether the map is faithful on the visible
+    type-B subgroup of its pendant and that path, the flag
+    modtwo.type_a_paths gives it (the check admissibility ran); one that
+    is not faithful must be parity compensated: hat mode, a non-special
+    attachment and odd rank k, so that the longest element, with k letters
+    t_i, keeps t_i's parity bit and survives the map.  Steps (1)-(4) read
+    the module's caches (_image, _components) and modtwo's walk.
     """
     if mode == "plain" and not all(d.special):
         raise DaggerError("plain-mode certification needs specially admissible attachments")
     steps: List[CertStep] = []
 
     steps.append(verify_relations(d, mode))
-    if d.gamma.rank > MAX_NODES:
-        raise SymbolError(f"certify is capped at {MAX_NODES} nodes, not {d.gamma.rank}")
-
     steps.append(_involution_classes(d))
-    components, violations = _pendant_growth(d)
-    found = [{"nodes": [str(v) for v in mask_nodes(d.gamma, mask)],
-              "type": t.label(), "pendants": n} for mask, t, n in violations]
-    steps.append(CertStep("finite-visible-structure", {"violations": found}, not found))
+    steps.append(_finite_visible_structure(d))
     steps.append(CertStep("odd-torsion-reduction",
                           {"trusted": list(_TRUSTED_REDUCTIONS)}, True))
 
     entries = []
-    for i in range(d.m):
-        images = {c[5]: c[3:5] for c in components[i]}  # path -> (x, v_i)
-        for path, faithful in m2.type_a_paths(d.psi, d.attachments[i]):
+    for i, s in enumerate(d.attachments):
+        for path, faithful, _ in m2.type_a_paths(d.psi, s):
             k = len(path) + 1
             entry = {"pendant": d.pendants[i], "k": k,
                      "path": [str(v) for v in path], "faithful": faithful}
             if not faithful:
-                # A path whose set is not B_k in gamma (step 3 lists it) has no image.
-                entry["parity_compensated"] = (mode == "hat" and i < d.ell and k % 2 == 1
-                                               and any(images.get(path, ())))
+                entry["parity_compensated"] = mode == "hat" and i < d.ell and k % 2 == 1
             entries.append(entry)
     steps.append(CertStep("type-B-faithfulness", {"subgroups": entries},
                           all(e.get("parity_compensated", True) for e in entries)))
@@ -640,7 +574,7 @@ def _class_exclusion(d: DaggerSymbol, max_rank: int) -> CertStep:
     weyl = (1 << d.psi.rank) - 1
     entries = [{"nodes": [str(v) for v in mask_nodes(d.gamma, c[0])],
                 "free_antipodal_size": _free_antipodal_size(d.psi, weyl & ~c[1])}
-               for comps in _pendant_growth(d)[0] for c in comps if c[3] == 0]
+               for comps in _components(d) for c in comps if c[3] == 0]
     return CertStep("class-exclusion",
                     {"max_class_rank": max_rank, "components": entries,
                      "trusted": ["2-torsion in the preimage of a cyclic 2-group "
@@ -669,7 +603,7 @@ def cyclic_extension(d: DaggerSymbol) -> CyclicExtension:
     group.  Odd-rank type A uses the Coxeter half-turn directly (p = 1);
     E6 does better through a Coxeter element of its visible D5, giving
     p = 3 instead of the generic p = 2.  It reads _half_turn, _zeta and
-    _pendant_growth; everything else that depends on the pendants (the
+    _components; everything else that depends on the pendants (the
     slot checks, the class exclusions) is computed afresh.
     max_rank, the minus-one rank the half-turn must reach, is the largest
     antipodal size of Psi, the rank of its unique maximal involution class.
@@ -722,10 +656,9 @@ def replay_certificate(d: DaggerSymbol, cert: Certificate) -> bool:
     every object is recomputed by the same code that certify and extend
     run, so a certificate replays only when it equals the fresh one field
     for field.  Any other kind, or one that cannot be re-derived for d (a
-    DaggerError, such as plain mode on a non-special attachment or an
-    unknown mode, or a SymbolError, such as a torsion-free certificate for
-    a pendant symbol past symbols.MAX_NODES), does not replay.  The
-    module's caches it reads hold nothing taken from cert.
+    DaggerError, such as plain mode on a non-special attachment, an
+    unknown mode or an attachment that is not admissible), does not
+    replay.  The module's caches it reads hold nothing taken from cert.
     """
     derive = {
         "torsion-free": lambda: certify_torsion_free(d, cert.mode),
@@ -735,6 +668,6 @@ def replay_certificate(d: DaggerSymbol, cert: Certificate) -> bool:
         return False
     try:
         fresh = derive()
-    except (DaggerError, SymbolError):
+    except DaggerError:
         return False
     return fresh.to_json() == cert.to_json()

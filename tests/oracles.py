@@ -6,8 +6,12 @@ Leibniz determinants, minor searches, elimination over Fraction, floating-point 
 reflections along breadth-first tree paths) so that the values frozen
 into the tests do not depend on the code paths they are checking.
 
-class_table lists every involution class of a pendant symbol with its
-word and image, as the product of pendant configurations and the generic
+pendant_growth grows the connected finite visibles of a pendant symbol
+from its pendants, one neighbour at a time, and names each set by
+classify_component: the reference for the pendant components that
+torsionfree reads off the type-A paths.  class_table lists every
+involution class of a pendant symbol with its word and image, as the
+product of pendant configurations (from the growth) and the generic
 closure (equivalence_classes) of the Weyl nodes each leaves free.  It is
 the reference for the verdicts certify and extend read off the pendant
 components alone (class_scan).
@@ -20,14 +24,16 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
 from coxfree.involutions import EquivalenceClass, equivalence_classes
 from coxfree.modtwo import weight_vector
-from coxfree.symbols import connected_components, induced_subsymbol, mask_nodes, mask_sort_key
-from coxfree.torsionfree import SemidirectElement, _pendant_growth
+from coxfree import torsionfree as tf
+from coxfree.symbols import (CoxeterSymbol, classify_component, connected_components,
+                             induced_subsymbol, mask_nodes, mask_sort_key)
+from coxfree.torsionfree import SemidirectElement
 from coxfree.weyl import identity_matrix, longest_word, minus_one_rank, word_to_matrix
 
 Perm = Tuple[int, ...]  # entry i-1 is the signed image of +i
@@ -302,6 +308,116 @@ def is_independent_for(w, s, t_set) -> bool:
     return f2_rank(vectors) == len(nodes) + 1
 
 
+def _neighbour_masks(g: CoxeterSymbol) -> Mapping[object, int]:
+    """Each node's neighbours in g as a mask (bit k is g.nodes[k])."""
+    bit = {v: 1 << k for k, v in enumerate(g.nodes)}
+    return {v: sum(bit[w] for w in g.neighbors(v)) for v in g.nodes}
+
+
+def _grow(g: CoxeterSymbol, near: Mapping[object, int], queue: List[Tuple[int, Tuple]]):
+    """Grow connected node sets of g from the queued (mask, its nodes in
+    growth order) one neighbour at a time, breadth first, and yield each
+    finite one as (mask, nodes, type named by classify_component, mask
+    with its neighbours), by size: each set is one node larger than the
+    set it grew from.  Growth through finite sets reaches every connected
+    finite set that holds a queued one, since dropping a leaf keeps a set
+    connected and finite.  near holds the neighbour masks of g."""
+    seen = {mask for mask, _ in queue}
+    for mask, nodes in queue:
+        ftype = classify_component(g, mask_nodes(g, mask))
+        if ftype is None:
+            continue
+        around = mask
+        for v in nodes:
+            around |= near[v]
+        yield mask, nodes, ftype, around
+        for k, w in enumerate(g.nodes):
+            if around >> k & 1 and mask | 1 << k not in seen:
+                seen.add(mask | 1 << k)
+                queue.append((mask | 1 << k, nodes + (w,)))
+
+
+@functools.lru_cache(maxsize=64)
+def _local_growth(weyl: CoxeterSymbol, edges: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple, ...]:
+    """The connected finite sets through one pendant t joined to the nodes
+    of weyl, gamma's Weyl part, by edges ((node, order), ...), grown from t
+    on weyl plus t (_grow): each (its Weyl nodes as a mask of weyl's bits,
+    those nodes in growth order, its type), in growth order.  They depend
+    on weyl and edges alone, so they are grown once per Weyl type and
+    pendant edges."""
+    g = CoxeterSymbol(weyl.nodes + ("t",), weyl.edges() + [(s, "t", m) for s, m in edges])
+    grown = _grow(g, _neighbour_masks(g), [(1 << weyl.rank, ("t",))])
+    return tuple((mask & ~(1 << weyl.rank), nodes[1:], ftype) for mask, nodes, ftype, _ in grown)
+
+
+@functools.lru_cache(maxsize=2)
+def pendant_growth(d) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tuple[Tuple, ...]]:
+    """The connected finite visibles through the pendants, named by
+    classify_component.
+
+    Returns (components, violations).  components[i] holds the sets through
+    t_i and no other pendant that are A1, or B_k with t_i's own edge (to
+    s_i) of order 4: t_i and a type-A path from s_i, grown in path order.
+    Each is (mask, mask with its neighbours, longest word, x, v_i, path),
+    where (x, v, 1) is the word's image under the augmented map and v_i
+    its slot i, the only one it moves (_image).  The image must fix the
+    Weyl part, since the word cancels once the pendant is erased.  Every
+    other set is a violation, (mask, type, pendant count), listed as
+    spherical_subsets lists sets: by size, then by position.
+
+    The sets through one pendant are read off its _local_growth on gamma's
+    Weyl part (its first psi.rank nodes, on the same bits), in growth
+    order; from those next to another pendant grow the sets through two or
+    more on gamma (_grow).  This is the reference for
+    torsionfree._components, which reads components[i] off the type-A
+    paths from s_i, and for the lemma behind it: on a symbol from
+    build_dagger, violations is empty.
+    """
+    gamma = d.gamma
+    near = _neighbour_masks(gamma)
+    node = {1 << k: v for k, v in enumerate(gamma.nodes)}
+    bit = {v: b for b, v in node.items()}
+    slot = {bit[t]: i for i, t in enumerate(d.pendants)}
+    pend = sum(slot)
+    letters = tf._letters(d)
+    components: Tuple[List[Tuple], ...] = tuple([] for _ in d.pendants)
+    violations = []
+
+    def record(mask: int, nodes: Tuple, ftype, around: int) -> None:
+        i = slot.get(mask & pend)  # the slot of the set's pendant, if it has just one
+        if i is not None and (ftype.rank == 1 or ftype.family == "B"
+                              and gamma.order(nodes[0], d.attachments[i]) == 4):
+            word = tf._b_longest_word(nodes[0], nodes[1:])
+            x, v, fixed = tf._image(d.psi, tf._localized(letters, word))
+            if not fixed:
+                raise tf.DaggerError("pendant component image moves the Weyl part")
+            components[i].append((mask, around, word, x << i, v[0], nodes[1:]))
+        else:
+            violations.append((mask, ftype, (mask & pend).bit_count()))
+
+    weyl = induced_subsymbol(gamma, gamma.nodes[:d.psi.rank])
+    inside = set(weyl.nodes)
+    seeds: dict = {}
+    for t in d.pendants:
+        edges = tuple((w, gamma.order(t, w)) for w in gamma.neighbors(t) if w in inside)
+        for wmask, path, ftype in _local_growth(weyl, edges):
+            mask, nodes = wmask | bit[t], (t,) + path
+            around = mask
+            for v in nodes:
+                around |= near[v]
+            record(mask, nodes, ftype, around)
+            others = around & pend & ~bit[t]
+            while others:
+                b = others & -others
+                others ^= b
+                seeds.setdefault(mask | b, nodes + (node[b],))
+    for grown in _grow(gamma, near, list(seeds.items())):
+        record(*grown)
+    violations.sort(key=lambda f: (f[0].bit_count(),
+                                   [k for k in range(gamma.rank) if f[0] >> k & 1]))
+    return tuple(map(tuple, components)), tuple(violations)
+
+
 @functools.lru_cache(maxsize=None)
 def free_classes(psi, free: int) -> Tuple[Tuple, ...]:
     """The involution classes of the subdiagram of psi on the node mask
@@ -329,7 +445,7 @@ def class_table(d) -> Tuple[Tuple[EquivalenceClass, Tuple, SemidirectElement], .
     with a type-A path from s_i (B_k); both are antipodal, so no exchange
     move adds or removes a node of a pendant component, or a neighbour of
     one.  A configuration U picks, for each pendant, none or one of these
-    (torsionfree._pendant_growth), its picks disjoint and not adjacent.
+    (pendant_growth), its picks disjoint and not adjacent.
     With F the Weyl nodes neither in U nor next to it, the classes through
     U are {U + A : A in C} for each class C of F (free_classes), and {U}
     when U is not empty.  (b) Adding a fixed disjoint set keeps the
@@ -352,7 +468,7 @@ def class_table(d) -> Tuple[Tuple[EquivalenceClass, Tuple, SemidirectElement], .
     # (pendant mask, closed mask, x, pick per pendant so far), extended one
     # pendant at a time by the picks disjoint from and not next to the rest.
     configs = [(0, 0, 0, ())]
-    for comps in _pendant_growth(d)[0]:
+    for comps in pendant_growth(d)[0]:
         configs = [(pend | c[0], closed | c[1], x ^ c[3], picks + (c,)) if c
                    else (pend, closed, x, picks + (None,))
                    for pend, closed, x, picks in configs

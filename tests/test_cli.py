@@ -69,8 +69,9 @@ class TestExitCodesForEveryVerb:
         ("tf certify --psi E6 --nodes 1", 0),
         ("tf certify --psi E6 --nodes 1 --mode plain", 2),
         ("tf extend --psi E6 --nodes 1", 0),
-        # 13 nodes: past certify's node limit, which extend does not share.
-        ("tf certify --psi E8 --nodes 1 2 3 4 5", 2),
+        # 13 nodes: past the spherical-subset walk's cap, which neither
+        # certify nor extend uses.
+        ("tf certify --psi E8 --nodes 1 2 3 4 5", 0),
         ("tf extend --psi E8 --nodes 1 2 3 4 5", 0),
         ("tf extend --psi A 4", 2),
         # With no pendant the kernel is trivial, so the extension is <zeta>
@@ -140,7 +141,7 @@ GOLDEN_TF = {
         "583041c3c7566342eee17443d4be53760e0060c5052d745e5f86c82676496cb9",
     "tf certify --psi D 4 --nodes 2 --mode plain":
         "98c0b67b670108691038aa9852373d5c854c0be386ce71a70a761d6ab1519650",
-    # 12 nodes, the largest pendant symbol certify accepts.
+    # 12 nodes: a pendant at every node of E6.
     "tf certify --psi E6 --nodes 1 2 3 4 5 6":
         "bb610a983d4ff0ab2831838c067f45d3a2cd579db9aee91857b43adc300e6e2b",
 }

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -199,10 +201,10 @@ class TestTypeAPaths:
                     types = classify_finite_type(induced_subsymbol(w.symbol, path))
                     if [ft.family for ft in types] == ["A"]:
                         expected.append(path)
-                assert [path for path, _ in m2.type_a_paths(w, s)] == expected
+                assert [path for path, _, _ in m2.type_a_paths(w, s)] == expected
 
     def test_b4_from_the_short_end(self):
-        paths = [path for path, _ in m2.type_a_paths(weyl_data("B", 4), 1)]
+        paths = [path for path, _, _ in m2.type_a_paths(weyl_data("B", 4), 1)]
         assert paths == [(1,), (1, 2), (1, 2, 3)]
 
     def test_flag_is_independence_of_the_path(self):
@@ -214,8 +216,11 @@ class TestTypeAPaths:
             w = weyl_data(fam, rank)
             admissible = {s for s, _ in admissible_nodes(w)}
             for s in w.symbol.nodes:
-                for path, faithful in m2.type_a_paths(w, s):
+                for path, faithful, total in m2.type_a_paths(w, s):
                     assert faithful == is_independent_for(w, s, {path[-1]}), (fam, rank, s, path)
+                    # total is the sum of the path's x-set.
+                    xs = x_set(w, s, path[-1])
+                    assert total == functools.reduce(operator.xor, xs), (fam, rank, s, path)
                     from_admissible += s in admissible
         assert from_admissible == 447
 

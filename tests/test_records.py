@@ -28,7 +28,8 @@ def _certificate():
 RECORDS = {
     "FiniteType": (lambda: sym.FiniteType("B", 4, 384), "rank"),
     "F2Subspace": (lambda: m2.span([3, 5], 4), "basis"),
-    "WeightVector": (lambda: m2.weight_vector(wy.weyl_data("E8"), 1), "coords"),
+    # weight_vector is memoized, so a fresh record is built from its fields.
+    "WeightVector": (lambda: m2.WeightVector(*m2.weight_vector(wy.weyl_data("E8"), 1)), "coords"),
     "EquivalenceClass": (lambda: inv.EquivalenceClass(((1,), (3,)), 1), "rank"),
     "PiMonomial": (lambda: geo.PiMonomial(Fraction(1, 3), 2), "power"),
     "SemidirectElement": (_element, "x"),

@@ -25,7 +25,7 @@ from coxfree import torsionfree as tf
 from coxfree import symbols as sym
 from coxfree import weyl as wy
 from coxfree.symbols import CoxeterSymbol, mask_nodes, spherical_subsets
-from oracles import class_scan, class_table
+from oracles import class_scan, class_table, pendant_growth
 
 
 def _generator_images(d, mode):
@@ -153,12 +153,14 @@ class TestRelationsFollowGamma:
                 [[str(a)] if a == b else [str(a), str(b)] for a, b in pairs
                  if not _fold(bad, [a, b] * bad.gamma.order(a, b), mode).is_identity()] == [["1", "2"]]
             assert step.objects["failed"][0]["order"] == 4 and not step.ok
-        # The growth reads gamma, not Psi: {1, 2} is B2 there.
+        # Step 3 names the edge that differs from the built symbol.  The
+        # growth reads gamma, not Psi: {1, 2} is B2 there.
         cert = certify_torsion_free(bad)
         structure = next(s for s in cert.steps if s.name == "finite-visible-structure")
-        assert structure.objects == {"violations": _walk_violations(bad)}
+        assert structure.objects == {"violations": [{"edge": ["1", "2"], "order": 4, "expected": 3}]}
+        assert _grown_violations(bad) == _walk_violations(bad)
         assert _grown(bad) == _through(bad)
-        assert replay_certificate(bad, cert)
+        assert not cert.ok and replay_certificate(bad, cert)
 
 
 class TestBuild:
@@ -179,72 +181,89 @@ class TestCertificates:
     @pytest.mark.parametrize("orders", [(3, 6), (3, 3)], ids=["3-6", "3-3"])
     def test_a_failing_structure_step(self, orders):
         # E6 [1 5] with t1 joined to node 1 by an order-3 edge and t2 to
-        # node 5 by an order orders[1] edge.  With (3, 6), {1, t1} is A2 and
-        # {5, t2} is G2, and t1 grows into seven more finite sets, up to E7;
-        # with (3, 3) the two pendants grow into sets whose growth order
-        # is not the walk's.  The relations through them fail too.
+        # node 5 by an order orders[1] edge.  Step 3 names both edges.  In
+        # the growth, with (3, 6), {1, t1} is A2 and {5, t2} is G2, and t1
+        # grows into seven more finite sets, up to E7; with (3, 3) the two
+        # pendants grow into sets whose growth order is not the walk's.
+        # The relations through them fail too.
         d = build_dagger(weyl_data("E6"), [1, 5])
         edges = [e for e in d.gamma.edges() if e[1] not in d.pendants]
         edges += [(s, t, m) for s, t, m in zip(d.attachments, d.pendants, orders)]
         bad = d._replace(gamma=CoxeterSymbol(d.gamma.nodes, edges))
         cert = certify_torsion_free(bad)
         structure = next(s for s in cert.steps if s.name == "finite-visible-structure")
-        assert structure.objects == {"violations": _walk_violations(bad)}
+        assert structure.objects == {"violations": [
+            {"edge": ["1", "t1"], "order": 3, "expected": 4},
+            {"edge": ["5", "t2"], "order": orders[1], "expected": 4}]}
+        assert _grown_violations(bad) == _walk_violations(bad)
         assert _grown(bad) == _through(bad)
         if orders == (3, 6):
-            assert [(v["type"], len(v["nodes"])) for v in structure.objects["violations"]] == [
+            assert [(v["type"], len(v["nodes"])) for v in _grown_violations(bad)] == [
                 ("A2", 2), ("G2", 2), ("A3", 3), ("A4", 4), ("A5", 5), ("A5", 5), ("A6", 6),
                 ("D6", 6), ("E7", 7)]
-        # Neither pendant has a B_k set, so no unfaithful path is compensated.
+        # Step 4 reads no gamma: both attachments are plain, so in hat mode
+        # each unfaithful path (odd k) is compensated.
         faithfulness = next(s for s in cert.steps if s.name == "type-B-faithfulness")
         assert [e["parity_compensated"] for e in faithfulness.objects["subgroups"]
-                if not e["faithful"]] == [False, False]
-        assert [s.name for s in cert.steps if not s.ok] == \
-            ["relations", "finite-visible-structure", "type-B-faithfulness"]
+                if not e["faithful"]] == [True, True]
+        assert [s.name for s in cert.steps if not s.ok] == ["relations", "finite-visible-structure"]
         assert replay_certificate(bad, cert)
 
     @pytest.mark.parametrize("args,nodes,order", [(("E6",), (1, 5), 3), (("E6",), (1, 3, 6), 3),
                                                   (("D", 8), (2, 6), 4), (("A", 5), (2, 4), 3)])
     def test_pendants_joined_to_each_other(self, args, nodes, order):
-        # A t1-t2 edge: sets through both pendants are grown on gamma itself,
-        # from the single-pendant sets next to the other pendant; with an
-        # order-3 edge {t1, t2} is A2 and grows further.
+        # A t1-t2 edge: step 3 names it.  In the growth, sets through both
+        # pendants are grown on gamma itself, from the single-pendant sets
+        # next to the other pendant; with an order-3 edge {t1, t2} is A2 and
+        # grows further.
         d = build_dagger(weyl_data(*args), nodes)
         bad = d._replace(gamma=CoxeterSymbol(d.gamma.nodes,
                                              d.gamma.edges() + [("t1", "t2", order)]))
         cert = certify_torsion_free(bad)
         structure = next(s for s in cert.steps if s.name == "finite-visible-structure")
-        assert structure.objects == {"violations": _walk_violations(bad)}
-        assert any(v["pendants"] == 2 for v in structure.objects["violations"])
+        assert structure.objects == {"violations": [
+            {"edge": ["t1", "t2"], "order": order, "expected": 2}]}
+        assert _grown_violations(bad) == _walk_violations(bad)
+        assert any(v["pendants"] == 2 for v in _grown_violations(bad))
         assert _grown(bad) == _through(bad)
-        # The components are those of the symbol without the edge, each now
-        # next to the other pendant too.
-        assert [[c[:1] + c[2:] for c in comps] for comps in tf._pendant_growth(bad)[0]] == \
-            [[c[:1] + c[2:] for c in comps] for comps in tf._pendant_growth(d)[0]]
+        # The grown components are the walk's, and those of the symbol
+        # without the edge, each now next to the other pendant too.
+        assert pendant_growth(bad)[0] == tf._components(bad)
+        assert [[c[:1] + c[2:] for c in comps] for comps in tf._components(bad)] == \
+            [[c[:1] + c[2:] for c in comps] for comps in tf._components(d)]
         assert not cert.ok and replay_certificate(bad, cert)
 
     def test_a_type_b_set_at_the_order_3_end_is_a_violation(self):
-        # B4 [2] with t1 joined to node 2 by an order-3 edge: {t1, 2, 3, 4}
-        # is B4 with t1 at its order-3 end, so it is no pendant component
-        # (a component's word is the longest word for t1 at the order-4 end).
+        # B4 [2] with t1 joined to node 2 by an order-3 edge: step 3 names
+        # the edge.  In the growth {t1, 2, 3, 4} is B4 with t1 at its order-3
+        # end, so it is no pendant component (a component's word is the
+        # longest word for t1 at the order-4 end).
         d = build_dagger(weyl_data("B", 4), [2])
         edges = [(a, b, 3 if b == "t1" else m) for a, b, m in d.gamma.edges()]
         bad = d._replace(gamma=CoxeterSymbol(d.gamma.nodes, edges))
-        components, violations = tf._pendant_growth(bad)
+        components, violations = pendant_growth(bad)
         assert [c[5] for c in components[0]] == [()]  # t1 alone
         b4 = sum(1 << k for k, v in enumerate(bad.gamma.nodes) if v in (2, 3, 4, "t1"))
         assert (b4, sym.FiniteType("B", 4, 384), 1) in violations
+        assert {"nodes": ["2", "3", "4", "t1"], "type": "B4", "pendants": 1} \
+            in _grown_violations(bad)
         cert = certify_torsion_free(bad)
         structure = next(s for s in cert.steps if s.name == "finite-visible-structure")
-        assert {"nodes": ["2", "3", "4", "t1"], "type": "B4", "pendants": 1} \
-            in structure.objects["violations"]
+        assert structure.objects == {"violations": [{"edge": ["2", "t1"], "order": 3, "expected": 4}]}
         assert not cert.ok and replay_certificate(bad, cert)
 
 
 def _grown(d):
     """The masks of every set the growth from the pendants names."""
-    components, violations = tf._pendant_growth(d)
+    components, violations = pendant_growth(d)
     return sorted([c[0] for comps in components for c in comps] + [v[0] for v in violations])
+
+
+def _grown_violations(d):
+    """The growth's finite sets through a pendant that are not pendant
+    components, as _walk_violations lists them."""
+    return [{"nodes": [str(v) for v in mask_nodes(d.gamma, mask)], "type": t.label(), "pendants": n}
+            for mask, t, n in pendant_growth(d)[1]]
 
 
 def _through(d):
@@ -256,9 +275,9 @@ def _through(d):
 
 
 def _walk_violations(d):
-    """The structure step's violations read off the spherical-subset walk
-    of the whole pendant symbol: every connected finite set through a
-    pendant that is not A1 or B_k through exactly one pendant, in the walk's
+    """The growth's violations read off the spherical-subset walk of the
+    whole pendant symbol: every connected finite set through a pendant
+    that is not A1 or B_k through exactly one pendant, in the walk's
     order."""
     gamma = d.gamma
     pend = sum(1 << k for k, v in enumerate(gamma.nodes) if v in d.pendants)
@@ -288,7 +307,7 @@ class TestTypeBRecords:
             step = next(x for x in cert.steps if x.name == "type-B-faithfulness")
             entries = step.objects["subgroups"]
             assert [e["path"] for e in entries] == \
-                [[str(v) for v in p] for p, _ in m2.type_a_paths(w, s)]
+                [[str(v) for v in p] for p, _, _ in m2.type_a_paths(w, s)]
             u = m2.weight_vector(w, s).mod2()
             for entry in entries:
                 path = [int(v) for v in entry["path"]]
@@ -376,15 +395,26 @@ class TestReplay:
         assert not d.special[0]
         assert replay_certificate(d, cert._replace(mode="plain")) is False
         assert replay_certificate(d, cert._replace(mode="other")) is False
+        # Step 3 builds the symbol afresh, so an attachment that is not
+        # admissible (node 1 of D4) cannot be certified.
+        d4 = build_dagger(weyl_data("D", 4), [2])
+        bad = d4._replace(attachments=(1,))
+        with pytest.raises(DaggerError, match="not admissible"):
+            certify_torsion_free(bad)
+        assert replay_certificate(bad, certify_torsion_free(d4)) is False
 
-    def test_a_certificate_past_the_node_cap_is_rejected(self):
-        # E8 with five pendants has 13 nodes: certify raises SymbolError
-        # there, so a torsion-free certificate for it does not replay.
+    def test_a_certificate_past_twelve_nodes_replays(self):
+        # E8 with five pendants has 13 nodes, past the spherical-subset
+        # walk's cap: certify walks no symbol, so it certifies there, its
+        # certificate replays and a tampered one does not.
         d = build_dagger(weyl_data("E8"), [1, 2, 3, 4, 5])
-        cert = cyclic_extension(d).certificate._replace(kind="torsion-free")
-        with pytest.raises(sym.SymbolError):
-            certify_torsion_free(d)
-        assert replay_certificate(d, cert) is False
+        cert = certify_torsion_free(d)
+        assert d.gamma.rank == 13 and cert.ok and replay_certificate(d, cert) is True
+        tampers = [_tampered(cert, i, path) for i, step in enumerate(cert.steps)
+                   for path in {None, *_leaf_paths(step.objects)[:1]}]
+        assert not any(replay_certificate(d, bad) for bad in tampers)
+        mislabelled = cyclic_extension(d).certificate._replace(kind="torsion-free")
+        assert replay_certificate(d, mislabelled) is False
 
 
 def _count(monkeypatch, owner, name):
@@ -402,59 +432,60 @@ def _count(monkeypatch, owner, name):
 
 class TestClassTable:
     def test_words_are_built_once_per_class(self):
-        # Certify, its replay and extend read one growth from the pendants,
-        # which folds each component's word once; no stage walks a symbol.
-        # The reference table builds one word per class.
-        tf._pendant_growth.cache_clear()
+        # Certify, its replay and extend read one list of pendant
+        # components; no stage walks a symbol.  The reference table builds
+        # one word per class.
+        tf._components.cache_clear()
         spherical_subsets.cache_clear()
         d = build_dagger(weyl_data("E6"), [1])
         cert = certify_torsion_free(d, "hat")
-        # An equal symbol built afresh, as each pipeline stage may do, shares the growth.
+        # An equal symbol built afresh, as each pipeline stage may do, shares the components.
         assert replay_certificate(build_dagger(weyl_data("E6"), [1]), cert)
         assert cyclic_extension(d).certificate.ok
-        assert tf._pendant_growth.cache_info().misses == 1
+        assert tf._components.cache_info().misses == 1
         assert spherical_subsets.cache_info().misses == 0
         assert len(class_table(d)) == len(inv.equivalence_classes(d.gamma))
 
     def test_both_modes_share_the_words(self):
-        tf._pendant_growth.cache_clear()
+        tf._components.cache_clear()
         d = build_dagger(weyl_data("D", 8), [2, 6])
         hat = certify_torsion_free(d, "hat")
         plain = certify_torsion_free(d, "plain")
         assert hat.ok and plain.ok
-        # One growth, with the components of both pendants, for both modes.
-        assert tf._pendant_growth.cache_info().misses == 1
-        assert len(tf._pendant_growth(d)[0]) == 2
+        # One list, with the components of both pendants, for both modes.
+        assert tf._components.cache_info().misses == 1
+        assert len(tf._components(d)) == 2
         assert hat.steps[1] == plain.steps[1] == tf._involution_classes(d)
         assert len(class_table(d)) == len(inv.equivalence_classes(d.gamma)) == 199
 
     def test_one_weight_vector_per_attachment(self, monkeypatch):
         # build_dagger walked the type-A paths from each attachment; certify
-        # and its replay read the memoized walk and compute no u_s again.
+        # and its replay read the memoized walk and the memoized u_s, though
+        # step 3 builds the symbol afresh, and compute no u_s again.
         d = build_dagger(weyl_data("E8"), [1, 8])
-        weights = _count(monkeypatch, m2, "weight_vector")
+        misses = m2.weight_vector.cache_info().misses
         walks = _count(monkeypatch, m2, "_walk_from")
         cert = certify_torsion_free(d, "hat")
         assert cert.ok and replay_certificate(d, cert)
-        assert weights == [] and walks == []
+        assert m2.weight_vector.cache_info().misses == misses and walks == []
 
     def test_warm_table_trusts_nothing(self):
         d = build_dagger(weyl_data("E6"), [1])
         cold = []
         for derive in (certify_torsion_free, lambda d: cyclic_extension(d).certificate):
-            tf._pendant_growth.cache_clear()
+            tf._components.cache_clear()
             cold.append(derive(d).to_json())
-        hits = tf._pendant_growth.cache_info().hits
+        hits = tf._components.cache_info().hits
         cert = cyclic_extension(d).certificate
         assert [certify_torsion_free(d).to_json(), cert.to_json()] == cold
-        # Extend reads the growth once; certify once for step 2, once for steps 3-4.
-        assert tf._pendant_growth.cache_info().hits == hits + 3
+        # Extend and certify's step 2 read the components once each.
+        assert tf._components.cache_info().hits == hits + 2
         tampers = [_tampered(cert, i, path) for i, step in enumerate(cert.steps)
                    for path in [None] + _leaf_paths(step.objects)]
         assert not any(replay_certificate(d, bad) for bad in tampers)
-        growth = tf._pendant_growth(d)
-        assert type(growth) is tuple and all(type(part) is tuple for part in growth)
-        hash(growth)  # components and violations are immutable values all the way down
+        components = tf._components(d)
+        assert type(components) is tuple and all(type(part) is tuple for part in components)
+        hash(components)  # immutable values all the way down
 
 
 class TestClassFold:
@@ -560,17 +591,16 @@ class TestWorkCounters:
         assert closures == [] and m2.orbit_dim.cache_info().misses == 4
 
     def test_no_stage_walks_the_pendant_symbol(self, monkeypatch):
-        # Certify, its replay and extend grow the finite visibles from the
-        # pendants and walk no symbol, neither the pendant symbol nor Psi:
-        # no subset walk, no move table and no class list.  A pendant
-        # component's word is folded once per distinct (Weyl type, pendant
-        # action, path), whichever symbol holds it (E8 [1] shares E8 [1 8]'s
-        # t1), and step 4 reads the images of the unfaithful paths off the
-        # growth, folding no word again.
+        # Certify, its replay and extend walk no symbol, neither the pendant
+        # symbol nor Psi: no subset walk, no move table and no class list.
+        # Certify and its replay read the pendant components off the
+        # type-A paths: they classify no node set and fold no component
+        # word (_b_longest_word), so the only words folded are relations.
         walks = [_count(monkeypatch, owner, "spherical_subsets") for owner in (sym, inv)]
         walks += [_count(monkeypatch, inv, name) for name in ("_move_table", "maximal_rank_class")]
+        classified = [_count(monkeypatch, owner, "classify_component") for owner in (sym, tf)]
         folds = _count(monkeypatch, tf, "_fold")
-        for cache in (tf._pendant_growth, tf._local_growth, tf._image):
+        for cache in (tf._components, tf._image):
             cache.cache_clear()
         symbols = [build_dagger(weyl_data("E8"), [1, 8]), build_dagger(weyl_data("D", 8), [2, 6]),
                    build_dagger(weyl_data("E8"), [1])]
@@ -578,32 +608,20 @@ class TestWorkCounters:
         for d in symbols:
             cert = certify_torsion_free(d)
             assert cert.ok and replay_certificate(d, cert)
+            assert classified == [[], []]
             assert replay_certificate(d, cyclic_extension(d).certificate)
             step = next(s for s in cert.steps if s.name == "type-B-faithfulness")
             unfaithful += sum(not e["faithful"] for e in step.objects["subgroups"])
-        assert unfaithful > 0
+            for calls in classified:
+                calls.clear()  # extend names free Weyl node sets (_free_antipodal_size)
+        assert unfaithful > 0 and folds
         assert walks == [[]] * 4
-        assert tf._pendant_growth.cache_info().misses == len(symbols)
+        assert tf._components.cache_info().misses == len(symbols)
         b_words = set()
         for d in symbols:
-            for t, s in zip(d.pendants, d.attachments):
-                dx, _, cols = tf._letters(d)[t]
-                b_words.update((d.psi, tf._b_longest_word((dx and 1, 0, cols), path))
-                               for path in [()] + [p for p, _ in m2.type_a_paths(d.psi, s)])
-        folded = collections.Counter((psi, tuple(actions)) for psi, actions, *_ in folds)
-        assert len(b_words) < sum(len(comps) for d in symbols for comps in tf._pendant_growth(d)[0])
-        assert {key: folded[key] for key in b_words} == dict.fromkeys(b_words, 1)
-
-    def test_one_local_growth_per_pendant_edge(self):
-        # E6 [1 3] and E6 [1 5] carry pendants at nodes 1, 3 and 5 of E6:
-        # three distinct pendant edges.  Certify, replay and extend on both
-        # symbols grow from each once.
-        tf._local_growth.cache_clear()
-        for nodes in ([1, 3], [1, 5]):
-            d = build_dagger(weyl_data("E6"), nodes)
-            assert replay_certificate(d, certify_torsion_free(d))
-            assert replay_certificate(d, cyclic_extension(d).certificate)
-        assert tf._local_growth.cache_info().misses == 3
+            for comps in tf._components(d):
+                b_words.update((d.psi, tf._localized(tf._letters(d), c[2])) for c in comps)
+        assert b_words and not b_words & {(psi, tuple(actions)) for psi, actions, *_ in folds}
 
     def test_no_orbit_is_listed(self, monkeypatch):
         # kernel_index closes a basis per slot (modtwo.orbit_dim): certify
@@ -637,7 +655,7 @@ class TestWorkCounters:
         # one per component with x = 0, so no per-class work comes back
         # unseen: the reference table has many more classes.
         d = build_dagger(weyl_data(*args), nodes)
-        comps = [c for cs in tf._pendant_growth(d)[0] for c in cs]
+        comps = [c for cs in tf._components(d) for c in cs]
         classes = certify_torsion_free(d).steps[1].objects["components"]
         steps = {s.name: s for s in cyclic_extension(d).certificate.steps}
         exclusions = steps["class-exclusion"].objects["components"]
@@ -653,7 +671,8 @@ class TestProductTable:
     The verdicts certify and extend read off the pendant components equal
     the class-by-class scan of that table.  The growth from the pendants
     reaches exactly the connected spherical subsets through a pendant that
-    the walk of the whole symbol lists."""
+    the walk of the whole symbol lists, and its components are those
+    certify reads off the type-A paths (_components)."""
 
     @staticmethod
     def _check(args, nodes):
@@ -665,15 +684,16 @@ class TestProductTable:
         max_rank = inv.maximal_rank_class(d.psi).rank
         assert (tf._involution_classes(d).ok, tf._class_exclusion(d, max_rank).ok) \
             == class_scan(d, max_rank), nodes
-        components, violations = tf._pendant_growth(d)
+        components, violations = pendant_growth(d)
         assert violations == () and _walk_violations(d) == []
+        assert tf._components(d) == components, nodes
         pend = sum(1 << k for k, v in enumerate(d.gamma.nodes) if v in d.pendants)
         through = [mask for mask, comps in spherical_subsets(d.gamma).items()
                    if mask & pend and len(comps) == 1]
         grown = [c[0] for comps in components for c in comps] + [v[0] for v in violations]
         assert sorted(grown) == sorted(through), nodes
         for comps, s in zip(components, d.attachments):
-            paths = [()] + [path for path, _ in m2.type_a_paths(d.psi, s)]
+            paths = [()] + [path for path, _, _ in m2.type_a_paths(d.psi, s)]
             assert sorted(c[5] for c in comps) == sorted(paths), (nodes, s)
 
     @pytest.mark.parametrize("args", [("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
@@ -706,10 +726,16 @@ class TestProductTable:
     def test_zeroed_weights_fail_step_2(self, args, nodes):
         # With u_i = 0 some pendant component maps to the identity (t_i alone
         # for a special attachment, an even-k B_k for a plain one), so a class
-        # dies.  Certify raises at kernel_index here, so the step is read alone.
+        # dies.  Step 2 reads t_i alone off its letter, so it sees the first;
+        # it reads a B_k's image off the walk from s_i, which step 3 ties to
+        # the symbol: step 3 names the pendant whose u_i mod 2 differs.
+        # Certify raises at kernel_index here, so the steps are read alone.
         d = build_dagger(weyl_data(*args), nodes)
         bad = d._replace(weights=tuple((0,) * d.psi.rank for _ in d.weights))
-        assert not tf._involution_classes(bad).ok
+        assert tf._involution_classes(bad).ok is (not d.special[0])
+        u = m2.weight_vector(d.psi, nodes[0]).mod2()
+        assert u and tf._finite_visible_structure(bad).objects == {
+            "violations": [{"pendant": "t1", "u_mod2": 0, "expected": u}]}
         assert class_scan(bad, inv.maximal_rank_class(d.psi).rank)[0] is False
         with pytest.raises(DaggerError, match="orbit span"):
             certify_torsion_free(bad)
