@@ -39,18 +39,25 @@ _class_exclusion); the tests keep the class product as their reference.
 Its caches are derived from their arguments alone, never from a
 certificate, and every value a caller reads is immutable.  What depends
 on one pendant, or on none, is keyed by what it depends on, so symbols
-over one Weyl type share it.  Per Weyl type and: a word's localized
-letter actions, its image, read by every relation verdict (_image); a
-free node mask, its largest antipodal size (_free_antipodal_size);
-nothing more, the half-turn data (_half_turn); a slot count, zeta and
-its half power (_zeta); in modtwo, a node, its weight vector and its
-type-A paths with their x-set sums (modtwo.weight_vector,
-modtwo.type_a_paths), and a vector and a parity, the orbit span
-dimension that proves a slot of kernel_index (modtwo.orbit_dim).  Per
-symbol, each for the last two symbols: the letter table of the augmented
-map (_letters) and the pendant components (_components).  The records
-are NamedTuples; a DaggerSymbol is a value, so those two are keyed by
-its fields.
+over one Weyl type share it.  Per Weyl type and: nothing more, the
+admissible nodes (_admissible), the verdicts of the Weyl block of the
+relations (_weyl_relations) and the half-turn data (_half_turn); two
+letters without their slots and an order, that relation's verdicts
+(_relation); an attachment, its pendant and the pendant's letter, the
+rows of its pendant components, which certify's step 2 and extend's
+class exclusion read (_components); an attachment and whether its
+pendant can be parity compensated, the step-4 rows (_faithfulness); a
+tuple of attachments, the rest of the built symbol, which step 3
+compares with (_dagger_fields); a free node mask, its largest antipodal
+size (_free_antipodal_size); a slot count, zeta and its half power
+(_zeta); in modtwo, a node, its weight vector and its type-A paths with
+their x-set sums (modtwo.weight_vector, modtwo.type_a_paths), and a
+vector and a parity, the orbit span dimension that proves a slot of
+kernel_index (modtwo.orbit_dim).  Per symbol, for the last two symbols:
+the letter table of the augmented map (_letters); the records are
+NamedTuples, and a DaggerSymbol is a value, so it is keyed by its
+fields.  No memo holds a certificate or a verdict about one symbol:
+certify, replay and extend build every step afresh from the rows.
 """
 
 from __future__ import annotations
@@ -83,8 +90,7 @@ class DaggerSymbol(NamedTuple):
     Attachments are reordered so the plain (admissible but not specially
     admissible) ones come first; ell counts them.  Pendant t_i is joined
     to attachment node i by an order-4 edge and commutes with everything
-    else.  Its letter table (_letters) is memoized per symbol, like
-    _components.
+    else.  Its letter table (_letters) is memoized per symbol.
     """
 
     psi: WeylData
@@ -106,7 +112,7 @@ def _letters(d: DaggerSymbol) -> Mapping[object, object]:
     as itself: reflect by it.  Pendant t_i acts as its translation (x_T, i,
     cols): x_T is bit i for a plain attachment and 0 for a special one, and
     the one nonzero slot i holds u_i mod 2, whose odd coordinates are cols.
-    Memoized per symbol, like _components."""
+    Memoized per symbol."""
     letters = {s: s for s in d.psi.symbol.nodes}
     for i, t in enumerate(d.pendants):
         letters[t] = (1 << i if i < d.ell else 0, i,
@@ -114,28 +120,42 @@ def _letters(d: DaggerSymbol) -> Mapping[object, object]:
     return MappingProxyType(letters)
 
 
+@lru_cache(maxsize=32)
+def _admissible(psi: WeylData) -> Mapping[int, bool]:
+    """Each admissible node of psi with its specially-admissible flag
+    (modtwo.admissible_nodes), once per Weyl type."""
+    return MappingProxyType(dict(m2.admissible_nodes(psi)))
+
+
+@lru_cache(maxsize=16)
+def _dagger_fields(psi: WeylData, attachments: Tuple[int, ...]) -> Tuple:
+    """The fields after psi and attachments of the symbol build_dagger makes
+    on these admissible attachments, plain ones first.  Memoized per (Weyl
+    type, attachments), so certify's step 3 builds no CoxeterSymbol for a
+    symbol it has built before."""
+    special = tuple(_admissible(psi)[s] for s in attachments)
+    pendants = tuple(f"t{i + 1}" for i in range(len(attachments)))
+    edges = psi.symbol.edges() + [(s, t, 4) for s, t in zip(attachments, pendants)]
+    gamma = CoxeterSymbol(psi.symbol.nodes + pendants, edges)
+    weights = tuple(m2.weight_vector(psi, s).coords for s in attachments)
+    return special, pendants, gamma, weights, special.count(False)
+
+
 def build_dagger(psi: WeylData, nodes: Sequence[int]) -> DaggerSymbol:
+    """The pendant symbol on the given attachment nodes, a fresh record on
+    every call: the nodes are checked and ordered, plain ones first, each
+    time, and the fields that follow come from _dagger_fields."""
     nodes = list(nodes)
     if len(set(nodes)) != len(nodes):
         raise DaggerError("attachment nodes must be distinct")
-    admissible = dict(m2.admissible_nodes(psi))
-    tagged = []
+    admissible = _admissible(psi)
     for s in nodes:
         if s not in psi.symbol.nodes:
             raise DaggerError(f"{psi.label()} has no node {s!r}")
         if s not in admissible:
             raise DaggerError(f"node {s} of {psi.label()} is not admissible")
-        tagged.append((s, admissible[s]))
-    ordered = [p for p in tagged if not p[1]] + [p for p in tagged if p[1]]
-    attachments = tuple(s for s, _ in ordered)
-    special = tuple(sp for _, sp in ordered)
-    pendants = tuple(f"t{i + 1}" for i in range(len(ordered)))
-    edges = list(psi.symbol.edges())
-    edges += [(attachments[i], pendants[i], 4) for i in range(len(ordered))]
-    gamma = CoxeterSymbol(list(psi.symbol.nodes) + list(pendants), edges)
-    weights = tuple(m2.weight_vector(psi, s).coords for s in attachments)
-    return DaggerSymbol(psi, attachments, special, pendants, gamma, weights,
-                        sum(1 for sp in special if not sp))
+    attachments = tuple([s for s in nodes if not admissible[s]] + [s for s in nodes if admissible[s]])
+    return DaggerSymbol(psi, attachments, *_dagger_fields(psi, attachments))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +210,10 @@ def _fold(psi: WeylData, actions: Sequence, x: int, v: List[int], g: List[List[i
         dx, j, cols = a
         x ^= dx
         for r, row in enumerate(g):
-            if sum([row[c] for c in cols]) & 1:
+            odd = 0
+            for c in cols:
+                odd += row[c]
+            if odd & 1:
                 v[j] ^= 1 << r
     return x
 
@@ -213,36 +236,44 @@ def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement
     return SemidirectElement(x if mode == "hat" else 0, tuple(v), tuple(map(tuple, g)))
 
 
-def _localized(letters: Mapping, word: Sequence) -> Tuple:
-    """The word's letter actions (letters, from _letters) with its pendant
-    slots renumbered 0, 1, ... in order of first appearance, and a plain
-    pendant's parity bit with its slot: what the word's image depends on
-    besides psi."""
-    slots: List[int] = []
-    actions = []
-    for s in word:
-        a = letters[s]
-        if type(a) is tuple:
-            dx, i, cols = a
-            if i not in slots:
-                slots.append(i)
-            k = slots.index(i)
-            a = (dx and 1 << k, k, cols)
-        actions.append(a)
-    return tuple(actions)
+def _pairs(gens: Sequence) -> List[Tuple]:
+    """The generator pairs of the defining relations, in relation order:
+    each (a, a), then each (a, b) with a before b."""
+    return [(a, a) for a in gens] + list(itertools.combinations(gens, 2))
 
 
-@lru_cache(maxsize=1024)
-def _image(psi: WeylData, actions: Tuple) -> Tuple[int, Tuple[int, ...], bool]:
-    """Image of a word under the augmented map, given by its localized
-    letter actions (_localized): (x, v, whether it fixes the Weyl part),
-    x and v over the renumbered slots.  A relation's verdict depends on
-    psi and these actions alone, so each is folded (_fold) once per Weyl
-    type, whichever symbol asks."""
-    slots = 1 + max((a[1] for a in actions if type(a) is tuple), default=-1)
-    v, g = [0] * slots, [list(r) for r in wy.identity_matrix(psi.rank)]
-    x = _fold(psi, actions, 0, v, g)
-    return x, tuple(v), tuple(map(tuple, g)) == wy.identity_matrix(psi.rank)
+@lru_cache(maxsize=16)
+def _weyl_relations(psi: WeylData) -> Mapping[Tuple[int, int], int]:
+    """The Weyl block of the relations, judged once per Weyl type: each
+    pair (a, b) of psi's nodes (_pairs) whose relation (a b)^m, m its
+    order in psi, holds in W(psi), mapped to m.  Weyl letters move neither
+    x nor v, so the verdict is the same in both modes."""
+    one = [list(r) for r in wy.identity_matrix(psi.rank)]
+    table = {}
+    for a, b in _pairs(psi.symbol.nodes):
+        m = psi.symbol.order(a, b)
+        g = [r[:] for r in one]
+        _fold(psi, (a, b) * m, 0, [], g)
+        if g == one:
+            table[a, b] = m
+    return MappingProxyType(table)
+
+
+@lru_cache(maxsize=2048)
+def _relation(psi: WeylData, a, b, m: int) -> Tuple[bool, bool]:
+    """Whether the relation (a b)^m holds under the plain and under the
+    augmented map, for two letters given without their slots: a Weyl node,
+    or a pendant as (1 if it carries a parity bit else 0, the odd
+    coordinates of u_i).  a takes slot 0 and b slot 1, or slot 0 when
+    m = 1 (b is a).  The verdict depends on psi and these alone, so each
+    is folded (_fold) once per Weyl type, whichever symbol asks."""
+    word = tuple(c if type(c) is not tuple else (c[0] << k, k, c[1])
+                 for k, c in ((0, a), (int(m > 1), b)))
+    one = [list(r) for r in wy.identity_matrix(psi.rank)]
+    v, g = [0, 0], [r[:] for r in one]
+    x = _fold(psi, word * m, 0, v, g)
+    plain = not any(v) and g == one
+    return plain, plain and not x
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +312,24 @@ class Certificate(NamedTuple):
 def verify_relations(d: DaggerSymbol, mode: str = "hat") -> CertStep:
     """Certify's relations step: every defining relation (a b)^m of the
     pendant symbol, m its order in gamma, holds in the image of the mode's
-    map.  Each verdict is read off the image of the relation word's
-    localized letter actions (_image), so it is folded once per Weyl type
-    and pair of actions.  The step records how many relations were checked
-    and, for each that fails, its generators, order and relation word."""
+    map.  A pair of Weyl nodes whose order in gamma is its order in psi is
+    read off the Weyl block (_weyl_relations); every other pair, one with
+    a pendant or a Weyl pair whose order gamma changes, off its slot-free
+    letters and order (_relation).  The step records how many relations
+    were checked and, for each that fails, its generators, order and
+    relation word."""
     if mode not in ("plain", "hat"):
         raise DaggerError(f"unknown mode {mode!r}")
-    letters = _letters(d)
-    gens = d.gamma.nodes
-    pairs = [(a, a) for a in gens] + list(itertools.combinations(gens, 2))
+    psi, gamma, hat = d.psi, d.gamma, mode == "hat"
+    weyl = _weyl_relations(psi)
+    letters = {s: a if type(a) is not tuple else (int(a[0] != 0), a[2])
+               for s, a in _letters(d).items()}
+    pairs = _pairs(gamma.nodes)
     failed = []
-    for a, b in pairs:
-        m = d.gamma.order(a, b)
-        x, v, fixed = _image(d.psi, _localized(letters, (a, b)) * m)
-        if not fixed or any(v) or x and mode == "hat":
+    for pair in pairs:
+        a, b = pair
+        m = gamma.order(a, b)
+        if weyl.get(pair) != m and not _relation(psi, letters[a], letters[b], m)[hat]:
             failed.append({"generators": [str(a)] if a == b else [str(a), str(b)],
                            "order": m,
                            "relation_word": [str(a), str(b)] * m})
@@ -368,37 +403,63 @@ def _b_longest_word(pendant, path: Sequence[int]) -> Tuple:
     nested palindromes around the pendant; each palindrome cancels to the
     identity once the pendant is erased."""
     local = tuple(reversed(path)) + (pendant,)
-    return sum((local[j:] + local[j:-1][::-1] for j in range(len(path))), ()) + (pendant,)
+    word: List = []
+    for j in range(len(path)):
+        word += local[j:]
+        word += local[j:-1][::-1]
+    word.append(pendant)
+    return tuple(word)
 
 
-@lru_cache(maxsize=2)
-def _components(d: DaggerSymbol) -> Tuple[Tuple[Tuple, ...], ...]:
-    """The pendant components of each pendant t_i (the lemma in the module
-    docstring): t_i alone, then t_i with each type-A path from s_i, by
-    path length and then by the positions of the path's nodes in gamma,
-    the order a breadth-first growth from t_i meets them.  Each is (mask,
-    mask with its neighbours in gamma, longest word (_b_longest_word), x,
-    v_i, path): the word's image is (x, v, 1), v_i its one nonzero slot.
-    t_i alone maps to its letter.  Memoized per symbol, like _letters."""
-    gamma = d.gamma
-    pos = {v: k for k, v in enumerate(gamma.nodes)}
-    near = {v: sum(1 << pos[w] for w in gamma.neighbors(v)) for v in gamma.nodes}
+@lru_cache(maxsize=256)
+def _components(psi: WeylData, s: int, t: str, letter: Tuple) -> Tuple[Tuple, ...]:
+    """The pendant components of pendant t at node s of psi, whose letter
+    (_letters) is (x_T, i, cols), by the lemma in the module docstring: t
+    alone, then t with each type-A path from s, by path length and then by
+    the positions of the path's nodes, the order a breadth-first growth
+    from t meets them.  Each row is (nodes, longest word (_b_longest_word),
+    x, v_i, free): nodes and word as strings, the nodes in mask_nodes
+    order; the word's image is (x, v, 1), v_i its one nonzero slot, and t
+    alone maps to its letter; free is the mask of psi's nodes neither in
+    the component nor next to it.  psi's nodes are the integers 1..n, node
+    v on bit v - 1, and a pendant's name sorts after them.  A row reads
+    psi, s, t and the letter alone: the nodes, positions and neighbours it
+    reads are those of gamma on a symbol build_dagger makes.  Memoized per
+    (Weyl type, attachment, pendant, letter), so symbols over one Weyl
+    type share it."""
+    dx, _, cols = letter
+    alone = ((), None, sum(1 << c for c in cols))  # t alone: its own letter
+    rows = []
+    for path, _, total in sorted([alone, *m2.type_a_paths(psi, s)], key=lambda p: (len(p[0]), p[0])):
+        around = 1 << s - 1  # t's one neighbour
+        for v in path:
+            for w in (v, *psi.symbol.neighbors(v)):
+                around |= 1 << w - 1
+        rows.append((tuple(map(str, sorted(path))) + (str(t),),
+                     _b_longest_word(str(t), tuple(map(str, path))),
+                     0 if len(path) % 2 else dx, total, (1 << psi.rank) - 1 & ~around))
+    return tuple(rows)
+
+
+def _pendant_components(d: DaggerSymbol) -> List[Tuple]:
+    """The rows of every pendant component of d (_components), pendant by
+    pendant."""
     letters = _letters(d)
-    out = []
-    for t, s in zip(d.pendants, d.attachments):
-        dx, _, cols = letters[t]
-        alone = ((), None, sum(1 << c for c in cols))  # t_i alone: its own letter
-        comps = []
-        for path, _, total in sorted([alone, *m2.type_a_paths(d.psi, s)],
-                                     key=lambda p: (len(p[0]), [pos[v] for v in p[0]])):
-            nodes = (t,) + path
-            mask = around = sum(1 << pos[v] for v in nodes)
-            for v in nodes:
-                around |= near[v]
-            comps.append((mask, around, _b_longest_word(t, path), 0 if len(path) % 2 else dx,
-                          total, path))
-        out.append(tuple(comps))
-    return tuple(out)
+    return [c for s, t in zip(d.attachments, d.pendants)
+            for c in _components(d.psi, s, t, letters[t])]
+
+
+@lru_cache(maxsize=256)
+def _faithfulness(psi: WeylData, s: int, compensable: bool) -> Tuple[Tuple, ...]:
+    """Certify's step-4 rows for a pendant at node s: (k, path as strings,
+    faithful, parity_compensated) for each type-A path from s, the flag
+    modtwo.type_a_paths gives it, k = len(path) + 1.  An unfaithful path is
+    compensated when compensable (hat mode and a plain attachment) and k is
+    odd; a faithful one records None.  Memoized per (Weyl type, attachment,
+    compensable)."""
+    return tuple((len(path) + 1, tuple(map(str, path)), faithful,
+                  None if faithful else compensable and len(path) % 2 == 0)
+                 for path, faithful, _ in m2.type_a_paths(psi, s))
 
 
 _TRUSTED_REDUCTIONS = (
@@ -426,10 +487,8 @@ def _involution_classes(d: DaggerSymbol) -> CertStep:
     records its nodes, its longest word and that word's image.  The images
     are the augmented map's: plain mode is certified only when every
     attachment is special, and then the two maps agree."""
-    entries = [{"nodes": [str(v) for v in mask_nodes(d.gamma, c[0])],
-                "word": [str(v) for v in c[2]], "x": c[3], "v": c[4],
-                "nontrivial": bool(c[3] or c[4])}
-               for comps in _components(d) for c in comps]
+    entries = [{"nodes": list(c[0]), "word": list(c[1]), "x": c[2], "v": c[3],
+                "nontrivial": bool(c[2] or c[3])} for c in _pendant_components(d)]
     return CertStep("involution-classes",
                     {"components": entries, "trusted": [_TRUSTED_REDUCTIONS[3]]},
                     all(e["nontrivial"] for e in entries))
@@ -439,16 +498,19 @@ def _finite_visible_structure(d: DaggerSymbol) -> CertStep:
     """Certify's step 3: d is the symbol build_dagger(d.psi, d.attachments)
     makes, so by the lemma in the module docstring every connected finite
     visible subgroup not inside the Weyl part is a pendant component.  It
-    lists each pair of gamma's nodes whose order differs (edge, order,
-    expected) and each pendant whose u_i mod 2 differs (pendant, u_mod2,
-    expected)."""
+    compares d with that symbol by value and, only when they differ, lists
+    each pair of gamma's nodes whose order differs (edge, order, expected)
+    and each pendant whose u_i mod 2 differs (pendant, u_mod2, expected)."""
     built = build_dagger(d.psi, d.attachments)
-    have, want = d.gamma, built.gamma
-    found = [{"edge": [str(a), str(b)], "order": have.order(a, b), "expected": want.order(a, b)}
-             for a, b in itertools.combinations(want.nodes, 2) if have.order(a, b) != want.order(a, b)]
-    found += [{"pendant": t, "u_mod2": m2.vec_mod2(u), "expected": m2.vec_mod2(e)}
-              for t, u, e in zip(built.pendants, d.weights, built.weights)
-              if m2.vec_mod2(u) != m2.vec_mod2(e)]
+    found = []
+    if d != built:
+        have, want = d.gamma, built.gamma
+        found = [{"edge": [str(a), str(b)], "order": have.order(a, b), "expected": want.order(a, b)}
+                 for a, b in itertools.combinations(want.nodes, 2)
+                 if have.order(a, b) != want.order(a, b)]
+        found += [{"pendant": t, "u_mod2": m2.vec_mod2(u), "expected": m2.vec_mod2(e)}
+                  for t, u, e in zip(built.pendants, d.weights, built.weights)
+                  if m2.vec_mod2(u) != m2.vec_mod2(e)]
     return CertStep("finite-visible-structure", {"violations": found}, not found)
 
 
@@ -469,7 +531,8 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     is not faithful must be parity compensated: hat mode, a non-special
     attachment and odd rank k, so that the longest element, with k letters
     t_i, keeps t_i's parity bit and survives the map.  Steps (1)-(4) read
-    the module's caches (_image, _components) and modtwo's walk.
+    the module's caches (_weyl_relations, _relation, _components,
+    _dagger_fields, _faithfulness) and modtwo's walk.
     """
     if mode == "plain" and not all(d.special):
         raise DaggerError("plain-mode certification needs specially admissible attachments")
@@ -482,13 +545,11 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
                           {"trusted": list(_TRUSTED_REDUCTIONS)}, True))
 
     entries = []
-    for i, s in enumerate(d.attachments):
-        for path, faithful, _ in m2.type_a_paths(d.psi, s):
-            k = len(path) + 1
-            entry = {"pendant": d.pendants[i], "k": k,
-                     "path": [str(v) for v in path], "faithful": faithful}
+    for i, (s, t) in enumerate(zip(d.attachments, d.pendants)):
+        for k, path, faithful, compensated in _faithfulness(d.psi, s, mode == "hat" and i < d.ell):
+            entry = {"pendant": t, "k": k, "path": list(path), "faithful": faithful}
             if not faithful:
-                entry["parity_compensated"] = mode == "hat" and i < d.ell and k % 2 == 1
+                entry["parity_compensated"] = compensated
             entries.append(entry)
     steps.append(CertStep("type-B-faithfulness", {"subgroups": entries},
                           all(e.get("parity_compensated", True) for e in entries)))
@@ -570,11 +631,11 @@ def _class_exclusion(d: DaggerSymbol, max_rank: int) -> CertStep:
     is unresolved iff a component with x = 0 leaves free Weyl nodes (those
     outside it and its neighbours) with an antipodal subset of max_rank
     nodes.  One entry per such component records the largest size
-    (_free_antipodal_size)."""
-    weyl = (1 << d.psi.rank) - 1
-    entries = [{"nodes": [str(v) for v in mask_nodes(d.gamma, c[0])],
-                "free_antipodal_size": _free_antipodal_size(d.psi, weyl & ~c[1])}
-               for comps in _components(d) for c in comps if c[3] == 0]
+    (_free_antipodal_size).  The components and their neighbours are read
+    off the rows (_components), so they are those of the symbol
+    build_dagger makes."""
+    entries = [{"nodes": list(c[0]), "free_antipodal_size": _free_antipodal_size(d.psi, c[4])}
+               for c in _pendant_components(d) if c[2] == 0]
     return CertStep("class-exclusion",
                     {"max_class_rank": max_rank, "components": entries,
                      "trusted": ["2-torsion in the preimage of a cyclic 2-group "

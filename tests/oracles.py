@@ -359,9 +359,9 @@ def pendant_growth(d) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tuple[Tuple, ...]]
     t_i and no other pendant that are A1, or B_k with t_i's own edge (to
     s_i) of order 4: t_i and a type-A path from s_i, grown in path order.
     Each is (mask, mask with its neighbours, longest word, x, v_i, path),
-    where (x, v, 1) is the word's image under the augmented map and v_i
-    its slot i, the only one it moves (_image).  The image must fix the
-    Weyl part, since the word cancels once the pendant is erased.  Every
+    where (x, v, 1) is the word's image under the augmented map (phi) and
+    v_i its slot i, the only one it moves.  The image must fix the Weyl
+    part, since the word cancels once the pendant is erased.  Every
     other set is a violation, (mask, type, pendant count), listed as
     spherical_subsets lists sets: by size, then by position.
 
@@ -370,8 +370,9 @@ def pendant_growth(d) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tuple[Tuple, ...]]
     order; from those next to another pendant grow the sets through two or
     more on gamma (_grow).  This is the reference for
     torsionfree._components, which reads components[i] off the type-A
-    paths from s_i, and for the lemma behind it: on a symbol from
-    build_dagger, violations is empty.
+    paths from s_i (pendant_rows gives them in its row layout), and for
+    the lemma behind it: on a symbol from build_dagger, violations is
+    empty.
     """
     gamma = d.gamma
     near = _neighbour_masks(gamma)
@@ -379,7 +380,6 @@ def pendant_growth(d) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tuple[Tuple, ...]]
     bit = {v: b for b, v in node.items()}
     slot = {bit[t]: i for i, t in enumerate(d.pendants)}
     pend = sum(slot)
-    letters = tf._letters(d)
     components: Tuple[List[Tuple], ...] = tuple([] for _ in d.pendants)
     violations = []
 
@@ -388,10 +388,10 @@ def pendant_growth(d) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tuple[Tuple, ...]]
         if i is not None and (ftype.rank == 1 or ftype.family == "B"
                               and gamma.order(nodes[0], d.attachments[i]) == 4):
             word = tf._b_longest_word(nodes[0], nodes[1:])
-            x, v, fixed = tf._image(d.psi, tf._localized(letters, word))
-            if not fixed:
+            image = tf.phi(d, word, "hat")
+            if image.g != identity_matrix(d.psi.rank):
                 raise tf.DaggerError("pendant component image moves the Weyl part")
-            components[i].append((mask, around, word, x << i, v[0], nodes[1:]))
+            components[i].append((mask, around, word, image.x, image.v[i], nodes[1:]))
         else:
             violations.append((mask, ftype, (mask & pend).bit_count()))
 
@@ -416,6 +416,20 @@ def pendant_growth(d) -> Tuple[Tuple[Tuple[Tuple, ...], ...], Tuple[Tuple, ...]]
     violations.sort(key=lambda f: (f[0].bit_count(),
                                    [k for k in range(gamma.rank) if f[0] >> k & 1]))
     return tuple(map(tuple, components)), tuple(violations)
+
+
+def pendant_rows(d) -> Tuple[Tuple[Tuple, ...], ...]:
+    """The grown components of each pendant (pendant_growth) in the row
+    layout of torsionfree._components: (nodes, longest word, x, v_i, free),
+    nodes and word as strings, the nodes in mask_nodes order, and free the
+    mask of the Weyl nodes neither in the component nor next to it in
+    gamma."""
+    gamma = d.gamma
+    weyl = (1 << d.psi.rank) - 1
+    return tuple(tuple((tuple(map(str, mask_nodes(gamma, mask))), tuple(map(str, word)), x, v,
+                        weyl & ~around)
+                       for mask, around, word, x, v, _ in comps)
+                 for comps in pendant_growth(d)[0])
 
 
 @functools.lru_cache(maxsize=None)

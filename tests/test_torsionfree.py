@@ -1,9 +1,12 @@
 import collections
 import copy
 import functools
+import hashlib
 import itertools
+import json
 import operator
 import random
+import sys
 import warnings
 
 import pytest
@@ -25,7 +28,7 @@ from coxfree import torsionfree as tf
 from coxfree import symbols as sym
 from coxfree import weyl as wy
 from coxfree.symbols import CoxeterSymbol, mask_nodes, spherical_subsets
-from oracles import class_scan, class_table, pendant_growth
+from oracles import class_scan, class_table, pendant_growth, pendant_rows
 
 
 def _generator_images(d, mode):
@@ -50,6 +53,13 @@ def _fold(d, word, mode):
     for s in word:
         acc = acc * images[s]
     return acc
+
+
+def _rows(d):
+    """The rows of each pendant's components, as certify and extend read
+    them (_components)."""
+    letters = tf._letters(d)
+    return tuple(tf._components(d.psi, s, t, letters[t]) for s, t in zip(d.attachments, d.pendants))
 
 
 def _product_closure(d, mode):
@@ -226,11 +236,10 @@ class TestCertificates:
         assert _grown_violations(bad) == _walk_violations(bad)
         assert any(v["pendants"] == 2 for v in _grown_violations(bad))
         assert _grown(bad) == _through(bad)
-        # The grown components are the walk's, and those of the symbol
-        # without the edge, each now next to the other pendant too.
-        assert pendant_growth(bad)[0] == tf._components(bad)
-        assert [[c[:1] + c[2:] for c in comps] for comps in tf._components(bad)] == \
-            [[c[:1] + c[2:] for c in comps] for comps in tf._components(d)]
+        # The grown components are the rows read off the walk, those of the
+        # symbol without the edge: the edge joins two pendants, and no
+        # free mask holds a pendant.
+        assert pendant_rows(bad) == _rows(bad) == _rows(d)
         assert not cert.ok and replay_certificate(bad, cert)
 
     def test_a_type_b_set_at_the_order_3_end_is_a_violation(self):
@@ -430,9 +439,22 @@ def _count(monkeypatch, owner, name):
     return calls
 
 
+def _callers(monkeypatch, owner, name):
+    """Record the name of the function that makes each call of owner.name."""
+    callers = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return callers
+
+
 class TestClassTable:
     def test_words_are_built_once_per_class(self):
-        # Certify, its replay and extend read one list of pendant
+        # Certify, its replay and extend read one row of pendant
         # components; no stage walks a symbol.  The reference table builds
         # one word per class.
         tf._components.cache_clear()
@@ -452,9 +474,9 @@ class TestClassTable:
         hat = certify_torsion_free(d, "hat")
         plain = certify_torsion_free(d, "plain")
         assert hat.ok and plain.ok
-        # One list, with the components of both pendants, for both modes.
-        assert tf._components.cache_info().misses == 1
-        assert len(tf._components(d)) == 2
+        # One row per pendant, read by both modes.
+        assert tf._components.cache_info().misses == 2
+        assert len(_rows(d)) == 2
         assert hat.steps[1] == plain.steps[1] == tf._involution_classes(d)
         assert len(class_table(d)) == len(inv.equivalence_classes(d.gamma)) == 199
 
@@ -483,7 +505,7 @@ class TestClassTable:
         tampers = [_tampered(cert, i, path) for i, step in enumerate(cert.steps)
                    for path in [None] + _leaf_paths(step.objects)]
         assert not any(replay_certificate(d, bad) for bad in tampers)
-        components = tf._components(d)
+        components = _rows(d)
         assert type(components) is tuple and all(type(part) is tuple for part in components)
         hash(components)  # immutable values all the way down
 
@@ -596,14 +618,16 @@ class TestWorkCounters:
         # Certify and its replay read the pendant components off the
         # type-A paths: they classify no node set and fold no component
         # word (_b_longest_word), so the only words folded are relations.
+        # The symbols, and so their Weyl data, are built before the spies
+        # go in, and the memos of the rows and relations are cold.
+        symbols = [build_dagger(weyl_data("E8"), [1, 8]), build_dagger(weyl_data("D", 8), [2, 6]),
+                   build_dagger(weyl_data("E8"), [1])]
         walks = [_count(monkeypatch, owner, "spherical_subsets") for owner in (sym, inv)]
         walks += [_count(monkeypatch, inv, name) for name in ("_move_table", "maximal_rank_class")]
         classified = [_count(monkeypatch, owner, "classify_component") for owner in (sym, tf)]
-        folds = _count(monkeypatch, tf, "_fold")
-        for cache in (tf._components, tf._image):
+        folds = _callers(monkeypatch, tf, "_fold")
+        for cache in (tf._components, tf._relation, tf._weyl_relations):
             cache.cache_clear()
-        symbols = [build_dagger(weyl_data("E8"), [1, 8]), build_dagger(weyl_data("D", 8), [2, 6]),
-                   build_dagger(weyl_data("E8"), [1])]
         unfaithful = 0
         for d in symbols:
             cert = certify_torsion_free(d)
@@ -614,14 +638,48 @@ class TestWorkCounters:
             unfaithful += sum(not e["faithful"] for e in step.objects["subgroups"])
             for calls in classified:
                 calls.clear()  # extend names free Weyl node sets (_free_antipodal_size)
-        assert unfaithful > 0 and folds
+        assert unfaithful > 0
         assert walks == [[]] * 4
-        assert tf._components.cache_info().misses == len(symbols)
-        b_words = set()
-        for d in symbols:
-            for comps in tf._components(d):
-                b_words.update((d.psi, tf._localized(tf._letters(d), c[2])) for c in comps)
-        assert b_words and not b_words & {(psi, tuple(actions)) for psi, actions, *_ in folds}
+        assert set(folds) == {"_relation", "_weyl_relations"}
+        # One row per (Weyl type, attachment, pendant, letter): E8 [1] reads
+        # the row of E8 [1 8]'s t1.
+        assert tf._components.cache_info().misses == 4
+
+    def test_weyl_relations_once_per_weyl_type(self, monkeypatch):
+        # The Weyl block is judged once per Weyl type: after E8 [1], certify
+        # and replay of E8 [1 8] fold only relations through a pendant.
+        for cache in (tf._relation, tf._weyl_relations):
+            cache.cache_clear()
+        e8 = weyl_data("E8")
+        d = build_dagger(e8, [1])
+        assert replay_certificate(d, certify_torsion_free(d))
+        folds = _count(monkeypatch, tf, "_fold")
+        d = build_dagger(e8, [1, 8])
+        assert replay_certificate(d, certify_torsion_free(d))
+        assert folds and all(any(type(a) is tuple for a in actions) for _, actions, *_ in folds)
+        assert tf._weyl_relations.cache_info().misses == 1
+
+    def test_structure_step_builds_no_symbol_on_a_hit(self, monkeypatch):
+        # Step 3 reads the built symbol's fields off their memo
+        # (_dagger_fields) and compares by value: a symbol built before costs
+        # it no CoxeterSymbol, and build_dagger still returns a fresh record.
+        d = build_dagger(weyl_data("E8"), [1, 8])
+        made = _count(monkeypatch, tf, "CoxeterSymbol")
+        again = build_dagger(weyl_data("E8"), [8, 1])
+        assert again == d and again is not d
+        assert tf._finite_visible_structure(d).ok and made == []
+        tf._dagger_fields.cache_clear()
+        assert tf._finite_visible_structure(d).ok and len(made) == 1
+
+    def test_warm_replay_of_a_large_symbol_folds_nothing(self, monkeypatch):
+        # B40 [2 6 ... 38] has 50 nodes and 1,275 relations, 455 of them
+        # through a pendant; each memo holds them all, so a warm replay
+        # re-derives every verdict without folding a word.
+        d = build_dagger(weyl_data("B", 40), range(2, 40, 4))
+        cert = certify_torsion_free(d)
+        assert cert.ok and cert.steps[0].objects["checked"] == 1275
+        folds = _count(monkeypatch, tf, "_fold")
+        assert replay_certificate(d, cert) and folds == []
 
     def test_no_orbit_is_listed(self, monkeypatch):
         # kernel_index closes a basis per slot (modtwo.orbit_dim): certify
@@ -655,13 +713,108 @@ class TestWorkCounters:
         # one per component with x = 0, so no per-class work comes back
         # unseen: the reference table has many more classes.
         d = build_dagger(weyl_data(*args), nodes)
-        comps = [c for cs in tf._components(d) for c in cs]
+        comps = tf._pendant_components(d)
         classes = certify_torsion_free(d).steps[1].objects["components"]
         steps = {s.name: s for s in cyclic_extension(d).certificate.steps}
         exclusions = steps["class-exclusion"].objects["components"]
         assert len(classes) == len(comps)
-        assert len(exclusions) == sum(c[3] == 0 for c in comps) > 0
+        assert len(exclusions) == sum(c[2] == 0 for c in comps) > 0
         assert len(class_table(d)) > 2 * len(comps)
+
+
+class TestCertificateBytes:
+    def test_every_sequence_of_at_most_three_attachments(self):
+        # One sha256 over the certify and extend certificates (or the
+        # extension's error) of every sequence of one to three distinct
+        # admissible attachments, in every order, over eleven Weyl types:
+        # 630 symbols.  The pin holds every certificate byte fixed while
+        # the way certify and extend derive them changes.
+        digest, count = hashlib.sha256(), 0
+        for args in (("E6",), ("E7",), ("E8",), ("D", 8), ("D", 4), ("B", 4), ("A", 5),
+                     ("F4",), ("G2",), ("B", 6), ("D", 6)):
+            psi = weyl_data(*args)
+            admissible = [s for s, _ in m2.admissible_nodes(psi)]
+            for k in (1, 2, 3):
+                for nodes in itertools.permutations(admissible, k):
+                    d = build_dagger(psi, nodes)
+                    try:
+                        extension = cyclic_extension(d).certificate.to_json()
+                    except DaggerError as exc:
+                        extension = str(exc)
+                    digest.update(json.dumps(certify_torsion_free(d).to_json(), sort_keys=True).encode())
+                    digest.update(json.dumps(extension, sort_keys=True).encode())
+                    count += 1
+        assert count == 630
+        assert digest.hexdigest() == "d81ca2256d363baa345c57bdc365b55c7d37fe18baccc313ed97eeabc614161f"
+
+
+def _clear_memos():
+    for value in vars(tf).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def _derived(d):
+    """What certify and extend derive for d, step by step; a step that
+    raises gives its message."""
+    out = []
+    for derive in (lambda: tf.verify_relations(d, "hat"), lambda: tf.verify_relations(d, "plain"),
+                   lambda: tf._involution_classes(d), lambda: tf._finite_visible_structure(d),
+                   lambda: certify_torsion_free(d).to_json(),
+                   lambda: cyclic_extension(d).certificate.to_json()):
+        try:
+            out.append(derive())
+        except DaggerError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestMemoKeys:
+    """A hand-built twin of a built symbol, certified next to it in either
+    order, gets what it gets with every memo of the module cleared: each
+    memo's key holds everything its value reads."""
+
+    @staticmethod
+    def _twins(d, twin):
+        _clear_memos()
+        alone = [_derived(d)]
+        _clear_memos()
+        alone.append(_derived(twin))
+        assert alone[0] != alone[1]
+        for order in ((d, twin), (twin, d)):
+            _clear_memos()
+            together = [_derived(x) for x in order]
+            assert together == (alone if order[0] is d else alone[::-1])
+
+    def test_a_raised_weyl_edge(self):
+        # As in TestRelationsFollowGamma: gamma's 1-2 edge raised to 4.
+        d = build_dagger(weyl_data("E6"), [1])
+        edges = [(a, b, 4 if (a, b) == (1, 2) else m) for a, b, m in d.gamma.edges()]
+        self._twins(d, d._replace(gamma=CoxeterSymbol(d.gamma.nodes, edges)))
+
+    def test_extension_reads_the_built_neighbours(self):
+        # The rows read psi and the pendant alone, so extend's class
+        # exclusion names the free nodes of the symbol build_dagger makes,
+        # whatever extra edge a hand-built gamma has; certify's step 3
+        # names that edge.
+        # On D4 [2], gamma's neighbours would leave t1 alone two free nodes, not three.
+        d = build_dagger(weyl_data("D", 4), [2])
+        bad = d._replace(gamma=CoxeterSymbol(d.gamma.nodes, d.gamma.edges() + [(1, "t1", 3)]))
+        steps = [{s.name: s for s in cyclic_extension(x).certificate.steps} for x in (d, bad)]
+        assert steps[0]["class-exclusion"] == steps[1]["class-exclusion"]
+        assert steps[0]["class-exclusion"].objects["components"][0] == {
+            "nodes": ["t1"], "free_antipodal_size": 3}
+        assert certify_torsion_free(bad).steps[2].objects == {
+            "violations": [{"edge": ["1", "t1"], "order": 3, "expected": 2}]}
+
+    @pytest.mark.parametrize("args,nodes", [(("D", 4), (2,)), (("E8",), (8,)), (("A", 5), (2,)),
+                                            (("E8",), (1, 8))])
+    def test_zeroed_weights(self, args, nodes):
+        # As in TestProductTable::test_zeroed_weights_fail_step_2, whose
+        # step 2 fails on the special attachments; certify raises at
+        # kernel_index, and _derived reads the steps alone.
+        d = build_dagger(weyl_data(*args), nodes)
+        self._twins(d, d._replace(weights=tuple((0,) * d.psi.rank for _ in d.weights)))
 
 
 class TestProductTable:
@@ -671,7 +824,7 @@ class TestProductTable:
     The verdicts certify and extend read off the pendant components equal
     the class-by-class scan of that table.  The growth from the pendants
     reaches exactly the connected spherical subsets through a pendant that
-    the walk of the whole symbol lists, and its components are those
+    the walk of the whole symbol lists, and its components are the rows
     certify reads off the type-A paths (_components)."""
 
     @staticmethod
@@ -686,7 +839,7 @@ class TestProductTable:
             == class_scan(d, max_rank), nodes
         components, violations = pendant_growth(d)
         assert violations == () and _walk_violations(d) == []
-        assert tf._components(d) == components, nodes
+        assert _rows(d) == pendant_rows(d), nodes
         pend = sum(1 << k for k, v in enumerate(d.gamma.nodes) if v in d.pendants)
         through = [mask for mask, comps in spherical_subsets(d.gamma).items()
                    if mask & pend and len(comps) == 1]
