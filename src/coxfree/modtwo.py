@@ -9,6 +9,11 @@ simple root but x_s, its orbit under subsets of reflections, and the
 linear independence data these orbits produce: admissibility of a node,
 the dimension of the orbit span, the kernel/image invariant of a Coxeter
 half-turn, and the geometric-series operator used to hit its targets.
+
+A reflection moves one coordinate of L/2: s_j y = y + c_j(y) e_j, where
+c_j(y) is the parity of (odd Cartan row j) & y, the row that
+weyl.reflection_matrix subtracts (odd_rows).  The path flags and the
+orbit spans are read off that rule in closed form, with no matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import (Callable, Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+from typing import (Callable, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
 from . import weyl as wy
@@ -125,10 +130,6 @@ def span(vectors: Iterable[int], ambient: int) -> F2Subspace:
     return F2Subspace(echelon_basis(vectors), ambient)
 
 
-def f2_rank(vectors: Iterable[int]) -> int:
-    return len(echelon_basis(vectors))
-
-
 def f2_nullspace(cols: F2Matrix, n: int) -> Tuple[int, ...]:
     """Basis of {v : M v = 0} for the operator with the given columns.
 
@@ -180,6 +181,20 @@ def weight_vector(w: WeylData, s: int) -> WeightVector:
 # Orbits and independence data
 
 @lru_cache(maxsize=32)
+def odd_rows(w: WeylData) -> Tuple[int, ...]:
+    """Bit k of entry j is set when cartan[j][k] is odd: the mod-2 action
+    of the Weyl group, one bitset per node.  s_(j+1) adds e_j to y mod 2
+    when odd_rows(w)[j] & y has odd weight, and fixes y otherwise.
+    Memoized per Weyl type."""
+    return tuple(vec_mod2(row) for row in w.cartan)
+
+
+def moving(w: WeylData, y: int) -> int:
+    """The nodes whose reflections move y mod 2, node j on bit j - 1."""
+    return sum(1 << j for j, row in enumerate(odd_rows(w)) if (row & y).bit_count() & 1)
+
+
+@lru_cache(maxsize=32)
 def f2_generators(w: WeylData) -> Mapping[int, F2Matrix]:
     """Read-only map node -> reflection mod 2, built once per Weyl group."""
     return MappingProxyType({i: mat_mod2(wy.reflection_matrix(w, i)) for i in w.symbol.nodes})
@@ -207,30 +222,11 @@ def bfs_closure(start: Hashable, gens: Sequence, act: Callable, cap: Optional[in
 
 def orbit_span(gens: Sequence[F2Matrix], start: int, ambient: int) -> Tuple[frozenset, F2Subspace]:
     """Orbit of start under the generators, with the span of the orbit.
-    Nothing in the package calls it: orbit_dim closes a basis instead.
-    The tests keep it as orbit_dim's reference, and perfbench's tracer
-    looks it up by name."""
+    Nothing in the package calls it: orbit_dim and type_a_paths read the
+    odd rows instead.  The tests keep it as their reference, and
+    perfbench's tracer looks it up by name."""
     orbit = bfs_closure(start, gens, lambda v, g: f2_mat_vec(g, v))
     return frozenset(orbit), span(sorted(orbit), ambient)
-
-
-def _walk_from(w: WeylData, s: int) -> Dict[int, Tuple[Tuple[int, ...], List[int]]]:
-    """One walk of the Weyl tree from s: each node t maps to the minimal
-    path s..t and its x-set, the successive reflection images of u_s mod 2
-    along that path.  An x-set has k+1 entries for a k-node path and keeps
-    duplicates; the set of distinct values may be smaller."""
-    gens = f2_generators(w)
-    u = weight_vector(w, s).mod2()
-    walk = {s: ((s,), [u, f2_mat_vec(gens[s], u)])}
-    stack = [s]
-    while stack:
-        v = stack.pop()
-        path, xs = walk[v]
-        for t in w.symbol.neighbors(v):
-            if t not in walk:
-                walk[t] = (path + (t,), xs + [f2_mat_vec(gens[t], xs[-1])])
-                stack.append(t)
-    return walk
 
 
 @lru_cache(maxsize=128)
@@ -238,22 +234,33 @@ def type_a_paths(w: WeylData, s: int) -> Tuple[Tuple[Tuple[int, ...], bool, int]
     """(path, faithful, total) for each minimal path from s whose edges all
     have order 3, so that it induces a type-A subsymbol, in node order of
     the far end; the one-node path (s,) is among them.  faithful says
-    whether the x-set of the path spans len(path) + 1 dimensions: for one
+    whether the x-set of the path, u_s mod 2 and its successive images
+    under the path's reflections, spans len(path) + 1 dimensions: for one
     type-A path, whether the pendant map is faithful on the visible type-B
     subgroup of a pendant at s and that path.  total is the sum (XOR) of
     the x-set, the translation of that subgroup's longest element.
-    Memoized per (Weyl type, node), from w alone, so admissibility and
-    certify share one walk; the result is an immutable tuple."""
-    walk = _walk_from(w, s)
-    out = []
-    for t in w.symbol.nodes:
-        path, xs = walk[t]
-        if all(w.symbol.order(a, b) == 3 for a, b in zip(path, path[1:])):
-            total = 0
-            for x in xs:
-                total ^= x
-            out.append((path, f2_rank(xs) == len(path) + 1, total))
-    return tuple(out)
+
+    One walk from s along the order-3 edges.  Each step x <- x + c_t(x) e_t
+    (odd_rows) adds at most e_t to the span, so the x-set spans
+    len(path) + 1 dimensions iff every step moved x and u_s has a bit off
+    the path.  Memoized per (Weyl type, node), from w alone, so
+    admissibility and certify share one walk; the result is an immutable
+    tuple."""
+    rows = odd_rows(w)
+    u = weight_vector(w, s).mod2()
+    # node -> (path, its node mask, whether every step moved x, x, total);
+    # the stack holds each node to walk with its parent's entry.
+    walk = {}
+    stack = [(s, ((), 0, True, u, u))]
+    while stack:
+        v, (path, mask, moved, x, total) = stack.pop()
+        c = (rows[v - 1] & x).bit_count() & 1
+        x ^= c << v - 1
+        walk[v] = (path + (v,), mask | 1 << v - 1, moved and c == 1, x, total ^ x)
+        stack += [(t, walk[v]) for t in w.symbol.neighbors(v)
+                  if t not in walk and w.symbol.order(v, t) == 3]
+    return tuple((path, moved and u & ~mask != 0, total)
+                 for path, mask, moved, _, total in (walk[t] for t in w.symbol.nodes if t in walk))
 
 
 def _admissibility(w: WeylData, s: int) -> Tuple[bool, bool]:
@@ -280,27 +287,22 @@ def admissible_nodes(w: WeylData) -> List[Tuple[int, bool]]:
 def orbit_dim(w: WeylData, u: int, parity: int) -> int:
     """Dimension of the span of the reflection-group orbit of (parity, u) in
     F2 x L/2, the parity bit sitting above the n coordinates of u; every
-    reflection fixes it.  The span is the least subspace that holds the
-    vector and is mapped into itself by every generator, so it is closed
-    from the vector one basis element at a time: each new element's images
-    under the generators join the basis unless they reduce to zero.  That
-    is at most n + 1 elements times the rank in products, with no orbit
-    listed.  Memoized per (Weyl type, vector, parity): every kernel_index
-    slot and lambda_dim read it."""
-    n = w.rank
-    gens = [cols + (1 << n,) for cols in f2_generators(w).values()]
-    start = u | parity << n
-    basis = {start & -start: start} if start else {}  # lowest set bit -> basis vector
-    queue = list(basis.values())
-    for v in queue:
-        for g in gens:
-            y = f2_mat_vec(g, v)
-            while y and y & -y in basis:
-                y ^= basis[y & -y]
-            if y:
-                basis[y & -y] = y
-                queue.append(y)
-    return len(basis)
+    reflection fixes it.  The span is F2 (parity, u) + span{e_j : j in J}:
+    J holds each node whose reflection moves u (moving) and, with node k,
+    each node j whose reflection moves e_k, that is cartan[j][k] odd
+    (odd_rows), since s_j y - y = c_j(y) e_j.  So the dimension is |J|,
+    plus one when the parity is set or u has a bit outside J.  Memoized
+    per (Weyl type, vector, parity): certify, replay and extend each read
+    it for every kernel_index slot."""
+    rows = odd_rows(w)
+    found = moving(w, u)
+    queue = [k for k in w.symbol.nodes if found >> k - 1 & 1]
+    for k in queue:
+        for j in w.symbol.neighbors(k):
+            if rows[j - 1] >> k - 1 & 1 and not found >> j - 1 & 1:
+                found |= 1 << j - 1
+                queue.append(j)
+    return found.bit_count() + (parity != 0 or u & ~found != 0)
 
 
 def lambda_dim(w: WeylData, s: int) -> int:

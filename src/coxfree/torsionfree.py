@@ -29,6 +29,11 @@ translation by w_j u_i.  Certify's structure step checks that the
 symbol is the one build_dagger makes, so the lemma holds for whatever
 it certifies.
 
+The relations.  A reflection moves one coordinate of L/2 (modtwo.odd_rows),
+so each defining relation is judged by a closed form in psi's Coxeter
+orders and the pendants' u_i mod 2 (verify_relations), with no word
+folded.  The fold (_fold) serves phi and the image closure alone.
+
 An involution class picks a set U of pendant components, disjoint and
 not adjacent, and a class C of the Weyl nodes U leaves free: a component
 is A1 or B_k, both antipodal, so no exchange move touches it or a
@@ -40,23 +45,22 @@ Its caches are derived from their arguments alone, never from a
 certificate, and every value a caller reads is immutable.  What depends
 on one pendant, or on none, is keyed by what it depends on, so symbols
 over one Weyl type share it.  Per Weyl type and: nothing more, the
-admissible nodes (_admissible), the verdicts of the Weyl block of the
-relations (_weyl_relations) and the half-turn data (_half_turn); two
-letters without their slots and an order, that relation's verdicts
-(_relation); an attachment, its pendant and the pendant's letter, the
-rows of its pendant components, which certify's step 2 and extend's
-class exclusion read (_components); an attachment and whether its
-pendant can be parity compensated, the step-4 rows (_faithfulness); a
-tuple of attachments, the rest of the built symbol, which step 3
-compares with (_dagger_fields); a free node mask, its largest antipodal
-size (_free_antipodal_size); a slot count, zeta and its half power
-(_zeta); in modtwo, a node, its weight vector and its type-A paths with
-their x-set sums (modtwo.weight_vector, modtwo.type_a_paths), and a
-vector and a parity, the orbit span dimension that proves a slot of
-kernel_index (modtwo.orbit_dim).  Per symbol, for the last two symbols:
-the letter table of the augmented map (_letters); the records are
-NamedTuples, and a DaggerSymbol is a value, so it is keyed by its
-fields.  No memo holds a certificate or a verdict about one symbol:
+admissible nodes (_admissible), the half-turn data (_half_turn) and, in
+modtwo, the odd Cartan rows (modtwo.odd_rows); an attachment, its
+pendant and the pendant's letter, the rows of its pendant components,
+which certify's step 2 and extend's class exclusion read (_components);
+an attachment and whether its pendant can be parity compensated, the
+step-4 rows (_faithfulness); a tuple of attachments, the rest of the
+built symbol, which step 3 compares with (_dagger_fields); a free node
+mask, its largest antipodal size (_free_antipodal_size); a slot count,
+zeta and its half power (_zeta); in modtwo, a node, its weight vector
+and its type-A paths with their x-set sums (modtwo.weight_vector,
+modtwo.type_a_paths), and a vector and a parity, the orbit span
+dimension that proves a slot of kernel_index (modtwo.orbit_dim).  Per
+symbol, for the last two symbols: the letter table of the augmented map
+(_letters); the records are NamedTuples, and a DaggerSymbol is a value,
+so it is keyed by its fields.  No memo holds a certificate or a verdict
+about one symbol, and none holds a relation:
 certify, replay and extend build every step afresh from the rows.
 """
 
@@ -71,7 +75,7 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import modtwo as m2
 from . import weyl as wy
-from .symbols import CoxeterSymbol, classify_component, mask_nodes
+from .symbols import INF, CoxeterSymbol, classify_component, mask_nodes
 from .weyl import Matrix, WeylData
 
 WORD_CAP = 10_000
@@ -236,46 +240,6 @@ def phi(d: DaggerSymbol, word: Sequence, mode: str = "hat") -> SemidirectElement
     return SemidirectElement(x if mode == "hat" else 0, tuple(v), tuple(map(tuple, g)))
 
 
-def _pairs(gens: Sequence) -> List[Tuple]:
-    """The generator pairs of the defining relations, in relation order:
-    each (a, a), then each (a, b) with a before b."""
-    return [(a, a) for a in gens] + list(itertools.combinations(gens, 2))
-
-
-@lru_cache(maxsize=16)
-def _weyl_relations(psi: WeylData) -> Mapping[Tuple[int, int], int]:
-    """The Weyl block of the relations, judged once per Weyl type: each
-    pair (a, b) of psi's nodes (_pairs) whose relation (a b)^m, m its
-    order in psi, holds in W(psi), mapped to m.  Weyl letters move neither
-    x nor v, so the verdict is the same in both modes."""
-    one = [list(r) for r in wy.identity_matrix(psi.rank)]
-    table = {}
-    for a, b in _pairs(psi.symbol.nodes):
-        m = psi.symbol.order(a, b)
-        g = [r[:] for r in one]
-        _fold(psi, (a, b) * m, 0, [], g)
-        if g == one:
-            table[a, b] = m
-    return MappingProxyType(table)
-
-
-@lru_cache(maxsize=2048)
-def _relation(psi: WeylData, a, b, m: int) -> Tuple[bool, bool]:
-    """Whether the relation (a b)^m holds under the plain and under the
-    augmented map, for two letters given without their slots: a Weyl node,
-    or a pendant as (1 if it carries a parity bit else 0, the odd
-    coordinates of u_i).  a takes slot 0 and b slot 1, or slot 0 when
-    m = 1 (b is a).  The verdict depends on psi and these alone, so each
-    is folded (_fold) once per Weyl type, whichever symbol asks."""
-    word = tuple(c if type(c) is not tuple else (c[0] << k, k, c[1])
-                 for k, c in ((0, a), (int(m > 1), b)))
-    one = [list(r) for r in wy.identity_matrix(psi.rank)]
-    v, g = [0, 0], [r[:] for r in one]
-    x = _fold(psi, word * m, 0, v, g)
-    plain = not any(v) and g == one
-    return plain, plain and not x
-
-
 # ---------------------------------------------------------------------------
 # Certificates
 
@@ -312,28 +276,49 @@ class Certificate(NamedTuple):
 def verify_relations(d: DaggerSymbol, mode: str = "hat") -> CertStep:
     """Certify's relations step: every defining relation (a b)^m of the
     pendant symbol, m its order in gamma, holds in the image of the mode's
-    map.  A pair of Weyl nodes whose order in gamma is its order in psi is
-    read off the Weyl block (_weyl_relations); every other pair, one with
-    a pendant or a Weyl pair whose order gamma changes, off its slot-free
-    letters and order (_relation).  The step records how many relations
-    were checked and, for each that fails, its generators, order and
-    relation word."""
+    map.  The relations are (a a)^1 for each generator a, which always
+    holds (each image is an involution), and (a b)^m for each pair a
+    before b in gamma's node order, judged by a closed form; an INF edge
+    imposes nothing.
+    - Weyl nodes a, b: s_a s_b has order m_ab, its order in psi, in W(psi)
+      (Humphreys, Reflection Groups and Coxeter Groups, 5.3), so the
+      relation holds iff m_ab divides m.
+    - A pendant t with u mod 2 in its slot, and a Weyl node s: (t s)^2 is
+      the translation by c_s(u) e_s (modtwo.moving) with x = 0, and t s
+      moves the Weyl part, so it holds iff m is even and either 4 | m or
+      c_s(u) = 0.
+    - Two pendants: their translations commute and sit in separate slots
+      and bits, so it holds iff m is even or both u are 0 mod 2 and, in
+      hat mode, neither carries a parity bit.
+    The step records how many relations were checked and, for each that
+    fails, its generators, order and relation word."""
     if mode not in ("plain", "hat"):
         raise DaggerError(f"unknown mode {mode!r}")
-    psi, gamma, hat = d.psi, d.gamma, mode == "hat"
-    weyl = _weyl_relations(psi)
-    letters = {s: a if type(a) is not tuple else (int(a[0] != 0), a[2])
-               for s, a in _letters(d).items()}
-    pairs = _pairs(gamma.nodes)
+    psi, gamma = d.psi, d.gamma
+    # Per pendant: the Weyl nodes that move u mod 2, and whether its image
+    # is nontrivial in this mode (u != 0 mod 2, or a parity bit in hat).
+    moved, nontrivial = {}, {}
+    for i, (t, weight) in enumerate(zip(d.pendants, d.weights)):
+        u = m2.vec_mod2(weight)
+        moved[t] = m2.moving(psi, u)
+        nontrivial[t] = u != 0 or mode == "hat" and i < d.ell
     failed = []
-    for pair in pairs:
-        a, b = pair
+    for a, b in itertools.combinations(gamma.nodes, 2):
         m = gamma.order(a, b)
-        if weyl.get(pair) != m and not _relation(psi, letters[a], letters[b], m)[hat]:
-            failed.append({"generators": [str(a)] if a == b else [str(a), str(b)],
-                           "order": m,
+        if m == INF:
+            continue
+        if a in moved and b in moved:
+            holds = m % 2 == 0 or not (nontrivial[a] or nontrivial[b])
+        elif a in moved or b in moved:
+            s, t = (b, a) if a in moved else (a, b)
+            holds = m % 4 == 0 or m % 2 == 0 and not moved[t] >> s - 1 & 1
+        else:
+            holds = m % psi.symbol.order(a, b) == 0
+        if not holds:
+            failed.append({"generators": [str(a), str(b)], "order": m,
                            "relation_word": [str(a), str(b)] * m})
-    return CertStep("relations", {"checked": len(pairs), "failed": failed}, not failed)
+    n = gamma.rank
+    return CertStep("relations", {"checked": n * (n + 1) // 2, "failed": failed}, not failed)
 
 
 def enumerate_image(d: DaggerSymbol, mode: str, cap: int) -> int:
@@ -505,7 +490,11 @@ def _finite_visible_structure(d: DaggerSymbol) -> CertStep:
     found = []
     if d != built:
         have, want = d.gamma, built.gamma
-        found = [{"edge": [str(a), str(b)], "order": have.order(a, b), "expected": want.order(a, b)}
+        # An INF order is written "inf", as symbols.serialize_symbol
+        # writes it, so that the certificate is valid JSON.
+        found = [{"edge": [str(a), str(b)],
+                  "order": "inf" if have.order(a, b) == INF else have.order(a, b),
+                  "expected": want.order(a, b)}
                  for a, b in itertools.combinations(want.nodes, 2)
                  if have.order(a, b) != want.order(a, b)]
         found += [{"pendant": t, "u_mod2": m2.vec_mod2(u), "expected": m2.vec_mod2(e)}
@@ -531,8 +520,8 @@ def certify_torsion_free(d: DaggerSymbol, mode: str = "hat") -> Certificate:
     is not faithful must be parity compensated: hat mode, a non-special
     attachment and odd rank k, so that the longest element, with k letters
     t_i, keeps t_i's parity bit and survives the map.  Steps (1)-(4) read
-    the module's caches (_weyl_relations, _relation, _components,
-    _dagger_fields, _faithfulness) and modtwo's walk.
+    the module's caches (_components, _dagger_fields, _faithfulness) and
+    modtwo's (odd_rows, type_a_paths, orbit_dim for the index).
     """
     if mode == "plain" and not all(d.special):
         raise DaggerError("plain-mode certification needs specially admissible attachments")

@@ -14,7 +14,9 @@ involution class of a pendant symbol with its word and image, as the
 product of pendant configurations (from the growth) and the generic
 closure (equivalence_classes) of the Weyl nodes each leaves free.  It is
 the reference for the verdicts certify and extend read off the pendant
-components alone (class_scan).
+components alone (class_scan).  relation_by_fold evaluates every defining
+relation word of a pendant symbol by folding it: the reference for the
+closed forms that torsionfree.verify_relations judges the relations by.
 """
 
 from __future__ import annotations
@@ -512,3 +514,19 @@ def class_scan(d, target: int) -> Tuple[bool, bool]:
     excluded = all(image.x != 0 or set(cls.canonical) <= weyl_nodes
                    or minus_one_rank(image.g) != target for cls, _, image in table)
     return nontrivial, excluded
+
+
+def relation_by_fold(d, mode: str):
+    """Certify's relations step with every relation word (a b)^m, m the
+    order of a and b in gamma, evaluated by phi, which folds it letter by
+    letter into the image of the mode's map.  An INF edge imposes no
+    relation."""
+    gamma = d.gamma
+    pairs = [(a, a) for a in gamma.nodes] + list(itertools.combinations(gamma.nodes, 2))
+    failed = []
+    for a, b in pairs:
+        m = gamma.order(a, b)
+        if m != math.inf and not tf.phi(d, [a, b] * m, mode).is_identity():
+            failed.append({"generators": [str(a)] if a == b else [str(a), str(b)], "order": m,
+                           "relation_word": [str(a), str(b)] * m})
+    return tf.CertStep("relations", {"checked": len(pairs), "failed": failed}, not failed)

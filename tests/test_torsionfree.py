@@ -6,7 +6,6 @@ import itertools
 import json
 import operator
 import random
-import sys
 import warnings
 
 import pytest
@@ -28,7 +27,7 @@ from coxfree import torsionfree as tf
 from coxfree import symbols as sym
 from coxfree import weyl as wy
 from coxfree.symbols import CoxeterSymbol, mask_nodes, spherical_subsets
-from oracles import class_scan, class_table, pendant_growth, pendant_rows
+from oracles import class_scan, class_table, pendant_growth, pendant_rows, relation_by_fold
 
 
 def _generator_images(d, mode):
@@ -171,6 +170,95 @@ class TestRelationsFollowGamma:
         assert _grown_violations(bad) == _walk_violations(bad)
         assert _grown(bad) == _through(bad)
         assert not cert.ok and replay_certificate(bad, cert)
+
+
+def _with_edge(d, a, b, m):
+    """d with gamma's a-b edge set to order m (2 removes it)."""
+    edges = [e for e in d.gamma.edges() if {e[0], e[1]} != {a, b}]
+    return d._replace(gamma=CoxeterSymbol(d.gamma.nodes, edges + ([(a, b, m)] if m != 2 else [])))
+
+
+def _variants(d):
+    """Hand-built twins of d: each single edge of gamma set to 2, 3, 4, 5,
+    6 or INF; zeroed weights and e_1 weights; and, with two pendants or
+    more, zeroed or built weights with an odd t1-t2 edge."""
+    for a, b in itertools.combinations(d.gamma.nodes, 2):
+        for m in (2, 3, 4, 5, 6, sym.INF):
+            if m != d.gamma.order(a, b):
+                yield _with_edge(d, a, b, m)
+    n = d.psi.rank
+    zeroed = d._replace(weights=tuple((0,) * n for _ in d.weights))
+    yield zeroed
+    yield d._replace(weights=tuple((1,) + (0,) * (n - 1) for _ in d.weights))
+    if d.m >= 2:
+        for base in (zeroed, d):
+            for m in (3, 5):
+                yield _with_edge(base, "t1", "t2", m)
+
+
+class TestRelationRule:
+    """verify_relations judges each pair by a closed form on the odd Cartan
+    rows; the reference folds every relation word (oracles.relation_by_fold)."""
+
+    @pytest.mark.parametrize("args", [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+                             + [("D", r) for r in range(4, 9)]
+                             + [("E6",), ("E7",), ("E8",), ("F4",), ("G2",)],
+                             ids=lambda args: "".join(map(str, args)))
+    def test_every_built_symbol(self, args):
+        w = weyl_data(*args)
+        admissible = [s for s, _ in m2.admissible_nodes(w)]
+        for k in (1, 2, 3):
+            for nodes in itertools.combinations(admissible, k):
+                d = build_dagger(w, nodes)
+                for mode in ("hat", "plain"):
+                    assert tf.verify_relations(d, mode) == relation_by_fold(d, mode), (nodes, mode)
+
+    @pytest.mark.parametrize("args,nodes", [(("E6",), (1,)), (("E6",), (1, 5)), (("D", 4), (2,)),
+                                            (("B", 4), (2,)), (("A", 4), (1, 3)), (("G2",), (1,)),
+                                            (("F4",), (1, 2)), (("D", 6), (2, 4))],
+                             ids=lambda x: "".join(map(str, x)))
+    def test_hand_built_variants(self, args, nodes):
+        verdicts, kinds = set(), set()
+        for bad in _variants(build_dagger(weyl_data(*args), nodes)):
+            for mode in ("hat", "plain"):
+                step = tf.verify_relations(bad, mode)
+                assert step == relation_by_fold(bad, mode), (bad.gamma.edges(), bad.weights, mode)
+                verdicts.add(step.ok)
+                kinds.update(sum(g in bad.pendants for g in f["generators"]) for f in step.objects["failed"])
+        assert verdicts == {True, False}
+        assert kinds == ({0, 1, 2} if len(nodes) > 1 else {0, 1})
+
+    def test_an_odd_pendant_edge_on_zeroed_weights(self):
+        # E6 [1 5], both attachments plain, with u_1 = u_2 = 0 and a t1-t2
+        # edge of order 3: the translations vanish, so (t1 t2)^3 holds in
+        # the plain map, but it keeps both parity bits in the augmented one.
+        d = build_dagger(weyl_data("E6"), [1, 5])
+        assert d.ell == 2
+        bad = _with_edge(d._replace(weights=((0,) * 6, (0,) * 6)), "t1", "t2", 3)
+        assert tf.verify_relations(bad, "hat").objects["failed"] == [
+            {"generators": ["t1", "t2"], "order": 3, "relation_word": ["t1", "t2"] * 3}]
+        assert tf.verify_relations(bad, "plain").ok
+        assert not phi(bad, ["t1", "t2"] * 3, "hat").is_identity()
+        assert phi(bad, ["t1", "t2"] * 3, "plain").is_identity()
+
+
+class TestInfiniteEdges:
+    @pytest.mark.parametrize("edge", [(1, 2), (1, "t1")], ids=["1-2", "1-t1"])
+    def test_an_inf_edge_imposes_no_relation(self, edge):
+        # E6 [1] with one edge set to INF: every relation holds, step 3
+        # names the edge with its order written "inf", as in a serialized
+        # symbol, and the certificate is JSON without NaN or Infinity.
+        d = build_dagger(weyl_data("E6"), [1])
+        bad = _with_edge(d, *edge, sym.INF)
+        for mode in ("hat", "plain"):
+            assert tf.verify_relations(bad, mode) == relation_by_fold(bad, mode)
+            assert tf.verify_relations(bad, mode).ok
+        cert = certify_torsion_free(bad)
+        assert [s.name for s in cert.steps if not s.ok] == ["finite-visible-structure"]
+        assert cert.steps[2].objects == {"violations": [
+            {"edge": [str(v) for v in edge], "order": "inf", "expected": d.gamma.order(*edge)}]}
+        json.dumps(cert.to_json(), allow_nan=False)
+        assert replay_certificate(bad, cert) is True
 
 
 class TestBuild:
@@ -439,19 +527,6 @@ def _count(monkeypatch, owner, name):
     return calls
 
 
-def _callers(monkeypatch, owner, name):
-    """Record the name of the function that makes each call of owner.name."""
-    callers = []
-    original = getattr(owner, name)
-
-    def spy(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, spy)
-    return callers
-
-
 class TestClassTable:
     def test_words_are_built_once_per_class(self):
         # Certify, its replay and extend read one row of pendant
@@ -480,16 +555,15 @@ class TestClassTable:
         assert hat.steps[1] == plain.steps[1] == tf._involution_classes(d)
         assert len(class_table(d)) == len(inv.equivalence_classes(d.gamma)) == 199
 
-    def test_one_weight_vector_per_attachment(self, monkeypatch):
+    def test_one_weight_vector_per_attachment(self):
         # build_dagger walked the type-A paths from each attachment; certify
         # and its replay read the memoized walk and the memoized u_s, though
-        # step 3 builds the symbol afresh, and compute no u_s again.
+        # step 3 builds the symbol afresh, and walk and compute no u_s again.
         d = build_dagger(weyl_data("E8"), [1, 8])
-        misses = m2.weight_vector.cache_info().misses
-        walks = _count(monkeypatch, m2, "_walk_from")
+        misses = m2.weight_vector.cache_info().misses, m2.type_a_paths.cache_info().misses
         cert = certify_torsion_free(d, "hat")
         assert cert.ok and replay_certificate(d, cert)
-        assert m2.weight_vector.cache_info().misses == misses and walks == []
+        assert (m2.weight_vector.cache_info().misses, m2.type_a_paths.cache_info().misses) == misses
 
     def test_warm_table_trusts_nothing(self):
         d = build_dagger(weyl_data("E6"), [1])
@@ -617,17 +691,17 @@ class TestWorkCounters:
         # symbol nor Psi: no subset walk, no move table and no class list.
         # Certify and its replay read the pendant components off the
         # type-A paths: they classify no node set and fold no component
-        # word (_b_longest_word), so the only words folded are relations.
-        # The symbols, and so their Weyl data, are built before the spies
-        # go in, and the memos of the rows and relations are cold.
+        # word (_b_longest_word), and the relations are judged by closed
+        # forms, so no stage folds a word at all.  The symbols, and so
+        # their Weyl data, are built before the spies go in, and every memo
+        # of the module is cold.
         symbols = [build_dagger(weyl_data("E8"), [1, 8]), build_dagger(weyl_data("D", 8), [2, 6]),
                    build_dagger(weyl_data("E8"), [1])]
         walks = [_count(monkeypatch, owner, "spherical_subsets") for owner in (sym, inv)]
         walks += [_count(monkeypatch, inv, name) for name in ("_move_table", "maximal_rank_class")]
         classified = [_count(monkeypatch, owner, "classify_component") for owner in (sym, tf)]
-        folds = _callers(monkeypatch, tf, "_fold")
-        for cache in (tf._components, tf._relation, tf._weyl_relations):
-            cache.cache_clear()
+        folds = _count(monkeypatch, tf, "_fold")
+        _clear_memos()
         unfaithful = 0
         for d in symbols:
             cert = certify_torsion_free(d)
@@ -639,25 +713,10 @@ class TestWorkCounters:
             for calls in classified:
                 calls.clear()  # extend names free Weyl node sets (_free_antipodal_size)
         assert unfaithful > 0
-        assert walks == [[]] * 4
-        assert set(folds) == {"_relation", "_weyl_relations"}
+        assert walks == [[]] * 4 and folds == []
         # One row per (Weyl type, attachment, pendant, letter): E8 [1] reads
         # the row of E8 [1 8]'s t1.
         assert tf._components.cache_info().misses == 4
-
-    def test_weyl_relations_once_per_weyl_type(self, monkeypatch):
-        # The Weyl block is judged once per Weyl type: after E8 [1], certify
-        # and replay of E8 [1 8] fold only relations through a pendant.
-        for cache in (tf._relation, tf._weyl_relations):
-            cache.cache_clear()
-        e8 = weyl_data("E8")
-        d = build_dagger(e8, [1])
-        assert replay_certificate(d, certify_torsion_free(d))
-        folds = _count(monkeypatch, tf, "_fold")
-        d = build_dagger(e8, [1, 8])
-        assert replay_certificate(d, certify_torsion_free(d))
-        assert folds and all(any(type(a) is tuple for a in actions) for _, actions, *_ in folds)
-        assert tf._weyl_relations.cache_info().misses == 1
 
     def test_structure_step_builds_no_symbol_on_a_hit(self, monkeypatch):
         # Step 3 reads the built symbol's fields off their memo
@@ -671,14 +730,15 @@ class TestWorkCounters:
         tf._dagger_fields.cache_clear()
         assert tf._finite_visible_structure(d).ok and len(made) == 1
 
-    def test_warm_replay_of_a_large_symbol_folds_nothing(self, monkeypatch):
+    def test_cold_replay_of_a_large_symbol_folds_nothing(self, monkeypatch):
         # B40 [2 6 ... 38] has 50 nodes and 1,275 relations, 455 of them
-        # through a pendant; each memo holds them all, so a warm replay
-        # re-derives every verdict without folding a word.
+        # through a pendant.  Each verdict is a closed form, so certify and
+        # its replay fold no word, with every memo of the module cold.
         d = build_dagger(weyl_data("B", 40), range(2, 40, 4))
+        _clear_memos()
+        folds = _count(monkeypatch, tf, "_fold")
         cert = certify_torsion_free(d)
         assert cert.ok and cert.steps[0].objects["checked"] == 1275
-        folds = _count(monkeypatch, tf, "_fold")
         assert replay_certificate(d, cert) and folds == []
 
     def test_no_orbit_is_listed(self, monkeypatch):
